@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from hetimpute import benchmark, fixture
+from hetimpute.cli import raw_table, summary_table
 
 
 @dataclass(frozen=True)
@@ -37,27 +38,14 @@ def run_sweep(config: SweepConfig, trials: int, seed: int, outdir: Path) -> None
         missing_counts=config.missing_counts,
         trials=trials,
         seed=seed,
-        dataset_name=config.fixture_name,
     )
-    raw = ["k,missing_count,trial,error,imputable"]
-    for rec in report.trials:
-        error = "" if rec.error is None else repr(rec.error)
-        raw.append(
-            f"{rec.k},{rec.missing_count},{rec.trial},{error},"
-            f"{0 if rec.error is None else 1}"
-        )
     (outdir / f"{config.fixture_name}_trials.csv").write_text(
-        "\n".join(raw) + "\n", encoding="utf-8"
+        raw_table(report), encoding="utf-8"
     )
-    summary = ["k,min,q1,median,q3,max,mean"]
-    for k, s in report.k_summaries.items():
-        summary.append(
-            f"{k},{s.min!r},{s.q1!r},{s.median!r},{s.q3!r},{s.max!r},{s.mean!r}"
-        )
     (outdir / f"{config.fixture_name}_summary.csv").write_text(
-        "\n".join(summary) + "\n", encoding="utf-8"
+        summary_table(report), encoding="utf-8"
     )
-    skipped = sum(report.unimputable_counts.values())
+    skipped = sum(1 for rec in report.trials if rec.error is None)
     print(f"{config.fixture_name}: k -> mean error over all masking counts")
     for k, s in report.k_summaries.items():
         print(f"  k={k}: {s.mean:.2e}")

@@ -10,50 +10,19 @@ on and off disk.
 from .core import (
     MISSING,
     CellRef,
-    CellValue,
     ColumnKind,
     Crisp,
     DataMatrix,
     FuzzyTFN,
     Interval,
     Missing,
-    Violation,
     components,
-    matches_kind,
-    missing_cells,
     validate,
 )
-from .distances import (
-    RowDistance,
-    cell_distance,
-    crisp_distance,
-    interval_distance,
-    row_distance,
-    tfn_distance,
-    tfn_membership,
-)
-from .evaluation import (
-    BenchmarkReport,
-    MaskPattern,
-    Summary,
-    TrialRecord,
-    benchmark,
-    cell_error,
-    mask_random,
-    matrix_error,
-    summarize,
-)
-from .fixtures import FIXTURE_NAMES, fixture
-from .imputer import (
-    ZERO_DISTANCE_EPS,
-    Donor,
-    ImputationResult,
-    NeighborSet,
-    combine_cells,
-    find_neighbors,
-    impute,
-    neighbor_weights,
-)
+from .distances import cell_distance, row_distance
+from .evaluation import benchmark, mask_random, matrix_error
+from .fixtures import fixture
+from .imputer import find_neighbors, impute
 from .typed_csv import ParseError, parse, serialize
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Command-line interface: impute, benchmark, distance, validate, fixtures.
 
-Exit codes: 0 success, 1 data error (unreadable or invalid input,
-unimputable cells), 2 usage error. All randomness is controlled by --seed;
-given identical arguments and inputs, output files are byte-identical.
+Exit codes: 0 success, 1 data error (unreadable, invalid or unwritable
+files, unimputable cells), 2 usage error. All randomness is controlled by
+--seed; given identical arguments and inputs, output files are byte-identical.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _usage_error(message: str) -> int:
 def _read_matrix(path: str) -> DataMatrix:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _DataError(f"cannot read {path}: {exc}") from None
     try:
         return parse(text)
@@ -54,10 +54,17 @@ def _read_matrix(path: str) -> DataMatrix:
         raise _DataError(f"{path}: {exc}") from None
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _DataError(f"cannot write {path}: {exc}") from None
+
+
 def cmd_impute(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.input)
     result = impute(matrix, args.k)
-    Path(args.output).write_text(serialize(result.matrix), encoding="utf-8")
+    _write(Path(args.output), serialize(result.matrix))
     if args.trace:
         lines = ["row,col,donor_row,distance,weight"]
         for ref in sorted(result.trace):
@@ -66,7 +73,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
                     f"{ref.row},{ref.col},{donor.row},"
                     f"{donor.distance!r},{donor.weight!r}"
                 )
-        Path(args.trace).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(Path(args.trace), "\n".join(lines) + "\n")
     if result.unimputable:
         for ref in result.unimputable:
             print(
@@ -77,7 +84,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _raw_table(report: BenchmarkReport) -> str:
+def raw_table(report: BenchmarkReport) -> str:
     lines = ["k,missing_count,trial,error,imputable"]
     for rec in report.trials:
         error = "" if rec.error is None else repr(rec.error)
@@ -86,7 +93,7 @@ def _raw_table(report: BenchmarkReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary_table(report: BenchmarkReport) -> str:
+def summary_table(report: BenchmarkReport) -> str:
     lines = ["k,min,q1,median,q3,max,mean"]
     for k, s in report.k_summaries.items():
         lines.append(
@@ -102,10 +109,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         return _usage_error("--nan-min must not exceed --nan-max")
     if args.fixture:
         matrix = fixture(args.fixture)
-        name = args.fixture
     else:
         matrix = _read_matrix(args.input)
-        name = Path(args.input).stem
+        if not matrix.is_complete():
+            raise _DataError(f"{args.input}: benchmark expects a complete matrix")
     if args.nan_max > matrix.n_rows:
         return _usage_error(
             f"--nan-max {args.nan_max} exceeds the {matrix.n_rows} rows "
@@ -117,13 +124,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         missing_counts=range(args.nan_min, args.nan_max + 1),
         trials=args.trials,
         seed=args.seed,
-        dataset_name=name,
     )
     out = Path(args.output)
-    out.write_text(_raw_table(report), encoding="utf-8")
-    summary = _summary_table(report)
-    summary_path = out.with_name(out.stem + ".summary" + out.suffix)
-    summary_path.write_text(summary, encoding="utf-8")
+    _write(out, raw_table(report))
+    summary = summary_table(report)
+    _write(out.with_name(out.stem + ".summary" + out.suffix), summary)
     print(summary, end="")
     return 0
 
@@ -166,10 +171,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_fixtures(args: argparse.Namespace) -> int:
     names = [args.name] if args.name else list(FIXTURE_NAMES)
     dest = Path(args.dest)
-    dest.mkdir(parents=True, exist_ok=True)
+    try:
+        dest.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _DataError(f"cannot create {dest}: {exc}") from None
     for name in names:
         path = dest / f"{name}.csv"
-        path.write_text(serialize(fixture(name)), encoding="utf-8")
+        _write(path, serialize(fixture(name)))
         print(path)
     return 0
 

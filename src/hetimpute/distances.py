@@ -48,22 +48,6 @@ def tfn_distance(a: FuzzyTFN, b: FuzzyTFN) -> float:
     return (abs(a.a1 - b.a1) + abs(a.a2 - b.a2) + abs(a.a3 - b.a3)) / 3.0
 
 
-def tfn_membership(t: FuzzyTFN, x: float) -> float:
-    """Piecewise-linear hat membership of x in t, in [0, 1].
-
-    Rises linearly on (a1, a2), is 1 at x == a2 (this branch dominates when
-    a1 == a2 or a2 == a3), falls linearly on (a2, a3), and is 0 everywhere
-    else, including at the endpoints a1 and a3.
-    """
-    if x == t.a2:
-        return 1.0
-    if t.a1 < x < t.a2:
-        return (x - t.a1) / (t.a2 - t.a1)
-    if t.a2 < x < t.a3:
-        return (t.a3 - x) / (t.a3 - t.a2)
-    return 0.0
-
-
 def cell_distance(a: CellValue, b: CellValue, kind: ColumnKind) -> float:
     """Dispatch to the distance for ``kind``; both cells must match it."""
     if isinstance(a, Missing) or isinstance(b, Missing):

@@ -5,8 +5,8 @@ context to be a donor elsewhere), imputes with a given k, and scores the
 result as the root of the summed squared per-cell distances between the
 original and the completed matrix, divided by the n*m cell count; unmasked
 cells contribute 0. Sweeping k and the number of masked cells over many
-seeded trials yields the error samples and box-plot statistics used for
-reporting.
+seeded trials yields the per-trial errors and per-k box-plot statistics
+used for reporting.
 
 Every random choice flows from explicit integer seeds; per-trial seeds are
 derived by hashing (seed, k, count, trial), so any single trial can be
@@ -22,21 +22,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import CellRef, CellValue, ColumnKind, DataMatrix, MISSING
+from .core import CellRef, DataMatrix, MISSING
 from .distances import cell_distance
 from .imputer import impute
-
-#: Allowed masking modes: at most one masked cell per row (the default), or
-#: every masked cell in one shared column.
-MASK_MODES = ("one-per-row", "single-column")
-
-
-@dataclass(frozen=True)
-class MaskPattern:
-    """The cells removed by one masking draw, with the seed that drew them."""
-
-    refs: tuple[CellRef, ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -64,25 +52,19 @@ class TrialRecord:
 @dataclass(frozen=True)
 class BenchmarkReport:
     dataset_name: str
-    samples: dict[tuple[int, int], tuple[float, ...]]
-    summaries: dict[tuple[int, int], Summary]
     k_summaries: dict[int, Summary]
     trials: tuple[TrialRecord, ...]
-    unimputable_counts: dict[tuple[int, int], int]
 
 
 def mask_random(
-    matrix: DataMatrix, count: int, seed: int, mode: str = "one-per-row"
-) -> tuple[DataMatrix, MaskPattern]:
+    matrix: DataMatrix, count: int, seed: int
+) -> tuple[DataMatrix, tuple[CellRef, ...]]:
     """Replace ``count`` cells of a complete matrix by Missing, seeded.
 
-    The default mode picks ``count`` distinct rows uniformly and one column
-    uniformly within each, so no row loses more than one value. The
-    "single-column" mode instead draws one shared column and ``count``
-    distinct rows. Same arguments, same pattern.
+    Picks ``count`` distinct rows uniformly and one column uniformly within
+    each, so no row loses more than one value. Returns the masked matrix and
+    the masked cells in row-major order. Same arguments, same pattern.
     """
-    if mode not in MASK_MODES:
-        raise ValueError(f"unknown mask mode {mode!r}; use one of {MASK_MODES}")
     if count > matrix.n_rows:
         raise ValueError(
             f"cannot mask {count} cells with at most one per row "
@@ -94,25 +76,14 @@ def mask_random(
         raise ValueError("masking expects a complete matrix")
     rng = random.Random(seed)
     rows = rng.sample(range(matrix.n_rows), count)
-    if mode == "one-per-row":
-        refs = sorted(CellRef(r, rng.randrange(matrix.n_cols)) for r in rows)
-    else:
-        col = rng.randrange(matrix.n_cols)
-        refs = sorted(CellRef(r, col) for r in rows)
+    refs = tuple(sorted(CellRef(r, rng.randrange(matrix.n_cols)) for r in rows))
     grid = [list(row) for row in matrix.cells]
     for ref in refs:
         grid[ref.row][ref.col] = MISSING
     masked = DataMatrix(
         matrix.schema, tuple(tuple(row) for row in grid), matrix.column_names
     )
-    return masked, MaskPattern(tuple(refs), seed)
-
-
-def cell_error(
-    original: CellValue, imputed: CellValue, kind: ColumnKind
-) -> float:
-    """Error of one imputed cell: its type-dispatched distance to the truth."""
-    return cell_distance(original, imputed, kind)
+    return masked, refs
 
 
 def matrix_error(original: DataMatrix, imputed: DataMatrix) -> float:
@@ -131,7 +102,7 @@ def matrix_error(original: DataMatrix, imputed: DataMatrix) -> float:
     total = 0.0
     for i in range(original.n_rows):
         for l, kind in enumerate(original.schema):
-            d = cell_error(original.cells[i][l], imputed.cells[i][l], kind)
+            d = cell_distance(original.cells[i][l], imputed.cells[i][l], kind)
             total += d * d
     return math.sqrt(total) / (original.n_rows * original.n_cols)
 
@@ -172,14 +143,12 @@ def benchmark(
     trials: int,
     seed: int,
     dataset_name: str = "",
-    mask_mode: str = "one-per-row",
 ) -> BenchmarkReport:
     """Mask/impute/score ``trials`` times for every (k, missing_count) pair.
 
     Trials where some cell could not be imputed are kept in the per-trial
-    records with error None and counted per key, but excluded from the
-    sample sets and summaries. Per-k summaries aggregate the samples of all
-    missing counts for that k.
+    records with error None but excluded from the summaries. Per-k summaries
+    aggregate the errors of all missing counts for that k.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -190,39 +159,24 @@ def benchmark(
             )
     if not matrix.is_complete():
         raise ValueError("benchmark expects a complete matrix")
-    samples: dict[tuple[int, int], tuple[float, ...]] = {}
-    summaries: dict[tuple[int, int], Summary] = {}
     k_summaries: dict[int, Summary] = {}
-    unimputable_counts: dict[tuple[int, int], int] = {}
     records: list[TrialRecord] = []
     for k in k_values:
-        per_k: list[float] = []
+        errors: list[float] = []
         for count in missing_counts:
-            errors: list[float] = []
-            failed = 0
             for trial in range(trials):
                 trial_seed = derive_trial_seed(seed, k, count, trial)
-                masked, _ = mask_random(matrix, count, trial_seed, mask_mode)
+                masked, _ = mask_random(matrix, count, trial_seed)
                 result = impute(masked, k)
-                if result.unimputable:
-                    failed += 1
-                    records.append(TrialRecord(k, count, trial, None))
-                    continue
-                error = matrix_error(matrix, result.matrix)
-                errors.append(error)
+                error = None
+                if not result.unimputable:
+                    error = matrix_error(matrix, result.matrix)
+                    errors.append(error)
                 records.append(TrialRecord(k, count, trial, error))
-            samples[(k, count)] = tuple(errors)
-            unimputable_counts[(k, count)] = failed
-            if errors:
-                summaries[(k, count)] = summarize(errors)
-            per_k.extend(errors)
-        if per_k:
-            k_summaries[k] = summarize(per_k)
+        if errors:
+            k_summaries[k] = summarize(errors)
     return BenchmarkReport(
         dataset_name=dataset_name,
-        samples=samples,
-        summaries=summaries,
         k_summaries=k_summaries,
         trials=tuple(records),
-        unimputable_counts=unimputable_counts,
     )

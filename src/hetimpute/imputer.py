@@ -17,11 +17,9 @@ from .core import (
     CellRef,
     CellValue,
     ColumnKind,
-    Crisp,
     DataMatrix,
-    FuzzyTFN,
-    Interval,
     Missing,
+    components,
     matches_kind,
     missing_cells,
 )
@@ -133,17 +131,11 @@ def combine_cells(
     first = donors[0][0]
     if all(cell == first for cell, _ in donors):
         return first
-    if kind is ColumnKind.CRISP:
-        return Crisp(sum(c.value * w for c, w in donors))
-    if kind is ColumnKind.INTERVAL:
-        return Interval(
-            sum(c.lower * w for c, w in donors),
-            sum(c.upper * w for c, w in donors),
-        )
-    return FuzzyTFN(
-        sum(c.a1 * w for c, w in donors),
-        sum(c.a2 * w for c, w in donors),
-        sum(c.a3 * w for c, w in donors),
+    # One sum per component, in donor order, so the bits match the oracle.
+    weights = [w for _, w in donors]
+    columns = zip(*(components(cell) for cell, _ in donors))
+    return type(first)(
+        *(sum(x * w for x, w in zip(column, weights)) for column in columns)
     )
 
 

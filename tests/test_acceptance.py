@@ -158,7 +158,7 @@ def test_criterion_4_synthetic_redundancy_benchmark():
             report = benchmark(
                 m, k_values=[1, 2, 4], missing_counts=[4, 8], trials=40, seed=0
             )
-            pooled = [e for errors in report.samples.values() for e in errors]
+            pooled = [rec.error for rec in report.trials if rec.error is not None]
             assert len(pooled) == 240
             means[repeats] = sum(pooled) / len(pooled)
         assert all(math.isfinite(v) for v in means.values())
@@ -171,8 +171,8 @@ def test_criterion_4_synthetic_redundancy_benchmark():
         report = benchmark(
             duplicate_rows, k_values=[1, 2, 4, 8], missing_counts=[4], trials=10, seed=0
         )
-        for errors in report.samples.values():
-            assert errors and set(errors) == {0.0}
+        assert len(report.trials) == 4 * 10
+        assert {rec.error for rec in report.trials} == {0.0}
 
 
 def test_criterion_5_property_suites(tmp_path):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hetimpute
 from hetimpute import MISSING, fixture, parse, serialize
 from hetimpute.cli import main
 
@@ -10,6 +16,78 @@ def write_case1_masked(path):
     m = fixture("case1").with_cell(2, 2, MISSING)
     path.write_text(serialize(m), encoding="utf-8")
     return m
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """The CLI in a child process, so an uncaught exception shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "hetimpute.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def assert_one_line_data_error(run: subprocess.CompletedProcess) -> None:
+    assert "Traceback" not in run.stderr
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+BENCH_ARGS = ["--k-min", "1", "--k-max", "1", "--nan-min", "1", "--nan-max", "1",
+              "--trials", "1"]
+
+
+class TestBadFilesEndInOneLine:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["impute", "--k", "1", "--output", "{out}"],
+            ["benchmark", *BENCH_ARGS, "--output", "{out}"],
+            ["distance", "--rows", "0,1"],
+            ["validate"],
+        ],
+        ids=["impute", "benchmark", "distance", "validate"],
+    )
+    def test_non_utf8_input(self, tmp_path, command):
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"a:crisp\n\xff\n")
+        args = [a.replace("{out}", str(tmp_path / "o.csv")) for a in command]
+        assert_one_line_data_error(run_cli(*args, "--input", str(src)))
+
+    def test_benchmark_input_with_missing_cell(self, tmp_path):
+        src = tmp_path / "in.csv"
+        write_case1_masked(src)
+        run = run_cli("benchmark", "--input", str(src), *BENCH_ARGS,
+                      "--output", str(tmp_path / "o.csv"))
+        assert_one_line_data_error(run)
+        assert "complete matrix" in run.stderr
+
+    def test_impute_output_in_missing_directory(self, tmp_path):
+        src = tmp_path / "in.csv"
+        write_case1_masked(src)
+        run = run_cli("impute", "--input", str(src), "--k", "1",
+                      "--output", str(tmp_path / "nope" / "o.csv"))
+        assert_one_line_data_error(run)
+
+    def test_impute_trace_in_missing_directory(self, tmp_path):
+        src = tmp_path / "in.csv"
+        write_case1_masked(src)
+        run = run_cli("impute", "--input", str(src), "--k", "1",
+                      "--output", str(tmp_path / "o.csv"),
+                      "--trace", str(tmp_path / "nope" / "t.csv"))
+        assert_one_line_data_error(run)
+
+    def test_benchmark_output_in_missing_directory(self, tmp_path):
+        run = run_cli("benchmark", "--fixture", "case1", *BENCH_ARGS,
+                      "--output", str(tmp_path / "nope" / "o.csv"))
+        assert_one_line_data_error(run)
+
+    def test_fixtures_dest_under_a_regular_file(self, tmp_path):
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        run = run_cli("fixtures", "--dest", str(blocker / "sub"))
+        assert_one_line_data_error(run)
 
 
 class TestImputeCommand:

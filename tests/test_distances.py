@@ -18,7 +18,6 @@ from hetimpute.distances import (
     interval_distance,
     row_distance,
     tfn_distance,
-    tfn_membership,
 )
 
 from oracle import bf_row_distance
@@ -68,39 +67,6 @@ class TestTfnDistance:
 
     def test_constant_offset(self):
         assert tfn_distance(FuzzyTFN(0, 0, 0), FuzzyTFN(3, 3, 3)) == approx(3.0)
-
-
-class TestTfnMembership:
-    def test_peak(self):
-        assert tfn_membership(FuzzyTFN(0, 1, 2), 1.0) == 1.0
-
-    def test_rising_edge_midpoint(self):
-        assert tfn_membership(FuzzyTFN(0, 1, 2), 0.5) == approx(0.5)
-
-    def test_falling_edge_midpoint(self):
-        assert tfn_membership(FuzzyTFN(0, 1, 2), 1.5) == approx(0.5)
-
-    def test_outside_support(self):
-        assert tfn_membership(FuzzyTFN(0, 1, 2), 3.0) == 0.0
-        assert tfn_membership(FuzzyTFN(0, 1, 2), -1.0) == 0.0
-
-    def test_zero_at_endpoints(self):
-        assert tfn_membership(FuzzyTFN(0, 1, 2), 0.0) == 0.0
-        assert tfn_membership(FuzzyTFN(0, 1, 2), 2.0) == 0.0
-
-    def test_degenerate_shoulders_keep_peak(self):
-        assert tfn_membership(FuzzyTFN(1, 1, 2), 1.0) == 1.0
-        assert tfn_membership(FuzzyTFN(0, 1, 1), 1.0) == 1.0
-        assert tfn_membership(FuzzyTFN(1, 1, 1), 1.0) == 1.0
-        assert tfn_membership(FuzzyTFN(1, 1, 1), 0.999) == 0.0
-
-    @given(
-        st.lists(grid_reals(), min_size=3, max_size=3),
-        grid_reals(lo=-15, hi=15),
-    )
-    def test_range(self, xs, x):
-        t = FuzzyTFN(*sorted(xs))
-        assert 0.0 <= tfn_membership(t, x) <= 1.0
 
 
 class TestCellDistance:

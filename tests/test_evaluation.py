@@ -15,12 +15,12 @@ from hetimpute.core import (
 )
 from hetimpute.evaluation import (
     benchmark,
-    cell_error,
     derive_trial_seed,
     mask_random,
     matrix_error,
     summarize,
 )
+from hetimpute.distances import cell_distance
 from hetimpute.fixtures import fixture
 from hetimpute.imputer import impute
 
@@ -31,14 +31,13 @@ approx = pytest.approx
 
 class TestMaskRandom:
     def test_zero_count_is_identity(self, case1):
-        masked, pattern = mask_random(case1, 0, seed=11)
+        masked, refs = mask_random(case1, 0, seed=11)
         assert masked == case1
-        assert pattern.refs == ()
-        assert pattern.seed == 11
+        assert refs == ()
 
     def test_full_count_hits_every_row_once(self, case1):
-        masked, pattern = mask_random(case1, 3, seed=5)
-        assert sorted(ref.row for ref in pattern.refs) == [0, 1, 2]
+        masked, refs = mask_random(case1, 3, seed=5)
+        assert sorted(ref.row for ref in refs) == [0, 1, 2]
         assert sum(
             1 for row in masked.cells for c in row if isinstance(c, Missing)
         ) == 3
@@ -49,18 +48,11 @@ class TestMaskRandom:
         assert first == second
 
     def test_refs_sorted_and_marked_missing(self, case1):
-        masked, pattern = mask_random(case1, 3, seed=3)
-        assert list(pattern.refs) == sorted(pattern.refs)
-        for ref in pattern.refs:
+        masked, refs = mask_random(case1, 3, seed=3)
+        assert list(refs) == sorted(refs)
+        for ref in refs:
             assert isinstance(masked.cell(ref.row, ref.col), Missing)
             assert not isinstance(case1.cell(ref.row, ref.col), Missing)
-
-    def test_single_column_mode_shares_one_column(self):
-        m = fixture("case3")
-        masked, pattern = mask_random(m, 4, seed=2, mode="single-column")
-        cols = {ref.col for ref in pattern.refs}
-        assert len(cols) == 1
-        assert len({ref.row for ref in pattern.refs}) == 4
 
     def test_count_above_rows_rejected(self, case1):
         with pytest.raises(ValueError):
@@ -74,28 +66,26 @@ class TestMaskRandom:
         with pytest.raises(ValueError):
             mask_random(case1_masked, 1, seed=0)
 
-    def test_unknown_mode_rejected(self, case1):
-        with pytest.raises(ValueError):
-            mask_random(case1, 1, seed=0, mode="anything-goes")
-
 
 class TestCellError:
+    """The error of one imputed cell is its distance to the true value."""
+
     def test_identical_cells(self):
-        assert cell_error(Crisp(0.4), Crisp(0.4), ColumnKind.CRISP) == 0.0
+        assert cell_distance(Crisp(0.4), Crisp(0.4), ColumnKind.CRISP) == 0.0
 
     def test_worked_example_fuzzy_pair(self):
         original = FuzzyTFN(0.491539, 0.573462, 0.655386)
         imputed = FuzzyTFN(0.393517, 0.560418, 0.727318)
-        assert cell_error(original, imputed, ColumnKind.FUZZY) == approx(
+        assert cell_distance(original, imputed, ColumnKind.FUZZY) == approx(
             0.061000, abs=1e-3
         )
 
     def test_crisp_pair(self):
-        assert cell_error(Crisp(0.5), Crisp(0.3), ColumnKind.CRISP) == approx(0.2)
+        assert cell_distance(Crisp(0.5), Crisp(0.3), ColumnKind.CRISP) == approx(0.2)
 
     def test_missing_operand_rejected(self):
         with pytest.raises(ValueError):
-            cell_error(MISSING, Crisp(0.1), ColumnKind.CRISP)
+            cell_distance(MISSING, Crisp(0.1), ColumnKind.CRISP)
 
 
 class TestMatrixError:
@@ -104,7 +94,7 @@ class TestMatrixError:
 
     def test_single_cell_error_spread_over_grid(self, case1, case1_masked):
         completed = impute(case1_masked, k=2).matrix
-        single = cell_error(case1.cell(2, 2), completed.cell(2, 2), ColumnKind.FUZZY)
+        single = cell_distance(case1.cell(2, 2), completed.cell(2, 2), ColumnKind.FUZZY)
         assert matrix_error(case1, completed) == approx(single / 9, rel=1e-12)
         assert matrix_error(case1, completed) == approx(0.006778, abs=1e-4)
 
@@ -166,8 +156,7 @@ class TestSummarize:
 class TestBenchmark:
     def test_zero_masking_gives_zero_error(self, case1):
         report = benchmark(case1, k_values=[1, 2], missing_counts=[0], trials=3, seed=4)
-        for errors in report.samples.values():
-            assert errors == (0.0, 0.0, 0.0)
+        assert [rec.error for rec in report.trials] == [0.0] * 6
 
     def test_deterministic(self, case1):
         first = benchmark(case1, [1, 2], [1, 2], trials=10, seed=21)
@@ -181,9 +170,8 @@ class TestBenchmark:
             cells=tuple(row for _ in range(6)),
         )
         report = benchmark(m, k_values=[1, 2, 3, 5], missing_counts=[1, 3], trials=8, seed=0)
-        for errors in report.samples.values():
-            assert errors
-            assert set(errors) == {0.0}
+        assert len(report.trials) == 4 * 2 * 8
+        assert {rec.error for rec in report.trials} == {0.0}
 
     def test_unimputable_trials_flagged_and_excluded(self):
         m = DataMatrix(
@@ -191,27 +179,20 @@ class TestBenchmark:
             cells=((Crisp(1.0),), (Crisp(2.0),), (Crisp(3.0),)),
         )
         report = benchmark(m, k_values=[1], missing_counts=[1], trials=5, seed=8)
-        assert report.samples[(1, 1)] == ()
-        assert report.unimputable_counts[(1, 1)] == 5
-        assert (1, 1) not in report.summaries
-        assert 1 not in report.k_summaries
+        assert len(report.trials) == 5
         assert all(rec.error is None for rec in report.trials)
+        assert 1 not in report.k_summaries
 
     def test_summaries_recomputable_from_samples(self, case1):
         report = benchmark(case1, [1, 2], [1, 2, 3], trials=12, seed=13)
-        for key, errors in report.samples.items():
-            assert report.unimputable_counts[key] + len(errors) == 12
-            if errors:
-                assert report.summaries[key] == summarize(errors)
         for k in (1, 2):
-            pooled = [
-                e
-                for (kk, _), errors in report.samples.items()
-                if kk == k
-                for e in errors
-            ]
+            for count in (1, 2, 3):
+                key = [r for r in report.trials if (r.k, r.missing_count) == (k, count)]
+                assert [r.trial for r in key] == list(range(12))
+            pooled = [r.error for r in report.trials if r.k == k and r.error is not None]
             assert report.k_summaries[k] == summarize(pooled)
-        assert all(e >= 0.0 for errors in report.samples.values() for e in errors)
+        errors = [r.error for r in report.trials if r.error is not None]
+        assert errors and all(e >= 0.0 for e in errors)
 
     def test_trial_records_cover_grid(self, case1):
         report = benchmark(case1, [1], [0, 1], trials=4, seed=1)
@@ -237,13 +218,13 @@ def test_trial_seed_derivation_is_stable():
 @settings(max_examples=40, deadline=None)
 @given(complete_matrices(min_rows=2, max_rows=6, max_cols=4), st.integers(0, 2**32))
 def test_masking_then_restoring_is_monotone(m, seed):
-    masked, pattern = mask_random(m, min(2, m.n_rows), seed)
+    masked, refs = mask_random(m, min(2, m.n_rows), seed)
     result = impute(masked, k=2)
     if result.unimputable:
         return
     completed = result.matrix
     error = matrix_error(m, completed)
-    for ref in pattern.refs:
+    for ref in refs:
         restored = completed.with_cell(ref.row, ref.col, m.cell(ref.row, ref.col))
         assert matrix_error(m, restored) <= error + 1e-15
         completed = restored
