@@ -8,7 +8,10 @@ files, unimputable cells), 2 usage error. All randomness is controlled by
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -54,17 +57,75 @@ def _read_matrix(path: str) -> DataMatrix:
         raise _DataError(f"{path}: {exc}") from None
 
 
-def _write(path: Path, text: str) -> None:
+def _replace_target(path: Path) -> Optional[tuple[str, int]]:
+    """The file that the finished text of ``path`` replaces, and its mode.
+
+    None when ``path`` exists but is no regular file that its resolved path
+    reaches (a device such as /dev/null or /dev/stdout, a FIFO): such a
+    target is written in place. A symlink resolves to its target, so the
+    link stays a link; a file that exists keeps its mode.
+    """
+    real = os.path.realpath(path)
     try:
-        path.write_text(text, encoding="utf-8")
+        st = os.stat(path)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return real, 0o666 & ~umask
+    try:
+        same = os.path.samestat(st, os.stat(real))
+    except OSError:
+        same = False
+    if not (same and stat.S_ISREG(st.st_mode)):
+        return None
+    return real, stat.S_IMODE(st.st_mode)
+
+
+def _write(*outputs: tuple[Path, str]) -> None:
+    """Write each ``(path, text)`` pair, replacing no file until all are written.
+
+    A missing or regular target is written to a temporary file beside it,
+    which ``os.replace`` moves over it only after every temporary file and
+    every in-place target is written, so a write that fails leaves no
+    completed output behind.
+    """
+    staged: list[tuple[str, str]] = []
+    in_place: list[tuple[Path, str]] = []
+    failed = None
+    try:
+        for failed, text in outputs:
+            target = _replace_target(failed)
+            if target is None:
+                in_place.append((failed, text))
+                continue
+            real, mode = target
+            fd, temp = tempfile.mkstemp(
+                prefix=f".{os.path.basename(real)}.",
+                suffix=".tmp",
+                dir=os.path.dirname(real),
+            )
+            staged.append((temp, real))
+            with os.fdopen(fd, "w", encoding="utf-8") as out:
+                out.write(text)
+            os.chmod(temp, mode)
+        for failed, text in in_place:
+            with open(failed, "w", encoding="utf-8") as out:
+                out.write(text)
+        for temp, failed in staged:
+            os.replace(temp, failed)
     except OSError as exc:
-        raise _DataError(f"cannot write {path}: {exc}") from None
+        for temp, _ in staged:
+            try:
+                os.unlink(temp)
+            except FileNotFoundError:
+                pass
+        raise _DataError(f"cannot write {failed}: {exc.strerror or exc}") from None
 
 
 def cmd_impute(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.input)
     result = impute(matrix, args.k)
-    _write(Path(args.output), serialize(result.matrix))
+    outputs = [(Path(args.output), serialize(result.matrix))]
     if args.trace:
         lines = ["row,col,donor_row,distance,weight"]
         for ref in sorted(result.trace):
@@ -73,7 +134,8 @@ def cmd_impute(args: argparse.Namespace) -> int:
                     f"{ref.row},{ref.col},{donor.row},"
                     f"{donor.distance!r},{donor.weight!r}"
                 )
-        _write(Path(args.trace), "\n".join(lines) + "\n")
+        outputs.append((Path(args.trace), "\n".join(lines) + "\n"))
+    _write(*outputs)
     if result.unimputable:
         for ref in result.unimputable:
             print(
@@ -126,9 +188,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     out = Path(args.output)
-    _write(out, raw_table(report))
     summary = summary_table(report)
-    _write(out.with_name(out.stem + ".summary" + out.suffix), summary)
+    _write(
+        (out, raw_table(report)),
+        (out.with_name(out.stem + ".summary" + out.suffix), summary),
+    )
     print(summary, end="")
     return 0
 
@@ -177,7 +241,7 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
         raise _DataError(f"cannot create {dest}: {exc}") from None
     for name in names:
         path = dest / f"{name}.csv"
-        _write(path, serialize(fixture(name)))
+        _write((path, serialize(fixture(name))))
         print(path)
     return 0
 

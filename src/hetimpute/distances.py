@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import (
+    _KIND_CLASS,
     CellValue,
     ColumnKind,
     DataMatrix,
@@ -48,20 +49,72 @@ def tfn_distance(a: FuzzyTFN, b: FuzzyTFN) -> float:
     return (abs(a.a1 - b.a1) + abs(a.a2 - b.a2) + abs(a.a3 - b.a3)) / 3.0
 
 
-def cell_distance(a: CellValue, b: CellValue, kind: ColumnKind) -> float:
-    """Dispatch to the distance for ``kind``; both cells must match it."""
-    if isinstance(a, Missing) or isinstance(b, Missing):
-        raise ValueError("cell_distance needs two observed cells")
+_CELL_DISTANCE = {
+    # crisp_distance of the two values, without a second call per cell.
+    ColumnKind.CRISP: lambda a, b: abs(a.value - b.value),
+    ColumnKind.INTERVAL: interval_distance,
+    ColumnKind.FUZZY: tfn_distance,
+}
+
+
+def _check_kinds(a: CellValue, b: CellValue, kind: ColumnKind) -> None:
     if not (matches_kind(a, kind) and matches_kind(b, kind)):
         raise ValueError(
             f"cell kinds {type(a).__name__}/{type(b).__name__} "
             f"do not match column kind {kind.value}"
         )
-    if kind is ColumnKind.CRISP:
-        return crisp_distance(a.value, b.value)
-    if kind is ColumnKind.INTERVAL:
-        return interval_distance(a, b)
-    return tfn_distance(a, b)
+
+
+def cell_distance(a: CellValue, b: CellValue, kind: ColumnKind) -> float:
+    """Dispatch to the distance for ``kind``; both cells must match it."""
+    if isinstance(a, Missing) or isinstance(b, Missing):
+        raise ValueError("cell_distance needs two observed cells")
+    _check_kinds(a, b, kind)
+    return _CELL_DISTANCE[kind](a, b)
+
+
+def _row_distances(
+    matrix: DataMatrix, i: int, rows: Iterable[int]
+) -> list[tuple[float, int, int]]:
+    """``(distance, row, shared)`` from row i to each comparable row of ``rows``.
+
+    One pass per target row: the target's observed columns, their kind
+    classes and distance functions are looked up once, and each donor cell
+    pays a single class test. Only a cell of another class is looked at
+    twice, to skip it when Missing or to reject a kind mismatch. Per-cell
+    distances are added in schema order, so every bit matches a pairwise
+    evaluation. Rows sharing no observed column with row i are left out.
+    """
+    columns = []
+    for l, (a, kind) in enumerate(zip(matrix.cells[i], matrix.schema)):
+        if isinstance(a, Missing):
+            continue
+        cls = _KIND_CLASS[kind]
+        if a.__class__ is not cls:
+            # Sends every donor cell down the checked path below, which
+            # raises unless both cells match the kind.
+            cls = None
+        columns.append((l, a, cls, _CELL_DISTANCE[kind]))
+    cells = matrix.cells
+    out = []
+    for j in rows:
+        other = cells[j]
+        total = 0.0
+        shared = 0
+        for l, a, cls, distance in columns:
+            b = other[l]
+            if b.__class__ is not cls:
+                if isinstance(b, Missing):
+                    continue
+                try:
+                    _check_kinds(a, b, matrix.schema[l])
+                except ValueError as exc:
+                    raise ValueError(f"rows ({i},{j}) at column {l}: {exc}") from None
+            total += distance(a, b)
+            shared += 1
+        if shared:
+            out.append((math.sqrt(total / shared), j, shared))
+    return out
 
 
 def row_distance(matrix: DataMatrix, i: int, j: int) -> Optional[RowDistance]:
@@ -76,15 +129,6 @@ def row_distance(matrix: DataMatrix, i: int, j: int) -> Optional[RowDistance]:
     n = matrix.n_rows
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"row pair ({i},{j}) out of range for {n} rows")
-    total = 0.0
-    shared = 0
-    for l, kind in enumerate(matrix.schema):
-        a = matrix.cells[i][l]
-        b = matrix.cells[j][l]
-        if isinstance(a, Missing) or isinstance(b, Missing):
-            continue
-        total += cell_distance(a, b, kind)
-        shared += 1
-    if shared == 0:
-        return None
-    return RowDistance(math.sqrt(total / shared), shared)
+    for value, _, shared in _row_distances(matrix, i, (j,)):
+        return RowDistance(value, shared)
+    return None

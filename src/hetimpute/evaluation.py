@@ -17,10 +17,11 @@ arguments.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import CellRef, DataMatrix, MISSING
 from .distances import cell_distance
@@ -99,11 +100,24 @@ def matrix_error(original: DataMatrix, imputed: DataMatrix) -> float:
         or original.schema != imputed.schema
     ):
         raise ValueError("matrices must share shape and schema")
+    cells = itertools.product(range(original.n_rows), range(original.n_cols))
+    return _error(original, imputed, cells)
+
+
+def _error(
+    original: DataMatrix, imputed: DataMatrix, cells: Iterable[tuple[int, int]]
+) -> float:
+    """matrix_error summed over ``cells`` alone, in the order given.
+
+    Given in row-major order and leaving out only cells at distance 0 (the
+    unmasked cells of a finite table), it keeps the bits of the full sum.
+    """
     total = 0.0
-    for i in range(original.n_rows):
-        for l, kind in enumerate(original.schema):
-            d = cell_distance(original.cells[i][l], imputed.cells[i][l], kind)
-            total += d * d
+    for i, l in cells:
+        d = cell_distance(
+            original.cells[i][l], imputed.cells[i][l], original.schema[l]
+        )
+        total += d * d
     return math.sqrt(total) / (original.n_rows * original.n_cols)
 
 
@@ -166,11 +180,13 @@ def benchmark(
         for count in missing_counts:
             for trial in range(trials):
                 trial_seed = derive_trial_seed(seed, k, count, trial)
-                masked, _ = mask_random(matrix, count, trial_seed)
+                masked, refs = mask_random(matrix, count, trial_seed)
                 result = impute(masked, k)
                 error = None
                 if not result.unimputable:
-                    error = matrix_error(matrix, result.matrix)
+                    # Only the masked cells differ, so they carry the score.
+                    cells = ((ref.row, ref.col) for ref in refs)
+                    error = _error(matrix, result.matrix, cells)
                     errors.append(error)
                 records.append(TrialRecord(k, count, trial, error))
         if errors:

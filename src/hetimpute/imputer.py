@@ -23,7 +23,7 @@ from .core import (
     matches_kind,
     missing_cells,
 )
-from .distances import row_distance
+from .distances import _row_distances
 
 #: Distances below this are treated as exact matches when weighting.
 ZERO_DISTANCE_EPS = 1e-12
@@ -76,6 +76,27 @@ def neighbor_weights(distances: Sequence[float]) -> list[float]:
     return [inv / total for inv in inverses]
 
 
+def _neighbors(
+    target: CellRef,
+    distances: list[tuple[float, int, int]],
+    missing: set[int],
+    k: int,
+) -> NeighborSet:
+    """The k nearest rows of ``distances`` outside ``missing``, the rows
+    that do not observe target.col.
+
+    Ties at the k-th distance break toward the lower row index.
+    """
+    chosen = sorted(p for p in distances if p[1] not in missing)[:k]
+    if not chosen:
+        return NeighborSet(target, ())
+    weights = neighbor_weights([p[0] for p in chosen])
+    donors = tuple(
+        Donor(row=p[1], distance=p[0], weight=w) for p, w in zip(chosen, weights)
+    )
+    return NeighborSet(target, donors)
+
+
 def find_neighbors(matrix: DataMatrix, target: CellRef, k: int) -> NeighborSet:
     """Select up to k donor rows for the missing cell at ``target``.
 
@@ -87,26 +108,11 @@ def find_neighbors(matrix: DataMatrix, target: CellRef, k: int) -> NeighborSet:
         raise ValueError("k must be at least 1")
     if not isinstance(matrix.cells[target.row][target.col], Missing):
         raise ValueError(f"cell ({target.row},{target.col}) is not missing")
-    ranked: list[tuple[float, int]] = []
-    for j in range(matrix.n_rows):
-        if j == target.row:
-            continue
-        if isinstance(matrix.cells[j][target.col], Missing):
-            continue
-        rd = row_distance(matrix, target.row, j)
-        if rd is None:
-            continue
-        ranked.append((rd.value, j))
-    ranked.sort()
-    chosen = ranked[:k]
-    if not chosen:
-        return NeighborSet(target, ())
-    weights = neighbor_weights([d for d, _ in chosen])
-    donors = tuple(
-        Donor(row=j, distance=d, weight=w)
-        for (d, j), w in zip(chosen, weights)
-    )
-    return NeighborSet(target, donors)
+    missing = {
+        j for j, row in enumerate(matrix.cells) if isinstance(row[target.col], Missing)
+    }
+    rows = [j for j in range(matrix.n_rows) if j not in missing]
+    return _neighbors(target, _row_distances(matrix, target.row, rows), missing, k)
 
 
 def combine_cells(
@@ -151,16 +157,26 @@ def impute(matrix: DataMatrix, k: int) -> ImputationResult:
     grid = [list(row) for row in matrix.cells]
     trace: dict[CellRef, NeighborSet] = {}
     unimputable: list[CellRef] = []
+    gaps: dict[int, list[int]] = {}
+    missing: list[set[int]] = [set() for _ in matrix.schema]
     for ref in missing_cells(matrix):
-        neighbors = find_neighbors(matrix, ref, k)
-        if not neighbors.donors:
-            unimputable.append(ref)
-            continue
-        donor_cells = [
-            (matrix.cells[d.row][ref.col], d.weight) for d in neighbors.donors
-        ]
-        grid[ref.row][ref.col] = combine_cells(donor_cells, matrix.schema[ref.col])
-        trace[ref] = neighbors
+        gaps.setdefault(ref.row, []).append(ref.col)
+        missing[ref.col].add(ref.row)
+    # One distance pass per target row, shared by all of the row's gaps,
+    # over the rows that observe at least one of them.
+    for i, cols in gaps.items():
+        excluded = set.intersection(*(missing[l] for l in cols))
+        rows = [j for j in range(matrix.n_rows) if j not in excluded]
+        distances = _row_distances(matrix, i, rows)
+        for l in cols:
+            ref = CellRef(i, l)
+            neighbors = _neighbors(ref, distances, missing[l], k)
+            if not neighbors.donors:
+                unimputable.append(ref)
+                continue
+            donor_cells = [(matrix.cells[d.row][l], d.weight) for d in neighbors.donors]
+            grid[i][l] = combine_cells(donor_cells, matrix.schema[l])
+            trace[ref] = neighbors
     completed = DataMatrix(
         matrix.schema, tuple(tuple(row) for row in grid), matrix.column_names
     )

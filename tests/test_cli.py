@@ -1,4 +1,5 @@
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,49 @@ class TestBadFilesEndInOneLine:
                       "--output", str(tmp_path / "o.csv"),
                       "--trace", str(tmp_path / "nope" / "t.csv"))
         assert_one_line_data_error(run)
+
+    def test_failed_trace_leaves_no_output(self, tmp_path):
+        src = tmp_path / "in.csv"
+        write_case1_masked(src)
+        run = run_cli("impute", "--input", str(src), "--k", "1",
+                      "--output", str(tmp_path / "o.csv"),
+                      "--trace", str(tmp_path / "nope" / "t.csv"))
+        assert_one_line_data_error(run)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+    def test_output_to_dev_null_keeps_the_trace(self, tmp_path):
+        src = tmp_path / "in.csv"
+        write_case1_masked(src)
+        trace = tmp_path / "t.csv"
+        code = main(["impute", "--input", str(src), "--k", "1",
+                     "--output", os.devnull, "--trace", str(trace)])
+        assert code == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert trace.read_text(encoding="utf-8").startswith("row,col,donor_row")
+
+    def test_output_to_stdout(self, tmp_path):
+        src = tmp_path / "in.csv"
+        m = write_case1_masked(src)
+        run = run_cli("impute", "--input", str(src), "--k", "1",
+                      "--output", "/dev/stdout")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == serialize(hetimpute.impute(m, 1).matrix)
+
+    def test_output_through_symlink_keeps_link_and_mode(self, tmp_path):
+        src = tmp_path / "in.csv"
+        write_case1_masked(src)
+        target = tmp_path / "target.csv"
+        target.write_text("old\n", encoding="utf-8")
+        target.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["impute", "--input", str(src), "--k", "1",
+                     "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert parse(target.read_text(encoding="utf-8")).is_complete()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "in.csv", "link.csv", "target.csv"]
 
     def test_benchmark_output_in_missing_directory(self, tmp_path):
         run = run_cli("benchmark", "--fixture", "case1", *BENCH_ARGS,

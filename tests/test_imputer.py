@@ -249,6 +249,22 @@ class TestImpute:
         result = impute(m, k=1)
         assert result.matrix.cell(1, 2) == row[2]
 
+    @pytest.mark.parametrize("bad_row", [0, 1], ids=["target", "donor"])
+    def test_kind_mismatch_from_library_input_raises(self, bad_row):
+        # A Crisp cell in an interval column, which only a hand-built
+        # matrix can hold: the distance pass must reject it by name.
+        rows = [
+            [Interval(0.1, 0.2), MISSING],
+            [Interval(0.3, 0.4), Crisp(0.3)],
+        ]
+        rows[bad_row][0] = Crisp(0.5)
+        m = DataMatrix(
+            schema=(ColumnKind.INTERVAL, ColumnKind.CRISP),
+            cells=tuple(tuple(row) for row in rows),
+        )
+        with pytest.raises(ValueError, match="do not match column kind interval"):
+            impute(m, k=1)
+
 
 # -- randomized properties ---------------------------------------------------
 
@@ -286,6 +302,23 @@ def test_find_neighbors_agrees_with_bruteforce(m, k):
         ]
         if all(g > 1e-9 for g in gaps):
             assert [d.row for d in ns.donors] == [j for _, j in ranked[:k]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(min_rows=2, max_rows=8), st.integers(1, 5))
+def test_impute_matches_oracle_bit_for_bit(m, k):
+    # One distance vector per target row, shared by the row's gaps, must
+    # select exactly what a per-cell brute force selects, to the last bit.
+    result = impute(m, k)
+    for ref in missing_cells(m):
+        ns = find_neighbors(m, ref, k)
+        ranked = bf_candidate_distances(m, ref.row, ref.col)[:k]
+        assert [(d.distance, d.row) for d in ns.donors] == ranked
+        if ranked:
+            assert result.trace[ref] == ns
+            assert [d.weight for d in ns.donors] == bf_weights([d for d, _ in ranked])
+        else:
+            assert ref in result.unimputable
 
 
 @settings(max_examples=100, deadline=None)
