@@ -161,6 +161,15 @@ class DataMatrix:
         )
 
 
+def order_violation(cell: CellValue) -> str | None:
+    """The ordering rule that ``cell``'s components break, or None."""
+    if isinstance(cell, Interval) and cell.lower > cell.upper:
+        return "lower > upper"
+    if isinstance(cell, FuzzyTFN) and (cell.a1 > cell.a2 or cell.a2 > cell.a3):
+        return "fuzzy components out of order"
+    return None
+
+
 def validate(matrix: DataMatrix) -> list[Violation]:
     """Check every cell against its column kind and its own ordering rules.
 
@@ -182,10 +191,8 @@ def validate(matrix: DataMatrix) -> list[Violation]:
                         f"found {type(cell).__name__.lower()}",
                     )
                 )
-            if isinstance(cell, Interval) and cell.lower > cell.upper:
-                out.append(Violation(ref, "lower > upper"))
-            if isinstance(cell, FuzzyTFN) and (cell.a1 > cell.a2 or cell.a2 > cell.a3):
-                out.append(Violation(ref, "fuzzy components out of order"))
+            if message := order_violation(cell):
+                out.append(Violation(ref, message))
             if not all(math.isfinite(x) for x in components(cell)):
                 out.append(Violation(ref, "non-finite component"))
     return out

@@ -34,11 +34,6 @@ class RowDistance:
     shared_features: int
 
 
-def crisp_distance(a: float, b: float) -> float:
-    """|a - b|."""
-    return abs(a - b)
-
-
 def interval_distance(a: Interval, b: Interval) -> float:
     """Half the Euclidean distance between the endpoint pairs."""
     return 0.5 * math.sqrt((a.lower - b.lower) ** 2 + (a.upper - b.upper) ** 2)
@@ -50,7 +45,6 @@ def tfn_distance(a: FuzzyTFN, b: FuzzyTFN) -> float:
 
 
 _CELL_DISTANCE = {
-    # crisp_distance of the two values, without a second call per cell.
     ColumnKind.CRISP: lambda a, b: abs(a.value - b.value),
     ColumnKind.INTERVAL: interval_distance,
     ColumnKind.FUZZY: tfn_distance,

@@ -3,7 +3,7 @@
 Grammar
 -------
 header record   name:kind , name:kind , ...     kind in {crisp, interval, fuzzy}
-crisp cell      decimal literal                 e.g.  0.5891  or  -1.2e-3
+crisp cell      finite decimal literal          e.g.  0.5891  or  -1.2e-3
 interval cell   [lower;upper]                   e.g.  [0.31623;0.94868]
 fuzzy cell      (a1;a2;a3)                      e.g.  (0.455842;0.569803;0.683763)
 missing cell    empty field, or NaN (any case)
@@ -18,7 +18,7 @@ newline. parse(serialize(m)) reproduces m bit-exactly.
 
 from __future__ import annotations
 
-import re
+import math
 
 from .core import (
     CellValue,
@@ -29,9 +29,9 @@ from .core import (
     Interval,
     MISSING,
     Missing,
+    order_violation,
 )
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 _KIND_TAGS = {kind.value: kind for kind in ColumnKind}
 
 
@@ -46,9 +46,15 @@ class ParseError(ValueError):
 
 
 def _parse_number(token: str, line: int, column: int, what: str) -> float:
-    if not _NUMBER_RE.match(token):
-        raise ParseError(line, column, f"{what}: {token!r} is not a decimal number")
-    return float(token)
+    # float() reads every decimal literal, and also '_' separators, 'inf',
+    # 'nan' and literals that overflow to inf, which a finite cell refuses.
+    try:
+        value = float(token)
+        if "_" not in token and math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ParseError(line, column, f"{what}: {token!r} is not a finite decimal number")
 
 
 def _parse_cell(token: str, kind: ColumnKind, line: int, column: int) -> CellValue:
@@ -70,24 +76,25 @@ def _parse_cell(token: str, kind: ColumnKind, line: int, column: int) -> CellVal
             )
         lower = _parse_number(parts[0].strip(), line, column, "interval lower bound")
         upper = _parse_number(parts[1].strip(), line, column, "interval upper bound")
-        if lower > upper:
-            raise ParseError(line, column, "lower > upper")
-        return Interval(lower, upper)
-    if not (token.startswith("(") and token.endswith(")")):
-        raise ParseError(
-            line, column, f"expected fuzzy cell '(a1;a2;a3)', found {token!r}"
+        cell = Interval(lower, upper)
+    else:
+        if not (token.startswith("(") and token.endswith(")")):
+            raise ParseError(
+                line, column, f"expected fuzzy cell '(a1;a2;a3)', found {token!r}"
+            )
+        parts = token[1:-1].split(";")
+        if len(parts) != 3:
+            raise ParseError(
+                line,
+                column,
+                f"expected fuzzy cell with 3 components, found {len(parts)}",
+            )
+        cell = FuzzyTFN(
+            *(_parse_number(p.strip(), line, column, "fuzzy component") for p in parts)
         )
-    parts = token[1:-1].split(";")
-    if len(parts) != 3:
-        raise ParseError(
-            line, column, f"expected fuzzy cell with 3 components, found {len(parts)}"
-        )
-    a1, a2, a3 = (
-        _parse_number(p.strip(), line, column, "fuzzy component") for p in parts
-    )
-    if a1 > a2 or a2 > a3:
-        raise ParseError(line, column, "fuzzy components out of order")
-    return FuzzyTFN(a1, a2, a3)
+    if message := order_violation(cell):
+        raise ParseError(line, column, message)
+    return cell
 
 
 def parse(text: str) -> DataMatrix:
@@ -135,21 +142,15 @@ def parse(text: str) -> DataMatrix:
     return DataMatrix(tuple(schema), tuple(rows), tuple(names))
 
 
-def _format_real(x: float) -> str:
-    # repr() of a float is the shortest string that round-trips exactly.
-    return repr(x)
-
-
 def _format_cell(cell: CellValue) -> str:
+    # repr() of a float is the shortest string that round-trips exactly.
     if isinstance(cell, Missing):
         return ""
     if isinstance(cell, Crisp):
-        return _format_real(cell.value)
+        return repr(cell.value)
     if isinstance(cell, Interval):
-        return f"[{_format_real(cell.lower)};{_format_real(cell.upper)}]"
-    return (
-        f"({_format_real(cell.a1)};{_format_real(cell.a2)};{_format_real(cell.a3)})"
-    )
+        return f"[{cell.lower!r};{cell.upper!r}]"
+    return f"({cell.a1!r};{cell.a2!r};{cell.a3!r})"
 
 
 def serialize(matrix: DataMatrix) -> str:

@@ -56,6 +56,27 @@ class TestBadFilesEndInOneLine:
         args = [a.replace("{out}", str(tmp_path / "o.csv")) for a in command]
         assert_one_line_data_error(run_cli(*args, "--input", str(src)))
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["impute", "--k", "1", "--output", "{out}"],
+            ["benchmark", "--k-min", "1", "--k-max", "1", "--nan-min", "1",
+             "--nan-max", "1", "--trials", "6", "--output", "{out}"],
+            ["distance", "--rows", "0,1"],
+            ["validate"],
+        ],
+        ids=["impute", "benchmark", "distance", "validate"],
+    )
+    def test_overflowing_literal(self, tmp_path, command):
+        src = tmp_path / "in.csv"
+        src.write_text("a:crisp,b:crisp,c:crisp\n1e400,1,2\n2,3,4\n2.5,3.1,4.2\n"
+                       "1,1,1\n", encoding="utf-8")
+        args = [a.replace("{out}", str(tmp_path / "o.csv")) for a in command]
+        run = run_cli(*args, "--input", str(src))
+        assert_one_line_data_error(run)
+        assert "line 2, column 1" in run.stderr
+        assert not (tmp_path / "o.csv").exists()
+
     def test_benchmark_input_with_missing_cell(self, tmp_path):
         src = tmp_path / "in.csv"
         write_case1_masked(src)

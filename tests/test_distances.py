@@ -14,7 +14,6 @@ from hetimpute.core import (
 )
 from hetimpute.distances import (
     cell_distance,
-    crisp_distance,
     interval_distance,
     row_distance,
     tfn_distance,
@@ -28,13 +27,14 @@ approx = pytest.approx
 
 class TestCrispDistance:
     def test_fixture_pair(self):
-        assert crisp_distance(0.5802, 0.5624) == approx(0.0178)
+        d = cell_distance(Crisp(0.5802), Crisp(0.5624), ColumnKind.CRISP)
+        assert d == approx(0.0178)
 
     def test_identity(self):
-        assert crisp_distance(0.37, 0.37) == 0.0
+        assert cell_distance(Crisp(0.37), Crisp(0.37), ColumnKind.CRISP) == 0.0
 
     def test_plain_gap(self):
-        assert crisp_distance(0.0, 3.0) == 3.0
+        assert cell_distance(Crisp(0.0), Crisp(3.0), ColumnKind.CRISP) == 3.0
 
 
 class TestIntervalDistance:

@@ -14,7 +14,7 @@ from hetimpute.core import (
 from hetimpute.fixtures import FIXTURE_NAMES, fixture
 from hetimpute.typed_csv import ParseError, parse, serialize
 
-from strategies import matrices, raw_reals
+from strategies import matrices, raw_reals, unchecked_matrices
 
 
 class TestParse:
@@ -91,10 +91,16 @@ class TestParse:
         assert err.value.line == 2 and err.value.column == 2
 
     def test_non_finite_literals_rejected(self):
-        with pytest.raises(ParseError):
-            parse("x:crisp\ninf\n")
-        with pytest.raises(ParseError):
-            parse("x:crisp\n1_000\n")
+        for text in [
+            "x:crisp\ninf\n",
+            "x:crisp\n1_000\n",
+            "x:crisp\n1e400\n",
+            "x:crisp\n-1e400\n",
+            "x:interval\n[0;1e400]\n",
+            "x:fuzzy\n(0;1;1e999)\n",
+        ]:
+            with pytest.raises(ParseError):
+                parse(text)
 
     def test_empty_document_rejected(self):
         with pytest.raises(ParseError):
@@ -144,6 +150,16 @@ class TestRoundTrip:
     @given(matrices(elements=raw_reals(), max_rows=6, max_cols=5))
     def test_random_matrices_bit_exact(self, m):
         assert parse(serialize(m)) == m
+
+    @settings(max_examples=500)
+    @given(unchecked_matrices())
+    def test_parse_accepts_exactly_what_validate_accepts(self, m):
+        text = serialize(m)
+        if validate(m):
+            with pytest.raises(ParseError):
+                parse(text)
+        else:
+            assert parse(text) == m
 
 
 class TestFixtures:
