@@ -150,15 +150,25 @@ class DataMatrix:
         """A copy of this matrix with one cell replaced."""
         if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
             raise IndexError(f"cell ({row},{col}) out of bounds")
-        grid = [list(r) for r in self.cells]
-        grid[row][col] = value
-        return DataMatrix(self.schema, tuple(tuple(r) for r in grid), self.column_names)
+        return _with_cells(self, {CellRef(row, col): value})
 
     def is_complete(self) -> bool:
         """True when no cell is Missing."""
-        return not any(
-            isinstance(c, Missing) for row in self.cells for c in row
-        )
+        return not missing_cells(self)
+
+
+def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMatrix:
+    """A copy of ``matrix`` with the cells in ``changes`` replaced.
+
+    Only the rows named in ``changes`` are copied; every other row tuple is
+    immutable and shared with ``matrix``.
+    """
+    rows = list(matrix.cells)
+    for ref, value in changes.items():
+        row = list(rows[ref.row])
+        row[ref.col] = value
+        rows[ref.row] = tuple(row)
+    return DataMatrix(matrix.schema, tuple(rows), matrix.column_names)
 
 
 def order_violation(cell: CellValue) -> str | None:

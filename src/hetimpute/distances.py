@@ -35,8 +35,12 @@ class RowDistance:
 
 
 def interval_distance(a: Interval, b: Interval) -> float:
-    """Half the Euclidean distance between the endpoint pairs."""
-    return 0.5 * math.sqrt((a.lower - b.lower) ** 2 + (a.upper - b.upper) ** 2)
+    """Half the Euclidean distance between the endpoint pairs; inf when the
+    squares overflow."""
+    try:
+        return 0.5 * math.sqrt((a.lower - b.lower) ** 2 + (a.upper - b.upper) ** 2)
+    except OverflowError:
+        return math.inf
 
 
 def tfn_distance(a: FuzzyTFN, b: FuzzyTFN) -> float:

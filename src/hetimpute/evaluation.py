@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import CellRef, DataMatrix, MISSING
+from .core import MISSING, CellRef, DataMatrix, _with_cells
 from .distances import cell_distance
 from .imputer import impute
 
@@ -78,13 +78,7 @@ def mask_random(
     rng = random.Random(seed)
     rows = rng.sample(range(matrix.n_rows), count)
     refs = tuple(sorted(CellRef(r, rng.randrange(matrix.n_cols)) for r in rows))
-    grid = [list(row) for row in matrix.cells]
-    for ref in refs:
-        grid[ref.row][ref.col] = MISSING
-    masked = DataMatrix(
-        matrix.schema, tuple(tuple(row) for row in grid), matrix.column_names
-    )
-    return masked, refs
+    return _with_cells(matrix, dict.fromkeys(refs, MISSING)), refs
 
 
 def matrix_error(original: DataMatrix, imputed: DataMatrix) -> float:
@@ -162,17 +156,11 @@ def benchmark(
 
     Trials where some cell could not be imputed are kept in the per-trial
     records with error None but excluded from the summaries. Per-k summaries
-    aggregate the errors of all missing counts for that k.
+    aggregate the errors of all missing counts for that k. ``mask_random``
+    rejects an incomplete matrix and a count above the row count.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    for count in missing_counts:
-        if count > matrix.n_rows:
-            raise ValueError(
-                f"missing count {count} exceeds row count {matrix.n_rows}"
-            )
-    if not matrix.is_complete():
-        raise ValueError("benchmark expects a complete matrix")
     k_summaries: dict[int, Summary] = {}
     records: list[TrialRecord] = []
     for k in k_values:

@@ -10,6 +10,7 @@ evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +20,7 @@ from .core import (
     ColumnKind,
     DataMatrix,
     Missing,
+    _with_cells,
     components,
     matches_kind,
     missing_cells,
@@ -44,7 +46,6 @@ class NeighborSet:
     least one observed column with the target row.
     """
 
-    target: CellRef
     donors: tuple[Donor, ...]
 
 
@@ -63,7 +64,8 @@ def neighbor_weights(distances: Sequence[float]) -> list[float]:
     Inverse distance is singular at zero, and a donor at (numerically) zero
     distance is an exact answer: if any distance falls below
     ZERO_DISTANCE_EPS, those donors share the weight uniformly and every
-    other donor gets 0.
+    other donor gets 0. When every donor is at infinite distance, none is
+    nearer than another, so they too share the weight uniformly.
     """
     if len(distances) == 0:
         raise ValueError("at least one distance is required")
@@ -73,28 +75,27 @@ def neighbor_weights(distances: Sequence[float]) -> list[float]:
         return [share if hit else 0.0 for hit in exact]
     inverses = [1.0 / d for d in distances]
     total = sum(inverses)
+    if total == 0.0:  # every distance is inf
+        return [1.0 / len(distances)] * len(distances)
     return [inv / total for inv in inverses]
 
 
 def _neighbors(
-    target: CellRef,
-    distances: list[tuple[float, int, int]],
-    missing: set[int],
-    k: int,
+    distances: list[tuple[float, int, int]], missing: set[int], k: int
 ) -> NeighborSet:
     """The k nearest rows of ``distances`` outside ``missing``, the rows
-    that do not observe target.col.
+    that do not observe the target column.
 
     Ties at the k-th distance break toward the lower row index.
     """
     chosen = sorted(p for p in distances if p[1] not in missing)[:k]
     if not chosen:
-        return NeighborSet(target, ())
+        return NeighborSet(())
     weights = neighbor_weights([p[0] for p in chosen])
     donors = tuple(
         Donor(row=p[1], distance=p[0], weight=w) for p, w in zip(chosen, weights)
     )
-    return NeighborSet(target, donors)
+    return NeighborSet(donors)
 
 
 def find_neighbors(matrix: DataMatrix, target: CellRef, k: int) -> NeighborSet:
@@ -112,7 +113,7 @@ def find_neighbors(matrix: DataMatrix, target: CellRef, k: int) -> NeighborSet:
         j for j, row in enumerate(matrix.cells) if isinstance(row[target.col], Missing)
     }
     rows = [j for j in range(matrix.n_rows) if j not in missing]
-    return _neighbors(target, _row_distances(matrix, target.row, rows), missing, k)
+    return _neighbors(_row_distances(matrix, target.row, rows), missing, k)
 
 
 def combine_cells(
@@ -121,10 +122,11 @@ def combine_cells(
     """Component-wise weighted combination of donor cells.
 
     Weights are expected to be nonnegative and sum to 1, which keeps every
-    component inside its donors' range and preserves interval/fuzzy
-    ordering. A combination of identical values returns that value verbatim
-    (the mathematical identity would otherwise be lost to summation
-    rounding).
+    component inside its donors' range, up to rounding, and preserves
+    interval/fuzzy ordering. A component whose weighted sum overflows is
+    clamped into its donors' [min, max]. A combination of identical values
+    returns that value verbatim (the mathematical identity would otherwise
+    be lost to summation rounding).
     """
     if len(donors) == 0:
         raise ValueError("at least one donor is required")
@@ -139,10 +141,15 @@ def combine_cells(
         return first
     # One sum per component, in donor order, so the bits match the oracle.
     weights = [w for _, w in donors]
-    columns = zip(*(components(cell) for cell, _ in donors))
-    return type(first)(
-        *(sum(x * w for x, w in zip(column, weights)) for column in columns)
-    )
+    values = []
+    for column in zip(*(components(cell) for cell, _ in donors)):
+        value = sum(x * w for x, w in zip(column, weights))
+        if not math.isfinite(value):
+            # Rounding can carry a sum of values near the largest double
+            # past it; clamping only then keeps every finite sum's bits.
+            value = min(max(value, min(column)), max(column))
+        values.append(value)
+    return type(first)(*values)
 
 
 def impute(matrix: DataMatrix, k: int) -> ImputationResult:
@@ -154,7 +161,7 @@ def impute(matrix: DataMatrix, k: int) -> ImputationResult:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    grid = [list(row) for row in matrix.cells]
+    filled: dict[CellRef, CellValue] = {}
     trace: dict[CellRef, NeighborSet] = {}
     unimputable: list[CellRef] = []
     gaps: dict[int, list[int]] = {}
@@ -170,14 +177,11 @@ def impute(matrix: DataMatrix, k: int) -> ImputationResult:
         distances = _row_distances(matrix, i, rows)
         for l in cols:
             ref = CellRef(i, l)
-            neighbors = _neighbors(ref, distances, missing[l], k)
+            neighbors = _neighbors(distances, missing[l], k)
             if not neighbors.donors:
                 unimputable.append(ref)
                 continue
             donor_cells = [(matrix.cells[d.row][l], d.weight) for d in neighbors.donors]
-            grid[i][l] = combine_cells(donor_cells, matrix.schema[l])
+            filled[ref] = combine_cells(donor_cells, matrix.schema[l])
             trace[ref] = neighbors
-    completed = DataMatrix(
-        matrix.schema, tuple(tuple(row) for row in grid), matrix.column_names
-    )
-    return ImputationResult(completed, trace, tuple(unimputable))
+    return ImputationResult(_with_cells(matrix, filled), trace, tuple(unimputable))

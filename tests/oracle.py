@@ -52,4 +52,6 @@ def bf_weights(distances: list[float]) -> list[float]:
         hits = sum(1 for d in distances if d < 1e-12)
         return [1.0 / hits if d < 1e-12 else 0.0 for d in distances]
     inverses = [1.0 / d for d in distances]
+    if all(d == math.inf for d in distances):
+        return [1.0 / len(distances) for _ in distances]
     return [inv / sum(inverses) for inv in inverses]

@@ -155,6 +155,37 @@ class TestBadFilesEndInOneLine:
         assert_one_line_data_error(run)
 
 
+# Valid files whose distances or combined values reach past the largest double.
+INTERVAL_OVERFLOW = "x:interval,y:crisp\n[-1e300;1e300],1\n[1e300;1e300],\n"
+EXTREME_FILES = {
+    "interval-square-overflows": INTERVAL_OVERFLOW,
+    "all-donors-at-inf": "x:crisp,y:crisp\n1.7e308,1\n-1.7e308,\n",
+    "fuzzy-sum-overflows": (
+        "a:fuzzy,b:fuzzy\n,(0;0;0)\n(0;0;1.7976931348623157e+308),(0;0;1)\n"
+        "(0;0;1.7976931335875647e+308),(0;0;292299213049927.0)\n"
+    ),
+}
+
+
+class TestNumericExtremes:
+    @pytest.mark.parametrize("text", list(EXTREME_FILES.values()), ids=list(EXTREME_FILES))
+    def test_impute_writes_a_valid_file(self, tmp_path, text):
+        src = tmp_path / "in.csv"
+        src.write_text(text, encoding="utf-8")
+        out = tmp_path / "o.csv"
+        run = run_cli("impute", "--k", "2", "--input", str(src), "--output", str(out))
+        assert run.returncode == 0, run.stderr
+        check = run_cli("validate", "--input", str(out))
+        assert check.returncode == 0, check.stderr
+
+    def test_distance_at_infinity(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text(INTERVAL_OVERFLOW, encoding="utf-8")
+        run = run_cli("distance", "--rows", "0,1", "--input", str(src))
+        assert run.returncode == 0, run.stderr
+        assert "row distance: inf" in run.stdout.splitlines()
+
+
 class TestImputeCommand:
     def test_worked_example(self, tmp_path, case1):
         src = tmp_path / "in.csv"

@@ -52,6 +52,9 @@ class TestIntervalDistance:
             0.5 * math.sqrt(8)
         )
 
+    def test_overflowing_square_is_inf(self):
+        assert interval_distance(Interval(-1e300, 1e300), Interval(1e300, 1e300)) == math.inf
+
 
 class TestTfnDistance:
     def test_fixture_pair(self):

@@ -24,7 +24,7 @@ from hetimpute.distances import cell_distance
 from hetimpute.fixtures import fixture
 from hetimpute.imputer import impute
 
-from strategies import complete_matrices
+from strategies import complete_matrices, raw_reals
 
 approx = pytest.approx
 
@@ -230,3 +230,9 @@ def test_masking_then_restoring_is_monotone(m, seed):
         completed = restored
         error = matrix_error(m, completed)
     assert error == approx(0.0, abs=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complete_matrices(elements=raw_reals()), st.integers(0, 2**32))
+def test_benchmark_over_the_full_float_range(m, seed):
+    benchmark(m, [1, 3], sorted({1, m.n_rows}), trials=2, seed=seed)

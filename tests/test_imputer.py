@@ -1,3 +1,6 @@
+import math
+import sys
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,9 +24,10 @@ from hetimpute.imputer import (
     impute,
     neighbor_weights,
 )
+from hetimpute.typed_csv import parse, serialize
 
 from oracle import bf_candidate_distances, bf_weights
-from strategies import cell_values, matrices
+from strategies import cell_values, matrices, raw_reals
 
 approx = pytest.approx
 
@@ -45,6 +49,13 @@ class TestNeighborWeights:
 
     def test_near_zero_counts_as_zero(self):
         assert neighbor_weights([1e-13, 0.3]) == [1.0, 0.0]
+
+    def test_all_infinite_distances_share(self):
+        distances = [math.inf, math.inf]
+        assert neighbor_weights(distances) == bf_weights(distances) == [0.5, 0.5]
+
+    def test_infinite_distance_among_finite_gets_nothing(self):
+        assert neighbor_weights([0.5, math.inf]) == [1.0, 0.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -144,6 +155,16 @@ class TestCombineCells:
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
             combine_cells([(Crisp(1.0), 1.0)], ColumnKind.FUZZY)
+
+    def test_overflowing_sum_clamped_into_donor_range(self):
+        # Weights of two donors at distances sqrt(1/3) and sqrt(292299213049927/3):
+        # they sum to just over 1, so the weighted sum rounds past the largest double.
+        top = sys.float_info.max
+        donors = [(Crisp(top), 0.99999994150939),
+                  (Crisp(1.7976931335875647e308), 5.8490610119042095e-08)]
+        assert combine_cells(donors, ColumnKind.CRISP) == Crisp(top)
+        low = [(Crisp(-value.value), w) for value, w in donors]
+        assert combine_cells(low, ColumnKind.CRISP) == Crisp(-top)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -364,3 +385,14 @@ def test_second_pass_is_identity_when_first_pass_completes(m, k):
     second = impute(first.matrix, k)
     assert second.matrix == first.matrix
     assert second.trace == {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(elements=raw_reals(), min_rows=2), st.integers(1, 4))
+def test_impute_over_the_full_float_range(m, k):
+    # Distances and weighted sums may overflow; every filled value stays a
+    # finite cell that typed CSV can carry.
+    result = impute(m, k)
+    for ref in result.trace:
+        assert all(map(math.isfinite, components(result.matrix.cell(ref.row, ref.col))))
+    assert parse(serialize(result.matrix)) == result.matrix
