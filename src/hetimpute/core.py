@@ -2,9 +2,9 @@
 
 A cell is one of four things: a crisp real, a closed interval, a triangular
 fuzzy number, or missing. Columns carry a single declared kind; a cell either
-matches its column's kind or is missing. Everything here is an immutable
-value, so matrices can be shared freely between threads and reused as the
-frozen donor pool during imputation.
+matches its column's kind or is missing, which a DataMatrix checks once, when
+it is built. Everything here is an immutable value, so matrices can be shared
+freely between threads and reused as the frozen donor pool during imputation.
 """
 
 from __future__ import annotations
@@ -12,17 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Iterable, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Crisp:
     """A single exact real value."""
 
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A closed range [lower, upper]. Degenerate (lower == upper) is legal."""
 
@@ -30,7 +30,7 @@ class Interval:
     upper: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuzzyTFN:
     """A triangular fuzzy number (a1, a2, a3) with a1 <= a2 <= a3."""
 
@@ -39,13 +39,16 @@ class FuzzyTFN:
     a3: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Missing:
-    """Sentinel for an unobserved cell."""
+    """Sentinel for an unobserved cell; ``Missing()`` returns MISSING."""
+
+    def __new__(cls) -> Missing:
+        return MISSING
 
 
-#: The one Missing instance everybody should use.
-MISSING = Missing()
+#: The one Missing instance, so ``cell is MISSING`` tests for a gap.
+MISSING = object.__new__(Missing)
 
 CellValue = Union[Crisp, Interval, FuzzyTFN, Missing]
 
@@ -102,10 +105,12 @@ class Violation:
 class DataMatrix:
     """Rectangular grid of cells with a per-column kind declaration.
 
-    Structural requirements (at least one row and one column, rectangular
-    grid, schema and names of matching length) are enforced at construction;
-    cell-level invariants are the business of validate(), so that malformed
-    data can be represented, inspected, and reported rather than only thrown.
+    Construction enforces the structure (at least one row and one column, a
+    rectangular grid, schema and names of matching length) and the kinds:
+    every schema entry is a ColumnKind and every cell matches its column's
+    kind or is MISSING, else ValueError names the first bad cell in
+    row-major order. Component ordering and finiteness are left to
+    validate(), so such data can be represented, inspected and reported.
     """
 
     schema: tuple[ColumnKind, ...]
@@ -131,6 +136,15 @@ class DataMatrix:
                 raise ValueError(
                     f"row {i} has {len(row)} cells, expected {len(schema)}"
                 )
+        # matches_kind depends on a cell's class alone, so the first cell of
+        # each class in a column stands for all of them.
+        firsts = []
+        for l, (kind, column) in enumerate(zip(schema, zip(*cells))):
+            if not isinstance(kind, ColumnKind):
+                raise ValueError(f"column {l} has kind {kind!r}, not a ColumnKind")
+            classes = list(map(type, column))
+            firsts += [(classes.index(cls), l) for cls in set(classes)]
+        _check_cells(schema, [(i, l, cells[i][l]) for i, l in sorted(firsts)])
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "column_names", names)
@@ -157,18 +171,38 @@ class DataMatrix:
         return not missing_cells(self)
 
 
+def _check_cells(
+    schema: tuple[ColumnKind, ...], cells: Iterable[tuple[int, int, CellValue]]
+) -> None:
+    """Raise ValueError naming the first ``(row, col, cell)`` of ``cells``
+    that is neither MISSING nor of its column's kind."""
+    for i, l, cell in cells:
+        if cell is not MISSING and not matches_kind(cell, schema[l]):
+            raise ValueError(
+                f"cell ({i},{l}): {type(cell).__name__} does not match "
+                f"column kind {schema[l].value}"
+            )
+
+
 def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMatrix:
     """A copy of ``matrix`` with the cells in ``changes`` replaced.
 
-    Only the rows named in ``changes`` are copied; every other row tuple is
-    immutable and shared with ``matrix``.
+    Only the changed cells are checked against their column kinds, since
+    ``matrix`` was checked when it was built. Only the rows named in
+    ``changes`` are copied; every other row tuple is immutable and shared
+    with ``matrix``.
     """
+    _check_cells(
+        matrix.schema, sorted((ref.row, ref.col, v) for ref, v in changes.items())
+    )
     rows = list(matrix.cells)
     for ref, value in changes.items():
         row = list(rows[ref.row])
         row[ref.col] = value
         rows[ref.row] = tuple(row)
-    return DataMatrix(matrix.schema, tuple(rows), matrix.column_names)
+    out = object.__new__(DataMatrix)  # skips __post_init__'s whole-grid pass
+    out.__dict__.update(matrix.__dict__, cells=tuple(rows))
+    return out
 
 
 def order_violation(cell: CellValue) -> str | None:
@@ -181,7 +215,8 @@ def order_violation(cell: CellValue) -> str | None:
 
 
 def validate(matrix: DataMatrix) -> list[Violation]:
-    """Check every cell against its column kind and its own ordering rules.
+    """Check every cell's components for ordering and finiteness; the kinds
+    were checked when the matrix was built.
 
     Returns one Violation per broken invariant; an empty list means the
     matrix is valid. Never raises: violations are data, not failures.
@@ -189,18 +224,9 @@ def validate(matrix: DataMatrix) -> list[Violation]:
     out: list[Violation] = []
     for i, row in enumerate(matrix.cells):
         for l, cell in enumerate(row):
-            if isinstance(cell, Missing):
+            if cell is MISSING:
                 continue
             ref = CellRef(i, l)
-            kind = matrix.schema[l]
-            if not matches_kind(cell, kind):
-                out.append(
-                    Violation(
-                        ref,
-                        f"kind mismatch: expected {kind.value}, "
-                        f"found {type(cell).__name__.lower()}",
-                    )
-                )
             if message := order_violation(cell):
                 out.append(Violation(ref, message))
             if not all(math.isfinite(x) for x in components(cell)):
@@ -214,5 +240,5 @@ def missing_cells(matrix: DataMatrix) -> list[CellRef]:
         CellRef(i, l)
         for i, row in enumerate(matrix.cells)
         for l, cell in enumerate(row)
-        if isinstance(cell, Missing)
+        if cell is MISSING
     ]

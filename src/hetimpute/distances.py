@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
-    _KIND_CLASS,
+    MISSING,
     CellValue,
     ColumnKind,
     DataMatrix,
     FuzzyTFN,
     Interval,
-    Missing,
     matches_kind,
 )
 
@@ -55,19 +54,13 @@ _CELL_DISTANCE = {
 }
 
 
-def _check_kinds(a: CellValue, b: CellValue, kind: ColumnKind) -> None:
-    if not (matches_kind(a, kind) and matches_kind(b, kind)):
-        raise ValueError(
-            f"cell kinds {type(a).__name__}/{type(b).__name__} "
-            f"do not match column kind {kind.value}"
-        )
-
-
 def cell_distance(a: CellValue, b: CellValue, kind: ColumnKind) -> float:
     """Dispatch to the distance for ``kind``; both cells must match it."""
-    if isinstance(a, Missing) or isinstance(b, Missing):
-        raise ValueError("cell_distance needs two observed cells")
-    _check_kinds(a, b, kind)
+    if not (matches_kind(a, kind) and matches_kind(b, kind)):
+        raise ValueError(
+            f"cell_distance needs two observed {kind.value} cells, "
+            f"found {type(a).__name__}/{type(b).__name__}"
+        )
     return _CELL_DISTANCE[kind](a, b)
 
 
@@ -76,38 +69,28 @@ def _row_distances(
 ) -> list[tuple[float, int, int]]:
     """``(distance, row, shared)`` from row i to each comparable row of ``rows``.
 
-    One pass per target row: the target's observed columns, their kind
-    classes and distance functions are looked up once, and each donor cell
-    pays a single class test. Only a cell of another class is looked at
-    twice, to skip it when Missing or to reject a kind mismatch. Per-cell
-    distances are added in schema order, so every bit matches a pairwise
-    evaluation. Rows sharing no observed column with row i are left out.
+    One pass per target row: the target's observed columns and their
+    distance functions are looked up once, and each donor cell pays a single
+    ``is MISSING`` test. A DataMatrix holds only cells of their column's kind
+    and one Missing instance, so no other test is needed. Per-cell distances
+    are added in schema order, so every bit matches a pairwise evaluation.
+    Rows sharing no observed column with row i are left out.
     """
-    columns = []
-    for l, (a, kind) in enumerate(zip(matrix.cells[i], matrix.schema)):
-        if isinstance(a, Missing):
-            continue
-        cls = _KIND_CLASS[kind]
-        if a.__class__ is not cls:
-            # Sends every donor cell down the checked path below, which
-            # raises unless both cells match the kind.
-            cls = None
-        columns.append((l, a, cls, _CELL_DISTANCE[kind]))
+    columns = [
+        (l, a, _CELL_DISTANCE[kind])
+        for l, (a, kind) in enumerate(zip(matrix.cells[i], matrix.schema))
+        if a is not MISSING
+    ]
     cells = matrix.cells
     out = []
     for j in rows:
         other = cells[j]
         total = 0.0
         shared = 0
-        for l, a, cls, distance in columns:
+        for l, a, distance in columns:
             b = other[l]
-            if b.__class__ is not cls:
-                if isinstance(b, Missing):
-                    continue
-                try:
-                    _check_kinds(a, b, matrix.schema[l])
-                except ValueError as exc:
-                    raise ValueError(f"rows ({i},{j}) at column {l}: {exc}") from None
+            if b is MISSING:
+                continue
             total += distance(a, b)
             shared += 1
         if shared:

@@ -116,11 +116,11 @@ def _error(
 
 
 def _quantile(ordered: Sequence[float], p: float) -> float:
-    # Linear interpolation between order statistics ("type 7").
+    # Linear interpolation between order statistics ("type 7"), skipped when
+    # they are equal: between two infs it would compute inf - inf = nan.
     pos = (len(ordered) - 1) * p
-    lo = math.floor(pos)
-    hi = math.ceil(pos)
-    return ordered[lo] + (pos - lo) * (ordered[hi] - ordered[lo])
+    lo, hi = ordered[math.floor(pos)], ordered[math.ceil(pos)]
+    return lo if lo == hi else lo + (pos - math.floor(pos)) * (hi - lo)
 
 
 def summarize(values: Sequence[float]) -> Summary:

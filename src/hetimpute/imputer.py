@@ -15,14 +15,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    MISSING,
     CellRef,
     CellValue,
-    ColumnKind,
     DataMatrix,
-    Missing,
     _with_cells,
     components,
-    matches_kind,
     missing_cells,
 )
 from .distances import _row_distances
@@ -107,35 +105,27 @@ def find_neighbors(matrix: DataMatrix, target: CellRef, k: int) -> NeighborSet:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not isinstance(matrix.cells[target.row][target.col], Missing):
+    if matrix.cells[target.row][target.col] is not MISSING:
         raise ValueError(f"cell ({target.row},{target.col}) is not missing")
-    missing = {
-        j for j, row in enumerate(matrix.cells) if isinstance(row[target.col], Missing)
-    }
+    missing = {j for j, row in enumerate(matrix.cells) if row[target.col] is MISSING}
     rows = [j for j in range(matrix.n_rows) if j not in missing]
     return _neighbors(_row_distances(matrix, target.row, rows), missing, k)
 
 
-def combine_cells(
-    donors: Sequence[tuple[CellValue, float]], kind: ColumnKind
-) -> CellValue:
+def combine_cells(donors: Sequence[tuple[CellValue, float]]) -> CellValue:
     """Component-wise weighted combination of donor cells.
 
-    Weights are expected to be nonnegative and sum to 1, which keeps every
-    component inside its donors' range, up to rounding, and preserves
-    interval/fuzzy ordering. A component whose weighted sum overflows is
-    clamped into its donors' [min, max]. A combination of identical values
-    returns that value verbatim (the mathematical identity would otherwise
-    be lost to summation rounding).
+    The donors are observed cells of one DataMatrix column, so they share
+    its kind, which the matrix checked when it was built. Weights are
+    expected to be nonnegative and sum to 1, which keeps every component
+    inside its donors' range, up to rounding, and preserves interval/fuzzy
+    ordering. A component whose weighted sum overflows is clamped into its
+    donors' [min, max]. A combination of identical values returns that
+    value verbatim (the mathematical identity would otherwise be lost to
+    summation rounding).
     """
     if len(donors) == 0:
         raise ValueError("at least one donor is required")
-    for cell, _ in donors:
-        if not matches_kind(cell, kind):
-            raise ValueError(
-                f"donor {type(cell).__name__} does not match "
-                f"column kind {kind.value}"
-            )
     first = donors[0][0]
     if all(cell == first for cell, _ in donors):
         return first
@@ -182,6 +172,6 @@ def impute(matrix: DataMatrix, k: int) -> ImputationResult:
                 unimputable.append(ref)
                 continue
             donor_cells = [(matrix.cells[d.row][l], d.weight) for d in neighbors.donors]
-            filled[ref] = combine_cells(donor_cells, matrix.schema[l])
+            filled[ref] = combine_cells(donor_cells)
             trace[ref] = neighbors
     return ImputationResult(_with_cells(matrix, filled), trace, tuple(unimputable))

@@ -178,6 +178,19 @@ class TestNumericExtremes:
         check = run_cli("validate", "--input", str(out))
         assert check.returncode == 0, check.stderr
 
+    @pytest.mark.parametrize("trials", ["1", "4"])
+    def test_benchmark_summary_at_infinity(self, tmp_path, trials):
+        src = tmp_path / "in.csv"
+        src.write_text("x:crisp,y:crisp\n1.7e308,1\n-1.7e308,2\n1.6e308,3\n",
+                       encoding="utf-8")
+        out = tmp_path / "b.csv"
+        args = [*BENCH_ARGS[:-1], trials, "--input", str(src), "--output", str(out)]
+        assert main(["benchmark", *args]) == 0
+        summary = (tmp_path / "b.summary.csv").read_text(encoding="utf-8").splitlines()
+        if trials == "1":
+            assert summary[1] == "1,inf,inf,inf,inf,inf,inf"
+        assert "nan" not in summary[1]
+
     def test_distance_at_infinity(self, tmp_path):
         src = tmp_path / "in.csv"
         src.write_text(INTERVAL_OVERFLOW, encoding="utf-8")

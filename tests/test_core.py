@@ -1,7 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetimpute.core import (
     MISSING,
@@ -18,7 +19,7 @@ from hetimpute.core import (
     validate,
 )
 
-from strategies import matrices
+from strategies import cell_values, column_kinds, matrices
 
 
 def test_validate_accepts_fixture(case1):
@@ -37,13 +38,15 @@ def test_validate_reports_interval_order_violation():
 
 
 def test_validate_reports_kind_mismatch():
-    m = DataMatrix(
-        schema=(ColumnKind.FUZZY,),
-        cells=((Crisp(0.5),),),
-    )
-    report = validate(m)
-    assert len(report) == 1
-    assert "kind mismatch" in report[0].message
+    # A cell of another kind never reaches validate(): building the matrix
+    # rejects it and names the cell.
+    with pytest.raises(
+        ValueError, match=r"^cell \(1,0\): Crisp does not match column kind fuzzy$"
+    ):
+        DataMatrix(
+            schema=(ColumnKind.FUZZY,),
+            cells=((MISSING,), (Crisp(0.5),)),
+        )
 
 
 def test_validate_reports_fuzzy_order_violation():
@@ -127,6 +130,42 @@ def test_matrix_rejects_empty_and_ragged():
         )
 
 
+def test_matrix_rejects_a_schema_entry_that_is_not_a_kind():
+    with pytest.raises(ValueError, match=r"^column 1 has kind 'crisp'"):
+        DataMatrix(schema=(ColumnKind.CRISP, "crisp"), cells=((MISSING, MISSING),))
+
+
+def test_missing_is_one_instance():
+    assert Missing() is MISSING
+    m = DataMatrix(schema=(ColumnKind.CRISP,), cells=((Missing(),),))
+    assert m.cells[0][0] is MISSING
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_construction_raises_exactly_on_a_cell_of_another_kind(data):
+    schema = data.draw(st.lists(column_kinds, min_size=1, max_size=4))
+    any_cell = st.one_of(
+        st.builds(Missing), *(cell_values(kind) for kind in ColumnKind)
+    )
+    rows = data.draw(
+        st.lists(st.tuples(*(any_cell for _ in schema)), min_size=1, max_size=5)
+    )
+    bad = [
+        (i, l)
+        for i, row in enumerate(rows)
+        for l, (cell, kind) in enumerate(zip(row, schema))
+        if cell is not MISSING and not matches_kind(cell, kind)
+    ]
+    if bad:
+        with pytest.raises(ValueError, match=r"^cell \(%d,%d\): " % bad[0]):
+            DataMatrix(schema, rows)
+    else:
+        m = DataMatrix(schema, rows)
+        assert all(cell is MISSING for row in m.cells for cell in row
+                   if isinstance(cell, Missing))
+
+
 def test_matrix_accepts_lists_and_freezes_them():
     m = DataMatrix(
         schema=[ColumnKind.CRISP],
@@ -152,6 +191,7 @@ def test_with_cell_returns_modified_copy(case1):
     assert case1.cell(0, 0) == Crisp(0.5891)
     with pytest.raises(IndexError):
         case1.with_cell(5, 0, MISSING)
+    assert case1.with_cell(0, 0, Missing()).cell(0, 0) is MISSING
 
 
 def test_is_complete(case1, case1_masked):

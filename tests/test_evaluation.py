@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,11 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    def test_infinite_samples_give_inf_not_nan(self):
+        s = summarize([math.inf])
+        assert (s.min, s.q1, s.median, s.q3, s.max, s.mean) == (math.inf,) * 6
+        assert summarize([1.0, math.inf, math.inf]).median == math.inf
 
     @given(
         st.lists(

@@ -132,29 +132,29 @@ class TestCombineCells:
             (case1.cell(0, 2), 0.2620),
             (case1.cell(1, 2), 0.7380),
         ]
-        out = combine_cells(donors, ColumnKind.FUZZY)
+        out = combine_cells(donors)
         assert out.a1 == approx(0.3935, abs=1e-3)
         assert out.a2 == approx(0.5604, abs=1e-3)
         assert out.a3 == approx(0.7273, abs=1e-3)
 
     def test_single_donor_is_verbatim(self):
         t = FuzzyTFN(0.123, 0.456, 0.789)
-        assert combine_cells([(t, 1.0)], ColumnKind.FUZZY) == t
+        assert combine_cells([(t, 1.0)]) == t
 
     def test_interval_midpoint(self):
-        out = combine_cells(
-            [(Interval(0, 1), 0.5), (Interval(1, 3), 0.5)], ColumnKind.INTERVAL
-        )
+        out = combine_cells([(Interval(0, 1), 0.5), (Interval(1, 3), 0.5)])
         assert out == Interval(0.5, 2.0)
 
     def test_identical_donors_return_exact_value(self):
         c = Crisp(0.1)
-        out = combine_cells([(c, 1 / 3), (c, 1 / 3), (c, 1 / 3)], ColumnKind.CRISP)
+        out = combine_cells([(c, 1 / 3), (c, 1 / 3), (c, 1 / 3)])
         assert out.value == 0.1
 
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            combine_cells([(Crisp(1.0), 1.0)], ColumnKind.FUZZY)
+    def test_kind_mismatch_rejected(self, case1):
+        # Donors come from one column of a DataMatrix, which holds no cell
+        # of another kind: putting one there is what fails.
+        with pytest.raises(ValueError, match=r"^cell \(0,0\): Interval .* crisp$"):
+            case1.with_cell(0, 0, Interval(0.0, 1.0))
 
     def test_overflowing_sum_clamped_into_donor_range(self):
         # Weights of two donors at distances sqrt(1/3) and sqrt(292299213049927/3):
@@ -162,13 +162,13 @@ class TestCombineCells:
         top = sys.float_info.max
         donors = [(Crisp(top), 0.99999994150939),
                   (Crisp(1.7976931335875647e308), 5.8490610119042095e-08)]
-        assert combine_cells(donors, ColumnKind.CRISP) == Crisp(top)
+        assert combine_cells(donors) == Crisp(top)
         low = [(Crisp(-value.value), w) for value, w in donors]
-        assert combine_cells(low, ColumnKind.CRISP) == Crisp(-top)
+        assert combine_cells(low) == Crisp(-top)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            combine_cells([], ColumnKind.CRISP)
+            combine_cells([])
 
     @given(
         kind=st.sampled_from(list(ColumnKind)),
@@ -179,7 +179,7 @@ class TestCombineCells:
         cells = [data.draw(cell_values(kind)) for _ in range(n)]
         raw = [data.draw(st.floats(min_value=0.01, max_value=1.0)) for _ in range(n)]
         weights = [r / sum(raw) for r in raw]
-        out = combine_cells(list(zip(cells, weights)), kind)
+        out = combine_cells(list(zip(cells, weights)))
         for position, value in enumerate(components(out)):
             donor_values = [components(c)[position] for c in cells]
             assert min(donor_values) - 1e-9 <= value <= max(donor_values) + 1e-9
@@ -272,19 +272,21 @@ class TestImpute:
 
     @pytest.mark.parametrize("bad_row", [0, 1], ids=["target", "donor"])
     def test_kind_mismatch_from_library_input_raises(self, bad_row):
-        # A Crisp cell in an interval column, which only a hand-built
-        # matrix can hold: the distance pass must reject it by name.
+        # A Crisp cell in an interval column, in a hand-built matrix: the
+        # matrix refuses it by name before any imputation can start.
         rows = [
             [Interval(0.1, 0.2), MISSING],
             [Interval(0.3, 0.4), Crisp(0.3)],
         ]
         rows[bad_row][0] = Crisp(0.5)
-        m = DataMatrix(
-            schema=(ColumnKind.INTERVAL, ColumnKind.CRISP),
-            cells=tuple(tuple(row) for row in rows),
-        )
-        with pytest.raises(ValueError, match="do not match column kind interval"):
-            impute(m, k=1)
+        with pytest.raises(
+            ValueError,
+            match=rf"^cell \({bad_row},0\): Crisp does not match column kind interval$",
+        ):
+            DataMatrix(
+                schema=(ColumnKind.INTERVAL, ColumnKind.CRISP),
+                cells=tuple(tuple(row) for row in rows),
+            )
 
 
 # -- randomized properties ---------------------------------------------------
