@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import DataMatrix, Missing
+from .core import MISSING, DataMatrix
 from .distances import cell_distance, row_distance
 from .evaluation import BenchmarkReport, benchmark
 from .fixtures import FIXTURE_NAMES, fixture
@@ -216,7 +216,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     for l, kind in enumerate(matrix.schema):
         a = matrix.cells[left][l]
         b = matrix.cells[right][l]
-        if isinstance(a, Missing) or isinstance(b, Missing):
+        if a is MISSING or b is MISSING:
             continue
         print(f"column {l} ({matrix.column_names[l]}): {cell_distance(a, b, kind)!r}")
     print(f"shared features: {rd.shared_features}")

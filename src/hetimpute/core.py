@@ -111,6 +111,10 @@ class DataMatrix:
     kind or is MISSING, else ValueError names the first bad cell in
     row-major order. Component ordering and finiteness are left to
     validate(), so such data can be represented, inspected and reported.
+
+    The MISSING cells are recorded once, as the row-major tuple ``_gaps`` of
+    ``(row, col)`` pairs. It is no field, so ``==``, ``hash`` and ``repr``
+    see the cells alone.
     """
 
     schema: tuple[ColumnKind, ...]
@@ -139,15 +143,19 @@ class DataMatrix:
         # matches_kind depends on a cell's class alone, so the first cell of
         # each class in a column stands for all of them.
         firsts = []
+        gaps = []
         for l, (kind, column) in enumerate(zip(schema, zip(*cells))):
             if not isinstance(kind, ColumnKind):
                 raise ValueError(f"column {l} has kind {kind!r}, not a ColumnKind")
             classes = list(map(type, column))
             firsts += [(classes.index(cls), l) for cls in set(classes)]
+            if Missing in classes:
+                gaps += [(i, l) for i, cell in enumerate(column) if cell is MISSING]
         _check_cells(schema, [(i, l, cells[i][l]) for i, l in sorted(firsts)])
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "column_names", names)
+        object.__setattr__(self, "_gaps", tuple(sorted(gaps)))
 
     @property
     def n_rows(self) -> int:
@@ -168,7 +176,7 @@ class DataMatrix:
 
     def is_complete(self) -> bool:
         """True when no cell is Missing."""
-        return not missing_cells(self)
+        return not self._gaps
 
 
 def _check_cells(
@@ -190,18 +198,20 @@ def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMa
     Only the changed cells are checked against their column kinds, since
     ``matrix`` was checked when it was built. Only the rows named in
     ``changes`` are copied; every other row tuple is immutable and shared
-    with ``matrix``.
+    with ``matrix``. The gap record is ``matrix``'s, less the changed cells,
+    plus those changed to MISSING.
     """
-    _check_cells(
-        matrix.schema, sorted((ref.row, ref.col, v) for ref, v in changes.items())
-    )
+    changed = {(ref.row, ref.col): v for ref, v in changes.items()}
+    _check_cells(matrix.schema, sorted((i, l, v) for (i, l), v in changed.items()))
     rows = list(matrix.cells)
-    for ref, value in changes.items():
-        row = list(rows[ref.row])
-        row[ref.col] = value
-        rows[ref.row] = tuple(row)
+    for (i, l), value in changed.items():
+        row = list(rows[i])
+        row[l] = value
+        rows[i] = tuple(row)
+    gaps = [g for g in matrix._gaps if g not in changed]
+    gaps += [g for g, v in changed.items() if v is MISSING]
     out = object.__new__(DataMatrix)  # skips __post_init__'s whole-grid pass
-    out.__dict__.update(matrix.__dict__, cells=tuple(rows))
+    out.__dict__.update(matrix.__dict__, cells=tuple(rows), _gaps=tuple(sorted(gaps)))
     return out
 
 
@@ -235,10 +245,5 @@ def validate(matrix: DataMatrix) -> list[Violation]:
 
 
 def missing_cells(matrix: DataMatrix) -> list[CellRef]:
-    """All Missing cell addresses, in row-major order."""
-    return [
-        CellRef(i, l)
-        for i, row in enumerate(matrix.cells)
-        for l, cell in enumerate(row)
-        if cell is MISSING
-    ]
+    """All Missing cell addresses, in row-major order, in O(gaps)."""
+    return [CellRef(i, l) for i, l in matrix._gaps]

@@ -64,16 +64,39 @@ def cell_distance(a: CellValue, b: CellValue, kind: ColumnKind) -> float:
     return _CELL_DISTANCE[kind](a, b)
 
 
+class _CellTerms(dict):
+    """``terms[i][j]``: the m per-column cell distances between rows i and j
+    of a complete matrix (None for j == i), filled one row i at a time on
+    first use. The cell distances are symmetric bit for bit, so row i copies
+    the entries of the rows filled before it."""
+
+    def __init__(self, matrix: DataMatrix) -> None:
+        self.matrix = matrix
+
+    def __missing__(self, i: int) -> list:
+        cells = self.matrix.cells
+        functions = [_CELL_DISTANCE[kind] for kind in self.matrix.schema]
+        self[i] = row = [
+            None if j == i
+            else self[j][i] if j in self
+            else tuple([f(a, b) for f, a, b in zip(functions, cells[i], other)])
+            for j, other in enumerate(cells)
+        ]
+        return row
+
+
 def _row_distances(
-    matrix: DataMatrix, i: int, rows: Iterable[int]
+    matrix: DataMatrix, i: int, rows: Iterable[int], terms: _CellTerms | None = None
 ) -> list[tuple[float, int, int]]:
     """``(distance, row, shared)`` from row i to each comparable row of ``rows``.
 
     One pass per target row: the target's observed columns and their
     distance functions are looked up once, and each donor cell pays a single
     ``is MISSING`` test. A DataMatrix holds only cells of their column's kind
-    and one Missing instance, so no other test is needed. Per-cell distances
-    are added in schema order, so every bit matches a pairwise evaluation.
+    and one Missing instance, so no other test is needed. Each per-cell
+    distance is read from ``terms`` when given (a table of a matrix that
+    differs from ``matrix`` only in cells MISSING here), else computed, and
+    added in schema order, so every bit matches a pairwise evaluation.
     Rows sharing no observed column with row i are left out.
     """
     columns = [
@@ -82,16 +105,18 @@ def _row_distances(
         if a is not MISSING
     ]
     cells = matrix.cells
+    table = terms[i] if terms is not None else None
     out = []
     for j in rows:
         other = cells[j]
+        pair = table[j] if table else None
         total = 0.0
         shared = 0
         for l, a, distance in columns:
             b = other[l]
             if b is MISSING:
                 continue
-            total += distance(a, b)
+            total += pair[l] if pair else distance(a, b)
             shared += 1
         if shared:
             out.append((math.sqrt(total / shared), j, shared))

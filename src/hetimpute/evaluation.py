@@ -6,7 +6,8 @@ result as the root of the summed squared per-cell distances between the
 original and the completed matrix, divided by the n*m cell count; unmasked
 cells contribute 0. Sweeping k and the number of masked cells over many
 seeded trials yields the per-trial errors and per-k box-plot statistics
-used for reporting.
+used for reporting. Every trial masks the same complete matrix, so one
+lazily filled table of its per-column cell distances serves all trials.
 
 Every random choice flows from explicit integer seeds; per-trial seeds are
 derived by hashing (seed, k, count, trial), so any single trial can be
@@ -24,8 +25,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import MISSING, CellRef, DataMatrix, _with_cells
-from .distances import cell_distance
-from .imputer import impute
+from .distances import _CellTerms, cell_distance
+from .imputer import _impute
+
+#: The most per-column cell distances (n*n*m) for which ``benchmark`` keeps
+#: a table; full, it takes about 19 bytes a term (about 5 MB at the cap).
+_MAX_TABLE_TERMS = 2**18
 
 
 @dataclass(frozen=True)
@@ -158,9 +163,13 @@ def benchmark(
     records with error None but excluded from the summaries. Per-k summaries
     aggregate the errors of all missing counts for that k. ``mask_random``
     rejects an incomplete matrix and a count above the row count.
+    Every trial reads its cell distances from one table of ``matrix``,
+    filled lazily, unless it would hold over ``_MAX_TABLE_TERMS`` terms.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    n, m = matrix.n_rows, matrix.n_cols
+    terms = _CellTerms(matrix) if n * n * m <= _MAX_TABLE_TERMS else None
     k_summaries: dict[int, Summary] = {}
     records: list[TrialRecord] = []
     for k in k_values:
@@ -169,7 +178,7 @@ def benchmark(
             for trial in range(trials):
                 trial_seed = derive_trial_seed(seed, k, count, trial)
                 masked, refs = mask_random(matrix, count, trial_seed)
-                result = impute(masked, k)
+                result = _impute(masked, k, terms)
                 error = None
                 if not result.unimputable:
                     # Only the masked cells differ, so they carry the score.

@@ -14,16 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (
-    MISSING,
-    CellRef,
-    CellValue,
-    DataMatrix,
-    _with_cells,
-    components,
-    missing_cells,
-)
-from .distances import _row_distances
+from .core import MISSING, CellRef, CellValue, DataMatrix, _with_cells, components
+from .distances import _CellTerms, _row_distances
 
 #: Distances below this are treated as exact matches when weighting.
 ZERO_DISTANCE_EPS = 1e-12
@@ -107,7 +99,7 @@ def find_neighbors(matrix: DataMatrix, target: CellRef, k: int) -> NeighborSet:
         raise ValueError("k must be at least 1")
     if matrix.cells[target.row][target.col] is not MISSING:
         raise ValueError(f"cell ({target.row},{target.col}) is not missing")
-    missing = {j for j, row in enumerate(matrix.cells) if row[target.col] is MISSING}
+    missing = {i for i, l in matrix._gaps if l == target.col}
     rows = [j for j in range(matrix.n_rows) if j not in missing]
     return _neighbors(_row_distances(matrix, target.row, rows), missing, k)
 
@@ -149,6 +141,13 @@ def impute(matrix: DataMatrix, k: int) -> ImputationResult:
     cell with no usable donors is reported in ``unimputable`` and left
     Missing. The input matrix is not touched.
     """
+    return _impute(matrix, k, None)
+
+
+def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationResult:
+    """``impute``, reading per-cell distances from ``terms`` when given.
+    Precondition: the table's matrix differs from ``matrix`` only in cells
+    MISSING in ``matrix``, as when ``matrix`` is a masked copy of it."""
     if k < 1:
         raise ValueError("k must be at least 1")
     filled: dict[CellRef, CellValue] = {}
@@ -156,15 +155,15 @@ def impute(matrix: DataMatrix, k: int) -> ImputationResult:
     unimputable: list[CellRef] = []
     gaps: dict[int, list[int]] = {}
     missing: list[set[int]] = [set() for _ in matrix.schema]
-    for ref in missing_cells(matrix):
-        gaps.setdefault(ref.row, []).append(ref.col)
-        missing[ref.col].add(ref.row)
+    for i, l in matrix._gaps:
+        gaps.setdefault(i, []).append(l)
+        missing[l].add(i)
     # One distance pass per target row, shared by all of the row's gaps,
     # over the rows that observe at least one of them.
     for i, cols in gaps.items():
         excluded = set.intersection(*(missing[l] for l in cols))
         rows = [j for j in range(matrix.n_rows) if j not in excluded]
-        distances = _row_distances(matrix, i, rows)
+        distances = _row_distances(matrix, i, rows, terms)
         for l in cols:
             ref = CellRef(i, l)
             neighbors = _neighbors(distances, missing[l], k)

@@ -28,7 +28,6 @@ from .core import (
     FuzzyTFN,
     Interval,
     MISSING,
-    Missing,
     order_violation,
 )
 
@@ -144,7 +143,7 @@ def parse(text: str) -> DataMatrix:
 
 def _format_cell(cell: CellValue) -> str:
     # repr() of a float is the shortest string that round-trips exactly.
-    if isinstance(cell, Missing):
+    if cell is MISSING:
         return ""
     if isinstance(cell, Crisp):
         return repr(cell.value)

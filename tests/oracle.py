@@ -11,12 +11,17 @@ from hetimpute.core import Crisp, DataMatrix, Interval, Missing
 
 
 def bf_cell_distance(a, b) -> float:
+    # |x| rather than sqrt(x * x), which loses x when the square under- or
+    # overflows; an interval's squares past the largest double give inf.
     if isinstance(a, Crisp):
-        return math.sqrt((a.value - b.value) ** 2)
+        return abs(a.value - b.value)
     if isinstance(a, Interval):
-        return math.sqrt((a.lower - b.lower) ** 2 + (a.upper - b.upper) ** 2) / 2.0
+        try:
+            return math.sqrt((a.lower - b.lower) ** 2 + (a.upper - b.upper) ** 2) / 2.0
+        except OverflowError:
+            return math.inf
     diffs = (a.a1 - b.a1, a.a2 - b.a2, a.a3 - b.a3)
-    return sum(math.sqrt(d * d) for d in diffs) / 3.0
+    return sum(abs(d) for d in diffs) / 3.0
 
 
 def bf_row_distance(matrix: DataMatrix, i: int, j: int) -> float | None:

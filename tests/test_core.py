@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,8 @@ from hetimpute.core import (
     missing_cells,
     validate,
 )
+from hetimpute.evaluation import mask_random
+from hetimpute.imputer import impute
 
 from strategies import cell_values, column_kinds, matrices
 
@@ -101,6 +106,54 @@ def test_missing_plus_observed_covers_grid(m):
         1 for row in m.cells for c in row if not isinstance(c, Missing)
     )
     assert len(missing_cells(m)) + observed == m.n_rows * m.n_cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gap_record_follows_every_derived_matrix(data):
+    # The gaps are recorded once at construction and derived by with_cell,
+    # mask_random and impute; each record must equal a scan of the grid.
+    m = data.draw(matrices())
+    i = data.draw(st.integers(0, m.n_rows - 1))
+    l = data.draw(st.integers(0, m.n_cols - 1))
+    complete = m
+    for row, cells in enumerate(m.cells):
+        for col, cell in enumerate(cells):
+            if cell is MISSING:
+                value = data.draw(cell_values(m.schema[col]))
+                complete = complete.with_cell(row, col, value)
+    count = data.draw(st.integers(0, m.n_rows))
+    derived = [
+        m,
+        m.with_cell(i, l, MISSING),
+        m.with_cell(i, l, data.draw(cell_values(m.schema[l]))),
+        complete,
+        mask_random(complete, count, data.draw(st.integers(0, 2**32)))[0],
+        impute(m, data.draw(st.integers(1, 4))).matrix,
+    ]
+    for d in derived:
+        scan = [
+            CellRef(r, c)
+            for r, cells in enumerate(d.cells)
+            for c, cell in enumerate(cells)
+            if cell is MISSING
+        ]
+        built = DataMatrix(d.schema, d.cells, d.column_names)
+        for twin in (d, built, copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert missing_cells(twin) == scan
+            assert twin.is_complete() == (not scan)
+            assert twin == d
+            assert hash(twin) == hash(d)
+            assert repr(twin) == repr(d)
+    assert repr(m) == (
+        f"DataMatrix(schema={m.schema!r}, cells={m.cells!r}, "
+        f"column_names={m.column_names!r})"
+    )
+    assert [f.name for f in dataclasses.fields(DataMatrix)] == [
+        "schema",
+        "cells",
+        "column_names",
+    ]
 
 
 @given(matrices())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetimpute import distances, evaluation
 from hetimpute.core import (
     MISSING,
     CellRef,
@@ -14,6 +15,7 @@ from hetimpute.core import (
     FuzzyTFN,
     Interval,
     Missing,
+    components,
 )
 from hetimpute.evaluation import (
     benchmark,
@@ -26,6 +28,7 @@ from hetimpute.distances import cell_distance
 from hetimpute.fixtures import fixture
 from hetimpute.imputer import impute
 
+from oracle import bf_candidate_distances, bf_cell_distance, bf_weights
 from strategies import complete_matrices, raw_reals
 
 approx = pytest.approx
@@ -243,3 +246,100 @@ def test_masking_then_restoring_is_monotone(m, seed):
 @given(complete_matrices(elements=raw_reals()), st.integers(0, 2**32))
 def test_benchmark_over_the_full_float_range(m, seed):
     benchmark(m, [1, 3], sorted({1, m.n_rows}), trials=2, seed=seed)
+
+
+def _bf_trial_error(matrix, k, count, trial_seed):
+    """One trial by brute force: the error, or None if a cell is unimputable.
+
+    Each masked cell takes the convex combination of its k nearest donors,
+    summed in donor order (the donors' common value when they agree; a sum
+    past the largest double clamped into the donors' range), and the
+    squared cell errors are added in row-major order.
+    """
+    masked, refs = mask_random(matrix, count, trial_seed)
+    total = 0.0
+    for ref in refs:
+        donors = bf_candidate_distances(masked, ref.row, ref.col)[:k]
+        if not donors:
+            return None
+        weights = bf_weights([d for d, _ in donors])
+        cells = [masked.cells[j][ref.col] for _, j in donors]
+        value = cells[0]
+        if any(c != value for c in cells):
+            parts = []
+            for column in zip(*map(components, cells)):
+                x = sum(p * w for p, w in zip(column, weights))
+                parts.append(x if math.isfinite(x) else min(max(x, min(column)), max(column)))
+            value = type(value)(*parts)
+        d = bf_cell_distance(matrix.cells[ref.row][ref.col], value)
+        total += d * d
+    return math.sqrt(total) / (matrix.n_rows * matrix.n_cols)
+
+
+def _check_against_oracle(m, seed):
+    report = benchmark(m, range(1, 5), range(1, m.n_rows + 1), trials=2, seed=seed)
+    for rec in report.trials:
+        trial_seed = derive_trial_seed(seed, rec.k, rec.missing_count, rec.trial)
+        assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(complete_matrices(min_rows=2), st.integers(0, 2**32))
+def test_benchmark_matches_oracle_trial_by_trial(m, seed):
+    # Every trial reads its terms from one table of the complete matrix; each
+    # error must equal a brute-force recomputation on the masked matrix.
+    _check_against_oracle(m, seed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(complete_matrices(min_rows=2, elements=raw_reals()), st.integers(0, 2**32))
+def test_benchmark_matches_oracle_over_the_full_float_range(m, seed):
+    _check_against_oracle(m, seed)
+
+
+def _table_30x4():
+    schema = (ColumnKind.CRISP, ColumnKind.INTERVAL, ColumnKind.FUZZY, ColumnKind.CRISP)
+    rows = []
+    for i in range(30):
+        x = (i * 0.37) % 1.0
+        rows.append((Crisp(x), Interval(x, x + 0.1 * (i % 3)), FuzzyTFN(0.0, x, 1.0), Crisp(-x)))
+    return DataMatrix(schema, rows)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_benchmark_fills_the_table_lazily(monkeypatch, seed):
+    # One trial masking one cell needs one target row of the table: the n-1
+    # pairs' m terms, plus the one scored cell.
+    calls = []
+    for kind, distance in list(distances._CELL_DISTANCE.items()):
+        def counted(a, b, distance=distance):
+            calls.append(1)
+            return distance(a, b)
+        monkeypatch.setitem(distances._CELL_DISTANCE, kind, counted)
+    m = _table_30x4()
+    benchmark(m, [1], [1], trials=1, seed=seed)
+    assert 0 < len(calls) <= m.n_rows * m.n_cols
+
+
+@pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+def test_benchmark_without_a_table_gives_the_same_report(monkeypatch, name):
+    m = fixture(name)
+    table = benchmark(m, [1, 2, 3], range(m.n_rows + 1), trials=6, seed=5)
+    monkeypatch.setattr(evaluation, "_MAX_TABLE_TERMS", 0)
+    assert benchmark(m, [1, 2, 3], range(m.n_rows + 1), trials=6, seed=5) == table
+
+
+def test_benchmark_keeps_no_table_across_calls(monkeypatch):
+    # m2 differs from m1 in one cell; its report after m1's must equal one
+    # computed with no table at all, and the brute force.
+    m1 = _table_30x4()
+    m2 = m1.with_cell(4, 0, Crisp(9.0))
+    first = benchmark(m1, [1, 3], [1, 5, 30], trials=4, seed=2)
+    after = benchmark(m2, [1, 3], [1, 5, 30], trials=4, seed=2)
+    monkeypatch.setattr(evaluation, "_MAX_TABLE_TERMS", 0)
+    fresh = benchmark(m2, [1, 3], [1, 5, 30], trials=4, seed=2)
+    assert first != fresh
+    assert after == fresh
+    for rec in after.trials:
+        trial_seed = derive_trial_seed(2, rec.k, rec.missing_count, rec.trial)
+        assert rec.error == _bf_trial_error(m2, rec.k, rec.missing_count, trial_seed)
