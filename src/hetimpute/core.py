@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,8 +82,7 @@ def components(cell: CellValue) -> tuple[float, ...]:
     raise ValueError("Missing cell has no components")
 
 
-@dataclass(frozen=True, order=True)
-class CellRef:
+class CellRef(NamedTuple):
     """Zero-based (row, col) address of one cell. Orders row-major."""
 
     row: int
@@ -113,8 +112,8 @@ class DataMatrix:
     validate(), so such data can be represented, inspected and reported.
 
     The MISSING cells are recorded once, as the row-major tuple ``_gaps`` of
-    ``(row, col)`` pairs. It is no field, so ``==``, ``hash`` and ``repr``
-    see the cells alone.
+    their CellRefs. It is no field, so ``==``, ``hash`` and ``repr`` see the
+    cells alone.
     """
 
     schema: tuple[ColumnKind, ...]
@@ -150,7 +149,7 @@ class DataMatrix:
             classes = list(map(type, column))
             firsts += [(classes.index(cls), l) for cls in set(classes)]
             if Missing in classes:
-                gaps += [(i, l) for i, cell in enumerate(column) if cell is MISSING]
+                gaps += [CellRef(i, l) for i, c in enumerate(column) if c is MISSING]
         _check_cells(schema, [(i, l, cells[i][l]) for i, l in sorted(firsts)])
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "cells", cells)
@@ -201,15 +200,14 @@ def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMa
     with ``matrix``. The gap record is ``matrix``'s, less the changed cells,
     plus those changed to MISSING.
     """
-    changed = {(ref.row, ref.col): v for ref, v in changes.items()}
-    _check_cells(matrix.schema, sorted((i, l, v) for (i, l), v in changed.items()))
+    _check_cells(matrix.schema, sorted((i, l, v) for (i, l), v in changes.items()))
     rows = list(matrix.cells)
-    for (i, l), value in changed.items():
+    for (i, l), value in changes.items():
         row = list(rows[i])
         row[l] = value
         rows[i] = tuple(row)
-    gaps = [g for g in matrix._gaps if g not in changed]
-    gaps += [g for g, v in changed.items() if v is MISSING]
+    gaps = [g for g in matrix._gaps if g not in changes]
+    gaps += [g for g, v in changes.items() if v is MISSING]
     out = object.__new__(DataMatrix)  # skips __post_init__'s whole-grid pass
     out.__dict__.update(matrix.__dict__, cells=tuple(rows), _gaps=tuple(sorted(gaps)))
     return out
@@ -246,4 +244,4 @@ def validate(matrix: DataMatrix) -> list[Violation]:
 
 def missing_cells(matrix: DataMatrix) -> list[CellRef]:
     """All Missing cell addresses, in row-major order, in O(gaps)."""
-    return [CellRef(i, l) for i, l in matrix._gaps]
+    return list(matrix._gaps)

@@ -17,9 +17,11 @@ arguments.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -139,7 +141,7 @@ def summarize(values: Sequence[float]) -> Summary:
         median=_quantile(ordered, 0.5),
         q3=_quantile(ordered, 0.75),
         max=ordered[-1],
-        mean=sum(ordered) / len(ordered),
+        mean=functools.reduce(operator.add, ordered, 0.0) / len(ordered),
     )
 
 
@@ -182,8 +184,7 @@ def benchmark(
                 error = None
                 if not result.unimputable:
                     # Only the masked cells differ, so they carry the score.
-                    cells = ((ref.row, ref.col) for ref in refs)
-                    error = _error(matrix, result.matrix, cells)
+                    error = _error(matrix, result.matrix, refs)
                     errors.append(error)
                 records.append(TrialRecord(k, count, trial, error))
         if errors:

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import MISSING, CellRef, CellValue, DataMatrix, _with_cells, components
+from .core import (
+    MISSING, CellRef, CellValue, DataMatrix, _with_cells, components, missing_cells
+)
 from .distances import _CellTerms, _row_distances
 
 #: Distances below this are treated as exact matches when weighting.
@@ -64,7 +66,9 @@ def neighbor_weights(distances: Sequence[float]) -> list[float]:
         share = 1.0 / sum(exact)
         return [share if hit else 0.0 for hit in exact]
     inverses = [1.0 / d for d in distances]
-    total = sum(inverses)
+    total = 0.0
+    for inv in inverses:
+        total += inv
     if total == 0.0:  # every distance is inf
         return [1.0 / len(distances)] * len(distances)
     return [inv / total for inv in inverses]
@@ -99,7 +103,7 @@ def find_neighbors(matrix: DataMatrix, target: CellRef, k: int) -> NeighborSet:
         raise ValueError("k must be at least 1")
     if matrix.cells[target.row][target.col] is not MISSING:
         raise ValueError(f"cell ({target.row},{target.col}) is not missing")
-    missing = {i for i, l in matrix._gaps if l == target.col}
+    missing = {i for i, l in missing_cells(matrix) if l == target.col}
     rows = [j for j in range(matrix.n_rows) if j not in missing]
     return _neighbors(_row_distances(matrix, target.row, rows), missing, k)
 
@@ -121,11 +125,13 @@ def combine_cells(donors: Sequence[tuple[CellValue, float]]) -> CellValue:
     first = donors[0][0]
     if all(cell == first for cell, _ in donors):
         return first
-    # One sum per component, in donor order, so the bits match the oracle.
+    # A left fold per component in donor order, not sum(), so bits match the oracle.
     weights = [w for _, w in donors]
     values = []
     for column in zip(*(components(cell) for cell, _ in donors)):
-        value = sum(x * w for x, w in zip(column, weights))
+        value = 0.0
+        for x, w in zip(column, weights):
+            value += x * w
         if not math.isfinite(value):
             # Rounding can carry a sum of values near the largest double
             # past it; clamping only then keeps every finite sum's bits.
@@ -152,25 +158,24 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
         raise ValueError("k must be at least 1")
     filled: dict[CellRef, CellValue] = {}
     trace: dict[CellRef, NeighborSet] = {}
-    unimputable: list[CellRef] = []
-    gaps: dict[int, list[int]] = {}
+    gaps: dict[int, list[CellRef]] = {}
     missing: list[set[int]] = [set() for _ in matrix.schema]
-    for i, l in matrix._gaps:
-        gaps.setdefault(i, []).append(l)
-        missing[l].add(i)
+    for ref in missing_cells(matrix):
+        gaps.setdefault(ref.row, []).append(ref)
+        missing[ref.col].add(ref.row)
     # One distance pass per target row, shared by all of the row's gaps,
     # over the rows that observe at least one of them.
-    for i, cols in gaps.items():
-        excluded = set.intersection(*(missing[l] for l in cols))
+    for i, refs in gaps.items():
+        excluded = set.intersection(*(missing[ref.col] for ref in refs))
         rows = [j for j in range(matrix.n_rows) if j not in excluded]
         distances = _row_distances(matrix, i, rows, terms)
-        for l in cols:
-            ref = CellRef(i, l)
-            neighbors = _neighbors(distances, missing[l], k)
+        for ref in refs:
+            neighbors = _neighbors(distances, missing[ref.col], k)
             if not neighbors.donors:
-                unimputable.append(ref)
                 continue
-            donor_cells = [(matrix.cells[d.row][l], d.weight) for d in neighbors.donors]
-            filled[ref] = combine_cells(donor_cells)
+            cells = [(matrix.cells[d.row][ref.col], d.weight) for d in neighbors.donors]
+            filled[ref] = combine_cells(cells)
             trace[ref] = neighbors
-    return ImputationResult(_with_cells(matrix, filled), trace, tuple(unimputable))
+    # The cells left MISSING are exactly those without donors.
+    completed = _with_cells(matrix, filled)
+    return ImputationResult(completed, trace, tuple(missing_cells(completed)))

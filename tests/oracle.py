@@ -1,6 +1,7 @@
 """Brute-force reference implementations, written independently of the
 library code paths they check: plain loops, no shared helpers, formulas
-spelled out from scratch.
+spelled out from scratch. Every float sum is a left-to-right loop from 0.0,
+never sum(), which Python 3.12 made compensated.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ def bf_cell_distance(a, b) -> float:
             return math.sqrt((a.lower - b.lower) ** 2 + (a.upper - b.upper) ** 2) / 2.0
         except OverflowError:
             return math.inf
-    diffs = (a.a1 - b.a1, a.a2 - b.a2, a.a3 - b.a3)
-    return sum(abs(d) for d in diffs) / 3.0
+    total = 0.0
+    for d in (a.a1 - b.a1, a.a2 - b.a2, a.a3 - b.a3):
+        total += abs(d)
+    return total / 3.0
 
 
 def bf_row_distance(matrix: DataMatrix, i: int, j: int) -> float | None:
@@ -34,7 +37,10 @@ def bf_row_distance(matrix: DataMatrix, i: int, j: int) -> float | None:
         per_cell.append(bf_cell_distance(a, b))
     if not per_cell:
         return None
-    return math.sqrt(sum(per_cell) / len(per_cell))
+    total = 0.0
+    for d in per_cell:
+        total += d
+    return math.sqrt(total / len(per_cell))
 
 
 def bf_candidate_distances(
@@ -59,4 +65,7 @@ def bf_weights(distances: list[float]) -> list[float]:
     inverses = [1.0 / d for d in distances]
     if all(d == math.inf for d in distances):
         return [1.0 / len(distances) for _ in distances]
-    return [inv / sum(inverses) for inv in inverses]
+    total = 0.0
+    for inv in inverses:
+        total += inv
+    return [inv / total for inv in inverses]

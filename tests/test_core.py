@@ -141,6 +141,7 @@ def test_gap_record_follows_every_derived_matrix(data):
         built = DataMatrix(d.schema, d.cells, d.column_names)
         for twin in (d, built, copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
             assert missing_cells(twin) == scan
+            assert all(isinstance(ref, CellRef) for ref in missing_cells(twin))
             assert twin.is_complete() == (not scan)
             assert twin == d
             assert hash(twin) == hash(d)
@@ -265,3 +266,10 @@ def test_matches_kind_and_components():
 def test_cellref_orders_row_major():
     refs = [CellRef(1, 0), CellRef(0, 2), CellRef(0, 1)]
     assert sorted(refs) == [CellRef(0, 1), CellRef(0, 2), CellRef(1, 0)]
+    # A CellRef is the plain (row, col) tuple, with names.
+    ref = CellRef(1, 2)
+    assert ref == (1, 2)
+    assert hash(ref) == hash((1, 2))
+    row, col = ref
+    assert (row, col) == (ref.row, ref.col) == (1, 2)
+    assert repr(ref) == "CellRef(row=1, col=2)"

@@ -268,7 +268,9 @@ def _bf_trial_error(matrix, k, count, trial_seed):
         if any(c != value for c in cells):
             parts = []
             for column in zip(*map(components, cells)):
-                x = sum(p * w for p, w in zip(column, weights))
+                x = 0.0
+                for p, w in zip(column, weights):
+                    x += p * w
                 parts.append(x if math.isfinite(x) else min(max(x, min(column)), max(column)))
             value = type(value)(*parts)
         d = bf_cell_distance(matrix.cells[ref.row][ref.col], value)

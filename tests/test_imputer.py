@@ -354,7 +354,7 @@ def test_impute_results_are_valid_and_deterministic(m, k):
     originally_missing = set(missing_cells(m))
     assert set(first.trace) | set(first.unimputable) == originally_missing
     assert set(first.trace) & set(first.unimputable) == set()
-    assert set(missing_cells(first.matrix)) == set(first.unimputable)
+    assert first.unimputable == tuple(missing_cells(first.matrix))
 
 
 @settings(max_examples=100, deadline=None)

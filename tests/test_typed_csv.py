@@ -84,6 +84,12 @@ class TestParse:
             parse("x:crisp\n[0.1;0.2]\n")
         with pytest.raises(ParseError, match="expected fuzzy"):
             parse("x:fuzzy\n0.5\n")
+        with pytest.raises(ParseError) as err:
+            parse("x:interval\n(0.1;0.2)\n")
+        assert str(err.value) == (
+            "line 2, column 1: expected interval cell '[lower;upper]', "
+            "found '(0.1;0.2)'"
+        )
 
     def test_malformed_number_positions(self):
         with pytest.raises(ParseError) as err:
