@@ -9,7 +9,6 @@ from hetimpute import (
     CellRef,
     ColumnKind,
     cell_distance,
-    find_neighbors,
     fixture,
     impute,
     matrix_error,
@@ -31,11 +30,11 @@ def main() -> None:
             f"(over {rd.shared_features} shared columns)"
         )
 
-    neighbors = find_neighbors(masked, CellRef(2, 2), k=2)
-    for donor in neighbors.donors:
+    result = impute(masked, k=2)
+    for donor in result.trace[CellRef(2, 2)].donors:
         print(f"donor row {donor.row}: weight {donor.weight:.4f}")
 
-    completed = impute(masked, k=2).matrix
+    completed = result.matrix
     filled = completed.cell(2, 2)
     print(f"imputed fuzzy value: ({filled.a1:.4f}, {filled.a2:.4f}, {filled.a3:.4f})")
 

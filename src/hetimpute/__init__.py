@@ -22,7 +22,7 @@ from .core import (
 from .distances import cell_distance, row_distance
 from .evaluation import benchmark, mask_random, matrix_error
 from .fixtures import fixture
-from .imputer import find_neighbors, impute
+from .imputer import impute
 from .typed_csv import ParseError, parse, serialize
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import MISSING, DataMatrix
+from .core import DataMatrix
 from .distances import cell_distance, row_distance
 from .evaluation import BenchmarkReport, benchmark
 from .fixtures import FIXTURE_NAMES, fixture
@@ -87,8 +87,10 @@ def _write(*outputs: tuple[Path, str]) -> None:
     A missing or regular target is written to a temporary file beside it,
     which ``os.replace`` moves over it only after every temporary file and
     every in-place target is written, so a write that fails leaves no
-    completed output behind.
+    completed output behind. Two paths that resolve to one such file are a
+    data error, raised before any file is created.
     """
+    targets: dict[str, tuple[Path, int, str]] = {}
     staged: list[tuple[str, str]] = []
     in_place: list[tuple[Path, str]] = []
     failed = None
@@ -97,8 +99,11 @@ def _write(*outputs: tuple[Path, str]) -> None:
             target = _replace_target(failed)
             if target is None:
                 in_place.append((failed, text))
-                continue
-            real, mode = target
+            elif target[0] in targets:
+                raise _DataError(f"cannot write {failed}: same file as another output")
+            else:
+                targets[target[0]] = (failed, target[1], text)
+        for real, (failed, mode, text) in targets.items():
             fd, temp = tempfile.mkstemp(
                 prefix=f".{os.path.basename(real)}.",
                 suffix=".tmp",
@@ -216,7 +221,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     for l, kind in enumerate(matrix.schema):
         a = matrix.cells[left][l]
         b = matrix.cells[right][l]
-        if a is MISSING or b is MISSING:
+        if a is None or b is None:
             continue
         print(f"column {l} ({matrix.column_names[l]}): {cell_distance(a, b, kind)!r}")
     print(f"shared features: {rd.shared_features}")

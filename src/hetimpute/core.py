@@ -1,10 +1,11 @@
 """Typed cell values, column schemas, and the rectangular matrix they live in.
 
 A cell is one of four things: a crisp real, a closed interval, a triangular
-fuzzy number, or missing. Columns carry a single declared kind; a cell either
-matches its column's kind or is missing, which a DataMatrix checks once, when
-it is built. Everything here is an immutable value, so matrices can be shared
-freely between threads and reused as the frozen donor pool during imputation.
+fuzzy number, or ``None`` for a gap. Columns carry a single declared kind; a
+cell either matches its column's kind or is None, which a DataMatrix checks
+once, when it is built. Everything here is an immutable value, so matrices
+can be shared freely between threads and reused as the frozen donor pool
+during imputation.
 """
 
 from __future__ import annotations
@@ -39,18 +40,12 @@ class FuzzyTFN:
     a3: float
 
 
-@dataclass(frozen=True, slots=True)
-class Missing:
-    """Sentinel for an unobserved cell; ``Missing()`` returns MISSING."""
+#: A gap is ``None``: ``MISSING`` is that object, ``Missing`` its type, so
+#: ``Missing()`` returns it and ``cell is None`` tests for a gap.
+MISSING = None
+Missing = type(None)
 
-    def __new__(cls) -> Missing:
-        return MISSING
-
-
-#: The one Missing instance, so ``cell is MISSING`` tests for a gap.
-MISSING = object.__new__(Missing)
-
-CellValue = Union[Crisp, Interval, FuzzyTFN, Missing]
+CellValue = Union[Crisp, Interval, FuzzyTFN, None]
 
 
 class ColumnKind(Enum):
@@ -67,12 +62,12 @@ _KIND_CLASS = {
 
 
 def matches_kind(cell: CellValue, kind: ColumnKind) -> bool:
-    """True when ``cell`` is a value of the column kind (Missing never matches)."""
+    """True when ``cell`` is a value of the column kind (a gap never matches)."""
     return isinstance(cell, _KIND_CLASS[kind])
 
 
 def components(cell: CellValue) -> tuple[float, ...]:
-    """The real components of a non-Missing cell, in declaration order."""
+    """The real components of an observed cell, in declaration order."""
     if isinstance(cell, Crisp):
         return (cell.value,)
     if isinstance(cell, Interval):
@@ -107,13 +102,13 @@ class DataMatrix:
     Construction enforces the structure (at least one row and one column, a
     rectangular grid, schema and names of matching length) and the kinds:
     every schema entry is a ColumnKind and every cell matches its column's
-    kind or is MISSING, else ValueError names the first bad cell in
+    kind or is None (a gap), else ValueError names the first bad cell in
     row-major order. Component ordering and finiteness are left to
     validate(), so such data can be represented, inspected and reported.
 
-    The MISSING cells are recorded once, as the row-major tuple ``_gaps`` of
-    their CellRefs. It is no field, so ``==``, ``hash`` and ``repr`` see the
-    cells alone.
+    The gaps are recorded once, as the row-major tuple ``_gaps`` of their
+    CellRefs. It is no field, so ``==``, ``hash`` and ``repr`` see the cells
+    alone.
     """
 
     schema: tuple[ColumnKind, ...]
@@ -149,7 +144,7 @@ class DataMatrix:
             classes = list(map(type, column))
             firsts += [(classes.index(cls), l) for cls in set(classes)]
             if Missing in classes:
-                gaps += [CellRef(i, l) for i, c in enumerate(column) if c is MISSING]
+                gaps += [CellRef(i, l) for i, c in enumerate(column) if c is None]
         _check_cells(schema, [(i, l, cells[i][l]) for i, l in sorted(firsts)])
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "cells", cells)
@@ -174,7 +169,7 @@ class DataMatrix:
         return _with_cells(self, {CellRef(row, col): value})
 
     def is_complete(self) -> bool:
-        """True when no cell is Missing."""
+        """True when no cell is a gap."""
         return not self._gaps
 
 
@@ -182,9 +177,9 @@ def _check_cells(
     schema: tuple[ColumnKind, ...], cells: Iterable[tuple[int, int, CellValue]]
 ) -> None:
     """Raise ValueError naming the first ``(row, col, cell)`` of ``cells``
-    that is neither MISSING nor of its column's kind."""
+    that is neither None nor of its column's kind."""
     for i, l, cell in cells:
-        if cell is not MISSING and not matches_kind(cell, schema[l]):
+        if cell is not None and not matches_kind(cell, schema[l]):
             raise ValueError(
                 f"cell ({i},{l}): {type(cell).__name__} does not match "
                 f"column kind {schema[l].value}"
@@ -198,7 +193,7 @@ def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMa
     ``matrix`` was checked when it was built. Only the rows named in
     ``changes`` are copied; every other row tuple is immutable and shared
     with ``matrix``. The gap record is ``matrix``'s, less the changed cells,
-    plus those changed to MISSING.
+    plus those changed to None.
     """
     _check_cells(matrix.schema, sorted((i, l, v) for (i, l), v in changes.items()))
     rows = list(matrix.cells)
@@ -207,7 +202,7 @@ def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMa
         row[l] = value
         rows[i] = tuple(row)
     gaps = [g for g in matrix._gaps if g not in changes]
-    gaps += [g for g, v in changes.items() if v is MISSING]
+    gaps += [g for g, v in changes.items() if v is None]
     out = object.__new__(DataMatrix)  # skips __post_init__'s whole-grid pass
     out.__dict__.update(matrix.__dict__, cells=tuple(rows), _gaps=tuple(sorted(gaps)))
     return out
@@ -232,7 +227,7 @@ def validate(matrix: DataMatrix) -> list[Violation]:
     out: list[Violation] = []
     for i, row in enumerate(matrix.cells):
         for l, cell in enumerate(row):
-            if cell is MISSING:
+            if cell is None:
                 continue
             ref = CellRef(i, l)
             if message := order_violation(cell):
@@ -243,5 +238,5 @@ def validate(matrix: DataMatrix) -> list[Violation]:
 
 
 def missing_cells(matrix: DataMatrix) -> list[CellRef]:
-    """All Missing cell addresses, in row-major order, in O(gaps)."""
+    """All gap addresses, in row-major order, in O(gaps)."""
     return list(matrix._gaps)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
-    MISSING,
     CellValue,
     ColumnKind,
     DataMatrix,
@@ -92,17 +91,17 @@ def _row_distances(
 
     One pass per target row: the target's observed columns and their
     distance functions are looked up once, and each donor cell pays a single
-    ``is MISSING`` test. A DataMatrix holds only cells of their column's kind
-    and one Missing instance, so no other test is needed. Each per-cell
-    distance is read from ``terms`` when given (a table of a matrix that
-    differs from ``matrix`` only in cells MISSING here), else computed, and
+    ``is None`` test. A DataMatrix holds only cells of their column's kind
+    and None for a gap, so no other test is needed. Each per-cell distance
+    is read from ``terms`` when given (a table of a matrix that differs from
+    ``matrix`` only in cells that are gaps here), else computed, and
     added in schema order, so every bit matches a pairwise evaluation.
     Rows sharing no observed column with row i are left out.
     """
     columns = [
         (l, a, _CELL_DISTANCE[kind])
         for l, (a, kind) in enumerate(zip(matrix.cells[i], matrix.schema))
-        if a is not MISSING
+        if a is not None
     ]
     cells = matrix.cells
     table = terms[i] if terms is not None else None
@@ -114,7 +113,7 @@ def _row_distances(
         shared = 0
         for l, a, distance in columns:
             b = other[l]
-            if b is MISSING:
+            if b is None:
                 continue
             total += pair[l] if pair else distance(a, b)
             shared += 1

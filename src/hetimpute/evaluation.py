@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import MISSING, CellRef, DataMatrix, _with_cells
+from .core import CellRef, DataMatrix, _with_cells
 from .distances import _CellTerms, cell_distance
 from .imputer import _impute
 
@@ -67,7 +67,7 @@ class BenchmarkReport:
 def mask_random(
     matrix: DataMatrix, count: int, seed: int
 ) -> tuple[DataMatrix, tuple[CellRef, ...]]:
-    """Replace ``count`` cells of a complete matrix by Missing, seeded.
+    """Replace ``count`` cells of a complete matrix by gaps, seeded.
 
     Picks ``count`` distinct rows uniformly and one column uniformly within
     each, so no row loses more than one value. Returns the masked matrix and
@@ -85,7 +85,7 @@ def mask_random(
     rng = random.Random(seed)
     rows = rng.sample(range(matrix.n_rows), count)
     refs = tuple(sorted(CellRef(r, rng.randrange(matrix.n_cols)) for r in rows))
-    return _with_cells(matrix, dict.fromkeys(refs, MISSING)), refs
+    return _with_cells(matrix, dict.fromkeys(refs)), refs
 
 
 def matrix_error(original: DataMatrix, imputed: DataMatrix) -> float:

@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (
-    MISSING, CellRef, CellValue, DataMatrix, _with_cells, components, missing_cells
-)
+from .core import CellRef, CellValue, DataMatrix, _with_cells, components, missing_cells
 from .distances import _CellTerms, _row_distances
 
 #: Distances below this are treated as exact matches when weighting.
@@ -34,8 +32,8 @@ class Donor:
 class NeighborSet:
     """The donors selected for one missing cell, nearest first.
 
-    May be empty when no row both observes the target column and shares at
-    least one observed column with the target row.
+    Never empty in a trace: a cell whose column no comparable row observes
+    gets no trace entry and is listed in ``unimputable`` instead.
     """
 
     donors: tuple[Donor, ...]
@@ -92,22 +90,6 @@ def _neighbors(
     return NeighborSet(donors)
 
 
-def find_neighbors(matrix: DataMatrix, target: CellRef, k: int) -> NeighborSet:
-    """Select up to k donor rows for the missing cell at ``target``.
-
-    Candidates are the rows observed at target.col with a defined distance
-    to the target row. Ties at the k-th distance break toward the lower row
-    index. Fewer than k candidates degrade gracefully to all of them.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if matrix.cells[target.row][target.col] is not MISSING:
-        raise ValueError(f"cell ({target.row},{target.col}) is not missing")
-    missing = {i for i, l in missing_cells(matrix) if l == target.col}
-    rows = [j for j in range(matrix.n_rows) if j not in missing]
-    return _neighbors(_row_distances(matrix, target.row, rows), missing, k)
-
-
 def combine_cells(donors: Sequence[tuple[CellValue, float]]) -> CellValue:
     """Component-wise weighted combination of donor cells.
 
@@ -145,7 +127,7 @@ def impute(matrix: DataMatrix, k: int) -> ImputationResult:
 
     Cells are processed in row-major order against the original matrix; a
     cell with no usable donors is reported in ``unimputable`` and left
-    Missing. The input matrix is not touched.
+    None. The input matrix is not touched.
     """
     return _impute(matrix, k, None)
 
@@ -153,7 +135,7 @@ def impute(matrix: DataMatrix, k: int) -> ImputationResult:
 def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationResult:
     """``impute``, reading per-cell distances from ``terms`` when given.
     Precondition: the table's matrix differs from ``matrix`` only in cells
-    MISSING in ``matrix``, as when ``matrix`` is a masked copy of it."""
+    that are gaps in ``matrix``, as when ``matrix`` is a masked copy of it."""
     if k < 1:
         raise ValueError("k must be at least 1")
     filled: dict[CellRef, CellValue] = {}
@@ -176,6 +158,6 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
             cells = [(matrix.cells[d.row][ref.col], d.weight) for d in neighbors.donors]
             filled[ref] = combine_cells(cells)
             trace[ref] = neighbors
-    # The cells left MISSING are exactly those without donors.
+    # The cells left None are exactly those without donors.
     completed = _with_cells(matrix, filled)
     return ImputationResult(completed, trace, tuple(missing_cells(completed)))

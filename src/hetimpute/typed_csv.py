@@ -27,7 +27,6 @@ from .core import (
     DataMatrix,
     FuzzyTFN,
     Interval,
-    MISSING,
     order_violation,
 )
 
@@ -58,7 +57,7 @@ def _parse_number(token: str, line: int, column: int, what: str) -> float:
 
 def _parse_cell(token: str, kind: ColumnKind, line: int, column: int) -> CellValue:
     if token == "" or token.lower() == "nan":
-        return MISSING
+        return None
     if kind is ColumnKind.CRISP:
         return Crisp(_parse_number(token, line, column, "expected crisp cell"))
     if kind is ColumnKind.INTERVAL:
@@ -143,7 +142,7 @@ def parse(text: str) -> DataMatrix:
 
 def _format_cell(cell: CellValue) -> str:
     # repr() of a float is the shortest string that round-trips exactly.
-    if cell is MISSING:
+    if cell is None:
         return ""
     if isinstance(cell, Crisp):
         return repr(cell.value)
@@ -155,8 +154,9 @@ def _format_cell(cell: CellValue) -> str:
 def serialize(matrix: DataMatrix) -> str:
     """Render a matrix in canonical typed-CSV form."""
     for name in matrix.column_names:
-        if "," in name or "\n" in name:
-            raise ValueError(f"column name {name!r} cannot contain ',' or newline")
+        # parse() splits the header on both and strips a name's leading space.
+        if "," in name or "\n" in name or name[:1].isspace():
+            raise ValueError(f"column name {name!r} has ',', newline or leading space")
     header = ",".join(
         f"{name}:{kind.value}"
         for name, kind in zip(matrix.column_names, matrix.schema)

@@ -30,7 +30,7 @@ from hetimpute.core import (
 from hetimpute.distances import cell_distance, row_distance
 from hetimpute.evaluation import benchmark, matrix_error
 from hetimpute.fixtures import fixture
-from hetimpute.imputer import find_neighbors, impute
+from hetimpute.imputer import impute
 from hetimpute.typed_csv import parse, serialize
 
 from oracle import bf_candidate_distances, bf_weights
@@ -100,11 +100,11 @@ def test_criterion_1_worked_example_chain(case1, case1_masked):
         to_second = row_distance(case1_masked, 2, 1)
         assert to_first.value == approx(0.2661, abs=5e-4)
         assert to_second.value == approx(0.0945, abs=5e-4)
-        neighbors = find_neighbors(case1_masked, CellRef(2, 2), k=2)
-        by_row = {d.row: d for d in neighbors.donors}
+        result = impute(case1_masked, k=2)
+        by_row = {d.row: d for d in result.trace[CellRef(2, 2)].donors}
         assert by_row[0].weight == approx(0.2620, abs=1e-3)
         assert by_row[1].weight == approx(0.7380, abs=1e-3)
-        filled = impute(case1_masked, k=2).matrix.cell(2, 2)
+        filled = result.matrix.cell(2, 2)
         assert filled.a1 == approx(0.3935, abs=1e-3)
         assert filled.a2 == approx(0.5604, abs=1e-3)
         assert filled.a3 == approx(0.7273, abs=1e-3)
@@ -221,12 +221,14 @@ def test_criterion_5_property_suites(tmp_path):
         for _ in range(300):
             m = random_matrix(rng, max_rows=8)
             k = rng.randint(1, 5)
+            result = impute(m, k)
             for ref in missing_cells(m):
-                ns = find_neighbors(m, ref, k)
                 ranked = bf_candidate_distances(m, ref.row, ref.col)
-                assert len(ns.donors) == min(k, len(ranked))
-                if not ns.donors:
+                if ref not in result.trace:
+                    assert ranked == [] and ref in result.unimputable
                     continue
+                ns = result.trace[ref]
+                assert len(ns.donors) == min(k, len(ranked))
                 chosen = {d.row for d in ns.donors}
                 worst = max(d for d, j in ranked if j in chosen)
                 best_left = min(
@@ -289,9 +291,10 @@ def test_criterion_6_zero_distance_regularization():
                 (Crisp(0.9), FuzzyTFN(0.5, 0.6, 0.7)),
             ),
         )
-        ns = find_neighbors(m, CellRef(0, 1), k=2)
+        result = impute(m, 2)
+        ns = result.trace[CellRef(0, 1)]
         assert [d.weight for d in ns.donors] == [1.0, 0.0]
-        assert impute(m, 2).matrix.cell(0, 1) == target_value
+        assert result.matrix.cell(0, 1) == target_value
 
         # a sub-epsilon but nonzero distance behaves the same way
         m = DataMatrix(
@@ -302,7 +305,8 @@ def test_criterion_6_zero_distance_regularization():
                 (Crisp(0.75), Interval(0.6, 0.9)),
             ),
         )
-        ns = find_neighbors(m, CellRef(0, 1), k=2)
+        result = impute(m, 2)
+        ns = result.trace[CellRef(0, 1)]
         assert 0.0 < ns.donors[0].distance < 1e-12
         assert [d.weight for d in ns.donors] == [1.0, 0.0]
-        assert impute(m, 2).matrix.cell(0, 1) == Interval(0.25, 0.5)
+        assert result.matrix.cell(0, 1) == Interval(0.25, 0.5)

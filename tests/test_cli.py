@@ -109,6 +109,24 @@ class TestBadFilesEndInOneLine:
         assert_one_line_data_error(run)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
+    @pytest.mark.parametrize("spelling", ["plain", "dotted", "symlink"])
+    def test_output_and_trace_on_one_file(self, tmp_path, spelling):
+        # Both would land in one file, and the trace would silently replace
+        # the completed table; refuse before any file is created.
+        src = tmp_path / "in.csv"
+        write_case1_masked(src)
+        out = tmp_path / "o.csv"
+        trace = {"plain": out, "dotted": tmp_path / "." / "o.csv",
+                 "symlink": tmp_path / "link.csv"}[spelling]
+        if spelling == "symlink":
+            trace.symlink_to(out)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        run = run_cli("impute", "--input", str(src), "--k", "1",
+                      "--output", str(out), "--trace", str(trace))
+        assert_one_line_data_error(run)
+        assert "same file as another output" in run.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     def test_output_to_dev_null_keeps_the_trace(self, tmp_path):
         src = tmp_path / "in.csv"
         write_case1_masked(src)

@@ -193,6 +193,15 @@ def test_missing_is_one_instance():
     assert Missing() is MISSING
     m = DataMatrix(schema=(ColumnKind.CRISP,), cells=((Missing(),),))
     assert m.cells[0][0] is MISSING
+    # A gap is None itself, so a matrix built in the library can write it so.
+    assert MISSING is None
+    assert Missing() is None
+    crisp = ColumnKind.CRISP
+    m = DataMatrix((crisp, crisp), ((Crisp(1.0), None), (Crisp(2.0), Crisp(3.0))))
+    assert missing_cells(m) == [CellRef(0, 1)]
+    result = impute(m, 1)
+    assert result.matrix.cell(0, 1) == Crisp(3.0)
+    assert result.unimputable == ()
 
 
 @settings(max_examples=300)

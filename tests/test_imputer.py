@@ -20,7 +20,6 @@ from hetimpute.core import (
 )
 from hetimpute.imputer import (
     combine_cells,
-    find_neighbors,
     impute,
     neighbor_weights,
 )
@@ -76,8 +75,10 @@ class TestNeighborWeights:
 
 
 class TestFindNeighbors:
+    """A cell's donors, as ``impute`` records them in its trace."""
+
     def test_worked_example(self, case1_masked):
-        ns = find_neighbors(case1_masked, CellRef(2, 2), k=2)
+        ns = impute(case1_masked, k=2).trace[CellRef(2, 2)]
         assert [d.row for d in ns.donors] == [1, 0]
         assert ns.donors[0].distance == approx(0.0945, abs=5e-4)
         assert ns.donors[1].distance == approx(0.2661, abs=5e-4)
@@ -93,7 +94,7 @@ class TestFindNeighbors:
                 (Crisp(0.9), MISSING),
             ),
         )
-        ns = find_neighbors(m, CellRef(0, 1), k=3)
+        ns = impute(m, k=3).trace[CellRef(0, 1)]
         assert len(ns.donors) == 1
         assert ns.donors[0].row == 1
         assert ns.donors[0].weight == 1.0
@@ -103,7 +104,9 @@ class TestFindNeighbors:
             schema=(ColumnKind.CRISP, ColumnKind.CRISP),
             cells=((MISSING, MISSING), (Crisp(1.0), Crisp(2.0))),
         )
-        assert find_neighbors(m, CellRef(0, 0), k=1).donors == ()
+        result = impute(m, k=1)
+        assert CellRef(0, 0) not in result.trace
+        assert CellRef(0, 0) in result.unimputable
 
     def test_tie_breaks_to_lower_row(self):
         m = DataMatrix(
@@ -114,16 +117,17 @@ class TestFindNeighbors:
                 (Crisp(0.9), Crisp(0.25)),
             ),
         )
-        ns = find_neighbors(m, CellRef(0, 0), k=1)
+        ns = impute(m, k=1).trace[CellRef(0, 0)]
         assert [d.row for d in ns.donors] == [1]
 
-    def test_target_must_be_missing(self, case1):
-        with pytest.raises(ValueError):
-            find_neighbors(case1, CellRef(0, 0), k=1)
+    def test_target_must_be_missing(self, case1, case1_masked):
+        # An observed cell never has a trace entry.
+        assert CellRef(0, 0) not in impute(case1, k=1).trace
+        assert set(impute(case1_masked, k=2).trace) == {CellRef(2, 2)}
 
     def test_k_must_be_positive(self, case1_masked):
         with pytest.raises(ValueError):
-            find_neighbors(case1_masked, CellRef(2, 2), k=0)
+            impute(case1_masked, k=0)
 
 
 class TestCombineCells:
@@ -295,12 +299,14 @@ class TestImpute:
 @settings(max_examples=150, deadline=None)
 @given(matrices(min_rows=2, max_rows=8), st.integers(1, 5))
 def test_find_neighbors_agrees_with_bruteforce(m, k):
+    result = impute(m, k)
     for ref in missing_cells(m):
-        ns = find_neighbors(m, ref, k)
         ranked = bf_candidate_distances(m, ref.row, ref.col)
-        assert len(ns.donors) == min(k, len(ranked))
-        if not ns.donors:
+        if ref not in result.trace:
+            assert ranked == [] and ref in result.unimputable
             continue
+        ns = result.trace[ref]
+        assert len(ns.donors) == min(k, len(ranked))
         assert all(d.row != ref.row for d in ns.donors)
         assert all(
             not isinstance(m.cell(d.row, ref.col), Missing) for d in ns.donors
@@ -334,13 +340,13 @@ def test_impute_matches_oracle_bit_for_bit(m, k):
     # select exactly what a per-cell brute force selects, to the last bit.
     result = impute(m, k)
     for ref in missing_cells(m):
-        ns = find_neighbors(m, ref, k)
         ranked = bf_candidate_distances(m, ref.row, ref.col)[:k]
-        assert [(d.distance, d.row) for d in ns.donors] == ranked
         if ranked:
-            assert result.trace[ref] == ns
+            ns = result.trace[ref]
+            assert [(d.distance, d.row) for d in ns.donors] == ranked
             assert [d.weight for d in ns.donors] == bf_weights([d for d, _ in ranked])
         else:
+            assert ref not in result.trace
             assert ref in result.unimputable
 
 

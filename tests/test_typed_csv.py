@@ -136,6 +136,15 @@ class TestSerialize:
         with pytest.raises(ValueError):
             serialize(bad)
 
+    @pytest.mark.parametrize(
+        "name", ["a,b", "a\nb", " a", "\ta"],
+        ids=["comma", "newline", "leading-space", "leading-tab"],
+    )
+    def test_rejects_names_parse_would_change(self, case1, name):
+        bad = type(case1)(case1.schema, case1.cells, (name, "c", "d"))
+        with pytest.raises(ValueError, match="column name"):
+            serialize(bad)
+
     def test_colon_in_name_roundtrips(self, case1):
         named = type(case1)(case1.schema, case1.cells, ("a:b", "c", "d"))
         assert parse(serialize(named)).column_names == ("a:b", "c", "d")
