@@ -139,7 +139,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
                     f"{ref.row},{ref.col},{donor.row},"
                     f"{donor.distance!r},{donor.weight!r}"
                 )
-        outputs.append((Path(args.trace), "\n".join(lines) + "\n"))
+        outputs.append((Path(args.trace), "\n".join([*lines, ""])))
     _write(*outputs)
     if result.unimputable:
         for ref in result.unimputable:
@@ -157,7 +157,7 @@ def raw_table(report: BenchmarkReport) -> str:
         error = "" if rec.error is None else repr(rec.error)
         flag = 0 if rec.error is None else 1
         lines.append(f"{rec.k},{rec.missing_count},{rec.trial},{error},{flag}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])
 
 
 def summary_table(report: BenchmarkReport) -> str:
@@ -166,7 +166,7 @@ def summary_table(report: BenchmarkReport) -> str:
         lines.append(
             f"{k},{s.min!r},{s.q1!r},{s.median!r},{s.q3!r},{s.max!r},{s.mean!r}"
         )
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:

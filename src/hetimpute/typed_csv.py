@@ -14,6 +14,11 @@ is ignored. Serialization is canonical: no padding, missing as the empty
 field, every real printed with the shortest digits that parse back to the
 identical double, records joined by single newlines with one trailing
 newline. parse(serialize(m)) reproduces m bit-exactly.
+
+Both directions work column by column: each column's cell reader and writer
+is picked once, from the header. A reader refuses anything it does not
+accept outright, and a line it refuses is re-read cell by cell, left to
+right, by _parse_cell, which names the first bad field in the ParseError.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .core import (
 )
 
 _KIND_TAGS = {kind.value: kind for kind in ColumnKind}
+_INF = math.inf
 
 
 class ParseError(ValueError):
@@ -95,6 +101,54 @@ def _parse_cell(token: str, kind: ColumnKind, line: int, column: int) -> CellVal
     return cell
 
 
+def _gap(token: str) -> None:
+    """None for a gap's spelling; ValueError for any other token."""
+    if token == "" or token.lower() == "nan":
+        return None
+    raise ValueError(token)
+
+
+# One reader per column kind. Each takes a raw field and returns its cell, or
+# raises ValueError on anything it does not accept, and parse() then says
+# why. A chained comparison refuses nan and +-inf and checks the order at once.
+def _read_crisp(field: str) -> CellValue:
+    token = field.strip()
+    if token:
+        value = float(token)
+        if -_INF < value < _INF and "_" not in token:
+            return Crisp(value)
+    return _gap(token)
+
+
+def _read_interval(field: str) -> CellValue:
+    token = field.strip()
+    if token[:1] != "[" or token[-1:] != "]":
+        return _gap(token)
+    lower, upper = token[1:-1].split(";")
+    lower, upper = float(lower.strip()), float(upper.strip())
+    if -_INF < lower <= upper < _INF and "_" not in token:
+        return Interval(lower, upper)
+    raise ValueError(token)
+
+
+def _read_fuzzy(field: str) -> CellValue:
+    token = field.strip()
+    if token[:1] != "(" or token[-1:] != ")":
+        return _gap(token)
+    a1, a2, a3 = token[1:-1].split(";")
+    a1, a2, a3 = float(a1.strip()), float(a2.strip()), float(a3.strip())
+    if -_INF < a1 <= a2 <= a3 < _INF and "_" not in token:
+        return FuzzyTFN(a1, a2, a3)
+    raise ValueError(token)
+
+
+_READERS = {
+    ColumnKind.CRISP: _read_crisp,
+    ColumnKind.INTERVAL: _read_interval,
+    ColumnKind.FUZZY: _read_fuzzy,
+}
+
+
 def parse(text: str) -> DataMatrix:
     """Parse a typed-CSV document into a valid DataMatrix.
 
@@ -122,9 +176,18 @@ def parse(text: str) -> DataMatrix:
         names.append(name)
         schema.append(_KIND_TAGS[tag])
     arity = len(schema)
+    readers = [_READERS[kind] for kind in schema]
     rows: list[tuple[CellValue, ...]] = []
     for lineno, raw_line in enumerate(lines[1:], start=2):
         fields = raw_line.split(",")
+        try:
+            row = [read(field) for read, field in zip(readers, fields, strict=True)]
+            rows.append(tuple(row))
+            continue
+        except ValueError:
+            pass
+        # A reader refused this line: read it again cell by cell, left to
+        # right, so that the ParseError names its first bad field.
         if len(fields) != arity:
             raise ParseError(
                 lineno, 1, f"expected {arity} fields, found {len(fields)}"
@@ -140,15 +203,13 @@ def parse(text: str) -> DataMatrix:
     return DataMatrix(tuple(schema), tuple(rows), tuple(names))
 
 
-def _format_cell(cell: CellValue) -> str:
-    # repr() of a float is the shortest string that round-trips exactly.
-    if cell is None:
-        return ""
-    if isinstance(cell, Crisp):
-        return repr(cell.value)
-    if isinstance(cell, Interval):
-        return f"[{cell.lower!r};{cell.upper!r}]"
-    return f"({cell.a1!r};{cell.a2!r};{cell.a3!r})"
+# One writer per column kind; repr() of a float is the shortest string that
+# round-trips exactly.
+_WRITERS = {
+    ColumnKind.CRISP: lambda cell: f"{cell.value!r}",
+    ColumnKind.INTERVAL: lambda cell: f"[{cell.lower!r};{cell.upper!r}]",
+    ColumnKind.FUZZY: lambda cell: f"({cell.a1!r};{cell.a2!r};{cell.a3!r})",
+}
 
 
 def serialize(matrix: DataMatrix) -> str:
@@ -161,7 +222,9 @@ def serialize(matrix: DataMatrix) -> str:
         f"{name}:{kind.value}"
         for name, kind in zip(matrix.column_names, matrix.schema)
     )
+    writers = [_WRITERS[kind] for kind in matrix.schema]
     records = [
-        ",".join(_format_cell(cell) for cell in row) for row in matrix.cells
+        ",".join(["" if c is None else write(c) for write, c in zip(writers, row)])
+        for row in matrix.cells
     ]
-    return "\n".join([header, *records]) + "\n"
+    return "\n".join([header, *records, ""])

@@ -6,15 +6,16 @@ from hetimpute.core import (
     MISSING,
     ColumnKind,
     Crisp,
+    DataMatrix,
     FuzzyTFN,
     Interval,
     Missing,
     validate,
 )
 from hetimpute.fixtures import FIXTURE_NAMES, fixture
-from hetimpute.typed_csv import ParseError, parse, serialize
+from hetimpute.typed_csv import ParseError, _parse_cell, parse, serialize
 
-from strategies import matrices, raw_reals, unchecked_matrices
+from strategies import grid_reals, matrices, raw_reals, unchecked_matrices
 
 
 class TestParse:
@@ -48,6 +49,13 @@ class TestParse:
     def test_exponent_and_sign_notation(self):
         m = parse("x:crisp,y:crisp\n-1.2e-3,+.5\n")
         assert m.cells[0] == (Crisp(-0.0012), Crisp(0.5))
+        m = parse(
+            "x:interval,y:fuzzy\n[-1e308;1e308],(-1.7976931348623157e308;0;1e308)\n"
+        )
+        assert m.cells[0] == (
+            Interval(-1e308, 1e308),
+            FuzzyTFN(-1.7976931348623157e308, 0.0, 1e308),
+        )
 
     def test_header_without_kind_rejected(self):
         with pytest.raises(ParseError) as err:
@@ -63,6 +71,13 @@ class TestParse:
             parse("x:crisp,y:crisp\n1.0\n")
         assert err.value.line == 2
         assert "expected 2 fields" in str(err.value)
+        # The first faulty line is reported, be it a bad cell or a ragged row.
+        with pytest.raises(ParseError) as err:
+            parse("x:crisp,y:crisp\n1,2\n1,zzz\n1,2\n1\n")
+        assert str(err.value) == (
+            "line 3, column 2: "
+            "expected crisp cell: 'zzz' is not a finite decimal number"
+        )
 
     def test_interval_order_enforced(self):
         with pytest.raises(ParseError, match="lower > upper") as err:
@@ -95,6 +110,10 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("x:crisp,y:crisp\n1.0,zzz\n")
         assert err.value.line == 2 and err.value.column == 2
+        # Of two bad cells on a line, the leftmost is reported.
+        with pytest.raises(ParseError) as err:
+            parse("x:crisp,y:interval,z:crisp\n1.0,[2;1],1e400\n")
+        assert str(err.value) == "line 2, column 2: lower > upper"
 
     def test_non_finite_literals_rejected(self):
         for text in [
@@ -104,6 +123,8 @@ class TestParse:
             "x:crisp\n-1e400\n",
             "x:interval\n[0;1e400]\n",
             "x:fuzzy\n(0;1;1e999)\n",
+            "x:crisp\n-nan\n",
+            "x:interval\n+NaN\n",
         ]:
             with pytest.raises(ParseError):
                 parse(text)
@@ -121,6 +142,9 @@ class TestSerialize:
     def test_canonical_shortest_digits(self):
         m = parse("x:crisp\n0.50000\n")
         assert serialize(m) == "x:crisp\n0.5\n"
+        # Negative zero keeps its sign; float() reads non-ASCII digits.
+        m = parse("x:crisp,y:interval\n-0.0,[-0.0;\u0661]\n")
+        assert serialize(m) == "x:crisp,y:interval\n-0.0,[-0.0;1.0]\n"
 
     def test_missing_as_empty_field(self):
         m = parse("x:crisp,y:fuzzy\nNaN,\n")
@@ -175,6 +199,107 @@ class TestRoundTrip:
                 parse(text)
         else:
             assert parse(text) == m
+
+
+def _reference_parse(text: str, template: DataMatrix) -> DataMatrix:
+    """Read the data lines of ``text`` under ``template``'s header, row by row
+    and cell by cell through the arity check and _parse_cell."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    schema = template.schema
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != len(schema):
+            raise ParseError(
+                lineno, 1, f"expected {len(schema)} fields, found {len(fields)}"
+            )
+        rows.append(
+            tuple(
+                _parse_cell(field.strip(), kind, lineno, col)
+                for col, (kind, field) in enumerate(zip(schema, fields), start=1)
+            )
+        )
+    return DataMatrix(schema, tuple(rows), template.column_names)
+
+
+# Literals that replace a whole component, and text inserted anywhere.
+_COMPONENTS = [
+    "1_0", "inf", "-inf", "1e400", "-1e400", "nan", "nAn", "-nan", "",
+    "-0.0", "1e308", "-1e308", "\u0661", "+.5",
+]
+_INSERTS = [
+    "_", "inf", "1e400", "nan", "nAn", ";", "[", "]", "(", ")",
+    "\xa0", "\x1c", "0", "-", "e", ".",
+]
+_PADDING = ["\xa0", "\x1c", " ", "\t"]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid typed-CSV document with one mutation in one data field."""
+    elements = st.one_of(raw_reals(), grid_reals())
+    m = draw(matrices(elements=elements, max_rows=4, max_cols=4))
+    lines = serialize(m).split("\n")
+    row = draw(st.integers(1, m.n_rows))
+    fields = lines[row].split(",")
+    col = draw(st.integers(0, m.n_cols - 1))
+    field = fields[col]
+    parts = field[1:-1].split(";") if field[:1] in ("[", "(") else [field]
+    mutation = draw(
+        st.sampled_from(
+            ["insert", "replace", "delete", "swap", "brackets", "pad", "drop"]
+        )
+    )
+    if mutation == "insert":
+        at = draw(st.integers(0, len(field)))
+        field = field[:at] + draw(st.sampled_from(_INSERTS)) + field[at:]
+    elif mutation == "replace":
+        # at == -1, or a field of one part, replaces the whole field.
+        at = draw(st.integers(-1, len(parts) - 1))
+        literal = draw(st.sampled_from(_COMPONENTS))
+        if at == -1 or len(parts) == 1:
+            field = literal
+        else:
+            parts[at] = literal
+            field = field[0] + ";".join(parts) + field[-1]
+    elif mutation == "delete" and field:
+        at = draw(st.integers(0, len(field) - 1))
+        field = field[:at] + field[at + 1 :]
+    elif mutation == "swap" and len(parts) > 1:
+        i, j = draw(st.permutations(range(len(parts))))[:2]
+        parts[i], parts[j] = parts[j], parts[i]
+        field = field[0] + ";".join(parts) + field[-1]
+    elif mutation == "brackets":
+        pair = draw(st.sampled_from(["[]", "()", "[)", "(]", "", "[", ")"]))
+        field = pair[:1] + field.strip("[]()") + pair[1:]
+    elif mutation == "pad":
+        pads = st.sampled_from(_PADDING)
+        field = draw(pads) + field + draw(pads)
+    if mutation == "drop":
+        del fields[col]
+    else:
+        fields[col] = field
+    lines[row] = ",".join(fields)
+    return m, "\n".join(lines)
+
+
+class TestParseMatchesCellByCellReference:
+    @settings(deadline=None)
+    @given(mutated_documents())
+    def test_same_matrix_or_same_error(self, case):
+        template, text = case
+        try:
+            expected = _reference_parse(text, template)
+        except ParseError as reference_error:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == str(reference_error)  # line, column, message
+        else:
+            got = parse(text)
+            assert got == expected
+            assert repr(got) == repr(expected)  # tells -0.0 from 0.0
 
 
 class TestFixtures:
