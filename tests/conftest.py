@@ -2,15 +2,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from hetimpute import MISSING, fixture
-
-# CI runs with --hypothesis-profile=ci: tests that set no max_examples of
-# their own draw 1000 examples instead of the default 100.
-settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture

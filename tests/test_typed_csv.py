@@ -286,7 +286,7 @@ def mutated_documents(draw):
 
 
 class TestParseMatchesCellByCellReference:
-    @settings(deadline=None)
+    @settings(max_examples=1000, deadline=None)
     @given(mutated_documents())
     def test_same_matrix_or_same_error(self, case):
         template, text = case
