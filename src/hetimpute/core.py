@@ -11,33 +11,90 @@ during imputation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Union
 
+# Cells refuse assignment, so their constructors set their slots through
+# object's own __setattr__.
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class Crisp:
+
+class _Frozen:
+    """Refuses to assign or delete an attribute once an object is built."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Cell(_Frozen):
+    """Base of the observed cell kinds: a few float slots, read-only once
+    built, and equal to a cell of the same class with equal components.
+
+    Each kind lists its fields in ``__slots__`` and returns them, in that
+    order, from ``_components``. Cells are no tuples: the distance kernel
+    reads their fields, and a slot reads faster than a named-tuple field.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._components() == other._components()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._components())
+
+    def __reduce__(self):
+        return self.__class__, self._components()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Crisp(_Cell):
     """A single exact real value."""
 
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float) -> None:
+        _set(self, "value", value)
+
+    def _components(self) -> tuple[float, ...]:
+        return (self.value,)
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(_Cell):
     """A closed range [lower, upper]. Degenerate (lower == upper) is legal."""
 
-    lower: float
-    upper: float
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower: float, upper: float) -> None:
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+
+    def _components(self) -> tuple[float, ...]:
+        return (self.lower, self.upper)
 
 
-@dataclass(frozen=True, slots=True)
-class FuzzyTFN:
+class FuzzyTFN(_Cell):
     """A triangular fuzzy number (a1, a2, a3) with a1 <= a2 <= a3."""
 
-    a1: float
-    a2: float
-    a3: float
+    __slots__ = ("a1", "a2", "a3")
+
+    def __init__(self, a1: float, a2: float, a3: float) -> None:
+        _set(self, "a1", a1)
+        _set(self, "a2", a2)
+        _set(self, "a3", a3)
+
+    def _components(self) -> tuple[float, ...]:
+        return (self.a1, self.a2, self.a3)
 
 
 #: A gap is ``None``: ``MISSING`` is that object, ``Missing`` its type, so
@@ -68,13 +125,9 @@ def matches_kind(cell: CellValue, kind: ColumnKind) -> bool:
 
 def components(cell: CellValue) -> tuple[float, ...]:
     """The real components of an observed cell, in declaration order."""
-    if isinstance(cell, Crisp):
-        return (cell.value,)
-    if isinstance(cell, Interval):
-        return (cell.lower, cell.upper)
-    if isinstance(cell, FuzzyTFN):
-        return (cell.a1, cell.a2, cell.a3)
-    raise ValueError("Missing cell has no components")
+    if cell is None:
+        raise ValueError("Missing cell has no components")
+    return cell._components()
 
 
 class CellRef(NamedTuple):
@@ -84,8 +137,7 @@ class CellRef(NamedTuple):
     col: int
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One invariant violation found by validate()."""
 
     ref: CellRef
@@ -95,8 +147,13 @@ class Violation:
         return f"{self.message} at ({self.ref.row},{self.ref.col})"
 
 
-@dataclass(frozen=True)
-class DataMatrix:
+class _MatrixFields(NamedTuple):
+    schema: tuple[ColumnKind, ...]
+    cells: tuple[tuple[CellValue, ...], ...]
+    column_names: tuple[str, ...]
+
+
+class DataMatrix(_MatrixFields, _Frozen):
     """Rectangular grid of cells with a per-column kind declaration.
 
     Construction enforces the structure (at least one row and one column, a
@@ -106,19 +163,21 @@ class DataMatrix:
     row-major order. Component ordering and finiteness are left to
     validate(), so such data can be represented, inspected and reported.
 
-    The gaps are recorded once, as the row-major tuple ``_gaps`` of their
-    CellRefs. It is no field, so ``==``, ``hash`` and ``repr`` see the cells
-    alone.
+    A DataMatrix is the named tuple ``(schema, cells, column_names)``. The
+    gaps are recorded once, as the row-major tuple ``_gaps`` of their
+    CellRefs. It is an attribute, not an item, so ``==``, ``hash`` and
+    ``repr`` see the cells alone.
     """
 
-    schema: tuple[ColumnKind, ...]
-    cells: tuple[tuple[CellValue, ...], ...]
-    column_names: tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        schema = tuple(self.schema)
-        cells = tuple(tuple(row) for row in self.cells)
-        names = tuple(self.column_names)
+    def __new__(
+        cls,
+        schema: Iterable[ColumnKind],
+        cells: Iterable[Iterable[CellValue]],
+        column_names: Iterable[str] = (),
+    ) -> DataMatrix:
+        schema = tuple(schema)
+        cells = tuple(tuple(row) for row in cells)
+        names = tuple(column_names)
         if not names:
             names = tuple(f"c{i + 1}" for i in range(len(schema)))
         if len(schema) == 0:
@@ -142,14 +201,18 @@ class DataMatrix:
             if not isinstance(kind, ColumnKind):
                 raise ValueError(f"column {l} has kind {kind!r}, not a ColumnKind")
             classes = list(map(type, column))
-            firsts += [(classes.index(cls), l) for cls in set(classes)]
+            firsts += [(classes.index(c), l) for c in set(classes)]
             if Missing in classes:
                 gaps += [CellRef(i, l) for i, c in enumerate(column) if c is None]
         _check_cells(schema, [(i, l, cells[i][l]) for i, l in sorted(firsts)])
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "column_names", names)
-        object.__setattr__(self, "_gaps", tuple(sorted(gaps)))
+        self = tuple.__new__(cls, (schema, cells, names))
+        self.__dict__["_gaps"] = tuple(sorted(gaps))
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> DataMatrix:
+        # _replace builds through _make: check its result like any other.
+        return cls(*iterable)
 
     @property
     def n_rows(self) -> int:
@@ -203,8 +266,9 @@ def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMa
         rows[i] = tuple(row)
     gaps = [g for g in matrix._gaps if g not in changes]
     gaps += [g for g, v in changes.items() if v is None]
-    out = object.__new__(DataMatrix)  # skips __post_init__'s whole-grid pass
-    out.__dict__.update(matrix.__dict__, cells=tuple(rows), _gaps=tuple(sorted(gaps)))
+    # tuple.__new__ skips DataMatrix.__new__'s whole-grid pass.
+    out = tuple.__new__(DataMatrix, (matrix.schema, tuple(rows), matrix.column_names))
+    out.__dict__["_gaps"] = tuple(sorted(gaps))
     return out
 
 

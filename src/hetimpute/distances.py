@@ -11,8 +11,7 @@ kind dominates the mix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     CellValue,
@@ -24,8 +23,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class RowDistance:
+class RowDistance(NamedTuple):
     """A defined row distance plus how many columns both rows shared."""
 
     value: float

@@ -18,13 +18,11 @@ arguments.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import CellRef, DataMatrix, _with_cells
 from .distances import _CellTerms, cell_distance
@@ -35,8 +33,7 @@ from .imputer import _impute
 _MAX_TABLE_TERMS = 2**18
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     """Box-plot statistics of one error sample set."""
 
     min: float
@@ -47,8 +44,7 @@ class Summary:
     mean: float
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One benchmark trial; error is None when any cell was unimputable."""
 
     k: int
@@ -57,8 +53,7 @@ class TrialRecord:
     error: Optional[float]
 
 
-@dataclass(frozen=True)
-class BenchmarkReport:
+class BenchmarkReport(NamedTuple):
     dataset_name: str
     k_summaries: dict[int, Summary]
     trials: tuple[TrialRecord, ...]
@@ -147,6 +142,8 @@ def summarize(values: Sequence[float]) -> Summary:
 
 def derive_trial_seed(seed: int, k: int, count: int, trial: int) -> int:
     """Stable per-trial seed, independent of Python's hash randomization."""
+    import hashlib  # here, not at the top: only benchmark runs need it
+
     key = f"{seed}|{k}|{count}|{trial}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 

@@ -11,8 +11,7 @@ evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import CellRef, CellValue, DataMatrix, _with_cells, components, missing_cells
 from .distances import _CellTerms, _row_distances
@@ -21,15 +20,13 @@ from .distances import _CellTerms, _row_distances
 ZERO_DISTANCE_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Donor:
+class Donor(NamedTuple):
     row: int
     distance: float
     weight: float
 
 
-@dataclass(frozen=True)
-class NeighborSet:
+class NeighborSet(NamedTuple):
     """The donors selected for one missing cell, nearest first.
 
     Never empty in a trace: a cell whose column no comparable row observes
@@ -39,8 +36,7 @@ class NeighborSet:
     donors: tuple[Donor, ...]
 
 
-@dataclass(frozen=True)
-class ImputationResult:
+class ImputationResult(NamedTuple):
     """A completed matrix plus, per filled cell, the donors that built it."""
 
     matrix: DataMatrix
@@ -105,12 +101,13 @@ def combine_cells(donors: Sequence[tuple[CellValue, float]]) -> CellValue:
     if len(donors) == 0:
         raise ValueError("at least one donor is required")
     first = donors[0][0]
-    if all(cell == first for cell, _ in donors):
+    parts = [components(cell) for cell, _ in donors]
+    if all(p == parts[0] for p in parts):
         return first
     # A left fold per component in donor order, not sum(), so bits match the oracle.
     weights = [w for _, w in donors]
     values = []
-    for column in zip(*(components(cell) for cell, _ in donors)):
+    for column in zip(*parts):
         value = 0.0
         for x, w in zip(column, weights):
             value += x * w

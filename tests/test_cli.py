@@ -28,6 +28,24 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_import_loads_only_what_runs():
+    # -S keeps site-packages from preloading modules, so the child sees what
+    # importing the CLI itself loads. hashlib is loaded by the first trial seed.
+    code = "\n".join([
+        "import hetimpute.cli, sys",
+        "print(sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules)))",
+        "from hetimpute.evaluation import derive_trial_seed",
+        "print(derive_trial_seed(0, 1, 1, 0))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n17714616561403392311\n"
+
+
 def assert_one_line_data_error(run: subprocess.CompletedProcess) -> None:
     assert "Traceback" not in run.stderr
     assert run.returncode == 1

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import pickle
 
@@ -21,8 +20,8 @@ from hetimpute.core import (
     missing_cells,
     validate,
 )
-from hetimpute.evaluation import mask_random
-from hetimpute.imputer import impute
+from hetimpute.evaluation import Summary, TrialRecord, mask_random
+from hetimpute.imputer import Donor, impute
 
 from strategies import cell_values, column_kinds, matrices
 
@@ -112,7 +111,7 @@ def test_missing_plus_observed_covers_grid(m):
 @given(st.data())
 def test_gap_record_follows_every_derived_matrix(data):
     # The gaps are recorded once at construction and derived by with_cell,
-    # mask_random and impute; each record must equal a scan of the grid.
+    # mask_random, impute and _replace; each record must equal a scan of the grid.
     m = data.draw(matrices())
     i = data.draw(st.integers(0, m.n_rows - 1))
     l = data.draw(st.integers(0, m.n_cols - 1))
@@ -130,6 +129,7 @@ def test_gap_record_follows_every_derived_matrix(data):
         complete,
         mask_random(complete, count, data.draw(st.integers(0, 2**32)))[0],
         impute(m, data.draw(st.integers(1, 4))).matrix,
+        complete._replace(cells=m.cells),
     ]
     for d in derived:
         scan = [
@@ -150,11 +150,18 @@ def test_gap_record_follows_every_derived_matrix(data):
         f"DataMatrix(schema={m.schema!r}, cells={m.cells!r}, "
         f"column_names={m.column_names!r})"
     )
-    assert [f.name for f in dataclasses.fields(DataMatrix)] == [
-        "schema",
-        "cells",
-        "column_names",
-    ]
+    # The gap record is no item of the matrix: a twin whose record was
+    # derived another way (here, one that disagrees) still equals, hashes
+    # and prints like it, and pickle and deepcopy carry each record over.
+    twin = copy.copy(m)
+    vars(twin)["_gaps"] = (*m._gaps, CellRef(m.n_rows, 0))
+    assert twin._gaps != m._gaps
+    assert twin == m == (m.schema, m.cells, m.column_names)
+    assert hash(twin) == hash(m)
+    assert repr(twin) == repr(m)
+    for d in (m, twin):
+        assert copy.deepcopy(d)._gaps == d._gaps
+        assert pickle.loads(pickle.dumps(d))._gaps == d._gaps
 
 
 @given(matrices())
@@ -182,6 +189,9 @@ def test_matrix_rejects_empty_and_ragged():
             cells=((Crisp(1.0),),),
             column_names=("a", "b"),
         )
+    # A named tuple's _replace builds through the same checks.
+    with pytest.raises(ValueError):
+        DataMatrix(schema=(ColumnKind.CRISP,), cells=((Crisp(1.0),),))._replace(cells=())
 
 
 def test_matrix_rejects_a_schema_entry_that_is_not_a_kind():
@@ -282,3 +292,61 @@ def test_cellref_orders_row_major():
     row, col = ref
     assert (row, col) == (ref.row, ref.col) == (1, 2)
     assert repr(ref) == "CellRef(row=1, col=2)"
+
+
+@pytest.mark.parametrize(
+    "cell, field",
+    [
+        (Crisp(1.5), "value"),
+        (Interval(0.1, 0.2), "upper"),
+        (FuzzyTFN(-1.0, 0.0, 2.5), "a2"),
+    ],
+    ids=["crisp", "interval", "fuzzy"],
+)
+def test_cell_is_an_immutable_value(cell, field):
+    before = components(cell)
+    twin = type(cell)(*before)
+    assert twin == cell and not twin != cell and twin is not cell
+    assert hash(twin) == hash(cell)
+    for copied in (copy.copy(cell), copy.deepcopy(cell), pickle.loads(pickle.dumps(cell))):
+        assert type(copied) is type(cell)
+        assert copied == cell
+        assert repr(copied) == repr(cell)
+    with pytest.raises(AttributeError):
+        setattr(cell, field, 9.0)
+    with pytest.raises(AttributeError):
+        delattr(cell, field)
+    with pytest.raises(AttributeError):
+        cell.note = "anything"
+    assert components(cell) == before
+
+
+@given(column_kinds.flatmap(cell_values))
+def test_cells_with_equal_components_are_equal(cell):
+    twin = type(cell)(*components(cell))
+    assert twin == cell
+    assert hash(twin) == hash(cell)
+    assert pickle.loads(pickle.dumps(cell)) == cell
+
+
+def test_cells_equal_only_cells_of_their_own_kind():
+    assert Crisp(1.0) != (1.0,)
+    assert Interval(0.0, 1.0) != CellRef(0, 1)
+    assert Interval(0.0, 1.0) != (0.0, 1.0)
+    assert Crisp(1.0) != Interval(1.0, 1.0)
+    assert Interval(0.0, 1.0) != Interval(0.0, 2.0)
+    assert FuzzyTFN(0.0, 1.0, 2.0) != FuzzyTFN(0.0, 1.5, 2.0)
+
+
+def test_cell_repr_names_its_fields():
+    assert repr(Crisp(-0.0)) == "Crisp(value=-0.0)"
+    assert repr(Interval(0.1, 0.2)) == "Interval(lower=0.1, upper=0.2)"
+    assert repr(FuzzyTFN(1.0, 2.0, 3.0)) == "FuzzyTFN(a1=1.0, a2=2.0, a3=3.0)"
+    assert Interval(upper=0.2, lower=0.1) == Interval(0.1, 0.2)
+
+
+def test_records_keep_their_field_order():
+    assert Donor(3, 0.5, 1.0) == Donor(row=3, distance=0.5, weight=1.0)
+    assert Donor._fields == ("row", "distance", "weight")
+    assert Summary._fields == ("min", "q1", "median", "q3", "max", "mean")
+    assert TrialRecord._fields == ("k", "missing_count", "trial", "error")
