@@ -321,14 +321,6 @@ def test_cell_is_an_immutable_value(cell, field):
     assert components(cell) == before
 
 
-@given(column_kinds.flatmap(cell_values))
-def test_cells_with_equal_components_are_equal(cell):
-    twin = type(cell)(*components(cell))
-    assert twin == cell
-    assert hash(twin) == hash(cell)
-    assert pickle.loads(pickle.dumps(cell)) == cell
-
-
 def test_cells_equal_only_cells_of_their_own_kind():
     assert Crisp(1.0) != (1.0,)
     assert Interval(0.0, 1.0) != CellRef(0, 1)
