@@ -17,7 +17,6 @@ from .core import (
     Interval,
     Missing,
     components,
-    validate,
 )
 from .distances import cell_distance, row_distance
 from .evaluation import benchmark, mask_random, matrix_error

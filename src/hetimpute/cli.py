@@ -27,18 +27,24 @@ class _DataError(Exception):
     """Input problem reported on stderr with exit code 1."""
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(low: int, what: str):
+    """An argparse type that reads an integer of at least ``low``, and names
+    ``what`` it expects when given anything else."""
+
+    def read(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, found {text!r}")
+        return value
+
+    return read
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a nonnegative integer")
 
 
 def _usage_error(message: str) -> int:
@@ -230,7 +236,8 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    # parse() accepts exactly the matrices that core.validate() accepts.
+    # parse() builds every cell through its constructor, which refuses
+    # non-finite or unordered components.
     _read_matrix(args.input)
     return 0
 

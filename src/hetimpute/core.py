@@ -1,22 +1,23 @@
 """Typed cell values, column schemas, and the rectangular matrix they live in.
 
 A cell is one of four things: a crisp real, a closed interval, a triangular
-fuzzy number, or ``None`` for a gap. Columns carry a single declared kind; a
-cell either matches its column's kind or is None, which a DataMatrix checks
-once, when it is built. Everything here is an immutable value, so matrices
-can be shared freely between threads and reused as the frozen donor pool
-during imputation.
+fuzzy number, or ``None`` for a gap. A cell checks its own components when
+it is built: they are finite and, for an interval or a fuzzy number, in
+order. Columns carry a single declared kind; a cell either matches its
+column's kind or is None, which a DataMatrix checks once, when it is built.
+Everything here is an immutable value, so matrices can be shared freely
+between threads and reused as the frozen donor pool during imputation.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import Iterable, NamedTuple, Union
 
 # Cells refuse assignment, so their constructors set their slots through
 # object's own __setattr__.
 _set = object.__setattr__
+_INF = float("inf")
 
 
 class _Frozen:
@@ -34,6 +35,10 @@ class _Frozen:
 class _Cell(_Frozen):
     """Base of the observed cell kinds: a few float slots, read-only once
     built, and equal to a cell of the same class with equal components.
+
+    A constructor accepts only finite components in order, by one chained
+    comparison that nan fails too, and raises ValueError otherwise. Pickle
+    and copy rebuild a cell through its constructor, so they check it too.
 
     Each kind lists its fields in ``__slots__`` and returns them, in that
     order, from ``_components``. Cells are no tuples: the distance kernel
@@ -64,6 +69,8 @@ class Crisp(_Cell):
     __slots__ = ("value",)
 
     def __init__(self, value: float) -> None:
+        if not -_INF < value < _INF:
+            raise ValueError("non-finite component")
         _set(self, "value", value)
 
     def _components(self) -> tuple[float, ...]:
@@ -76,6 +83,8 @@ class Interval(_Cell):
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: float, upper: float) -> None:
+        if not -_INF < lower <= upper < _INF:
+            raise _refused("lower > upper", lower, upper)
         _set(self, "lower", lower)
         _set(self, "upper", upper)
 
@@ -89,12 +98,22 @@ class FuzzyTFN(_Cell):
     __slots__ = ("a1", "a2", "a3")
 
     def __init__(self, a1: float, a2: float, a3: float) -> None:
+        if not -_INF < a1 <= a2 <= a3 < _INF:
+            raise _refused("fuzzy components out of order", a1, a2, a3)
         _set(self, "a1", a1)
         _set(self, "a2", a2)
         _set(self, "a3", a3)
 
     def _components(self) -> tuple[float, ...]:
         return (self.a1, self.a2, self.a3)
+
+
+def _refused(order: str, *components: float) -> ValueError:
+    """The error of components that a cell refused: ``order`` when they are
+    finite, so that their order is what broke the rule."""
+    if all(-_INF < x < _INF for x in components):
+        return ValueError(order)
+    return ValueError("non-finite component")
 
 
 #: A gap is ``None``: ``MISSING`` is that object, ``Missing`` its type, so
@@ -137,16 +156,6 @@ class CellRef(NamedTuple):
     col: int
 
 
-class Violation(NamedTuple):
-    """One invariant violation found by validate()."""
-
-    ref: CellRef
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.message} at ({self.ref.row},{self.ref.col})"
-
-
 class _MatrixFields(NamedTuple):
     schema: tuple[ColumnKind, ...]
     cells: tuple[tuple[CellValue, ...], ...]
@@ -160,8 +169,8 @@ class DataMatrix(_MatrixFields, _Frozen):
     rectangular grid, schema and names of matching length) and the kinds:
     every schema entry is a ColumnKind and every cell matches its column's
     kind or is None (a gap), else ValueError names the first bad cell in
-    row-major order. Component ordering and finiteness are left to
-    validate(), so such data can be represented, inspected and reported.
+    row-major order. Each cell checked its own components when it was
+    built, so every observed cell of a DataMatrix is finite and ordered.
 
     A DataMatrix is the named tuple ``(schema, cells, column_names)``. The
     gaps are recorded once, as the row-major tuple ``_gaps`` of their
@@ -269,35 +278,6 @@ def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMa
     # tuple.__new__ skips DataMatrix.__new__'s whole-grid pass.
     out = tuple.__new__(DataMatrix, (matrix.schema, tuple(rows), matrix.column_names))
     out.__dict__["_gaps"] = tuple(sorted(gaps))
-    return out
-
-
-def order_violation(cell: CellValue) -> str | None:
-    """The ordering rule that ``cell``'s components break, or None."""
-    if isinstance(cell, Interval) and cell.lower > cell.upper:
-        return "lower > upper"
-    if isinstance(cell, FuzzyTFN) and (cell.a1 > cell.a2 or cell.a2 > cell.a3):
-        return "fuzzy components out of order"
-    return None
-
-
-def validate(matrix: DataMatrix) -> list[Violation]:
-    """Check every cell's components for ordering and finiteness; the kinds
-    were checked when the matrix was built.
-
-    Returns one Violation per broken invariant; an empty list means the
-    matrix is valid. Never raises: violations are data, not failures.
-    """
-    out: list[Violation] = []
-    for i, row in enumerate(matrix.cells):
-        for l, cell in enumerate(row):
-            if cell is None:
-                continue
-            ref = CellRef(i, l)
-            if message := order_violation(cell):
-                out.append(Violation(ref, message))
-            if not all(math.isfinite(x) for x in components(cell)):
-                out.append(Violation(ref, "non-finite component"))
     return out
 
 

@@ -16,27 +16,17 @@ identical double, records joined by single newlines with one trailing
 newline. parse(serialize(m)) reproduces m bit-exactly.
 
 Both directions work column by column: each column's cell reader and writer
-is picked once, from the header. A reader refuses anything it does not
-accept outright, and a line it refuses is re-read cell by cell, left to
-right, by _parse_cell, which names the first bad field in the ParseError.
+is picked once, from the header. The readers are the one cell grammar, and
+a cell's constructor checks that its components are finite and in order.
+A line that a reader refuses is read again by the same readers, left to
+right, and the ParseError names its first bad field.
 """
 
 from __future__ import annotations
 
-import math
-
-from .core import (
-    CellValue,
-    ColumnKind,
-    Crisp,
-    DataMatrix,
-    FuzzyTFN,
-    Interval,
-    order_violation,
-)
+from .core import CellValue, ColumnKind, Crisp, DataMatrix, FuzzyTFN, Interval
 
 _KIND_TAGS = {kind.value: kind for kind in ColumnKind}
-_INF = math.inf
 
 
 class ParseError(ValueError):
@@ -49,97 +39,76 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-def _parse_number(token: str, line: int, column: int, what: str) -> float:
-    # float() reads every decimal literal, and also '_' separators, 'inf',
-    # 'nan' and literals that overflow to inf, which a finite cell refuses.
+def _gap(token: str, error: str) -> None:
+    """None for a gap's spelling; ValueError(error) for any other token."""
+    if token == "" or token.lower() == "nan":
+        return None
+    raise ValueError(error)
+
+
+_NOT_A_NUMBER = "{}: {!r} is not a finite decimal number"
+
+
+def _number(token: str, what: str) -> float:
+    """The value of a decimal literal that a Crisp accepts; ValueError naming
+    ``token`` otherwise. float() also reads '_' separators, which the grammar
+    refuses, and 'inf', 'nan' and literals that overflow, which Crisp refuses."""
     try:
-        value = float(token)
-        if "_" not in token and math.isfinite(value):
-            return value
+        if "_" not in token:
+            return Crisp(float(token)).value
     except ValueError:
         pass
-    raise ParseError(line, column, f"{what}: {token!r} is not a finite decimal number")
+    raise ValueError(_NOT_A_NUMBER.format(what, token))
 
 
-def _parse_cell(token: str, kind: ColumnKind, line: int, column: int) -> CellValue:
-    if token == "" or token.lower() == "nan":
-        return None
-    if kind is ColumnKind.CRISP:
-        return Crisp(_parse_number(token, line, column, "expected crisp cell"))
-    if kind is ColumnKind.INTERVAL:
-        if not (token.startswith("[") and token.endswith("]")):
-            raise ParseError(
-                line, column, f"expected interval cell '[lower;upper]', found {token!r}"
-            )
-        parts = token[1:-1].split(";")
-        if len(parts) != 2:
-            raise ParseError(
-                line,
-                column,
-                f"expected interval cell with 2 components, found {len(parts)}",
-            )
-        lower = _parse_number(parts[0].strip(), line, column, "interval lower bound")
-        upper = _parse_number(parts[1].strip(), line, column, "interval upper bound")
-        cell = Interval(lower, upper)
-    else:
-        if not (token.startswith("(") and token.endswith(")")):
-            raise ParseError(
-                line, column, f"expected fuzzy cell '(a1;a2;a3)', found {token!r}"
-            )
-        parts = token[1:-1].split(";")
-        if len(parts) != 3:
-            raise ParseError(
-                line,
-                column,
-                f"expected fuzzy cell with 3 components, found {len(parts)}",
-            )
-        cell = FuzzyTFN(
-            *(_parse_number(p.strip(), line, column, "fuzzy component") for p in parts)
-        )
-    if message := order_violation(cell):
-        raise ParseError(line, column, message)
-    return cell
-
-
-def _gap(token: str) -> None:
-    """None for a gap's spelling; ValueError for any other token."""
-    if token == "" or token.lower() == "nan":
-        return None
-    raise ValueError(token)
-
-
-# One reader per column kind. Each takes a raw field and returns its cell, or
-# raises ValueError on anything it does not accept, and parse() then says
-# why. A chained comparison refuses nan and +-inf and checks the order at once.
+# One reader per column kind: it takes a raw field and returns its cell, or
+# raises ValueError with the message that parse() reports. The accept path
+# calls float() once per component. Only when that or the cell's constructor
+# fails does a reader work out the message: _gap tells a gap from a bad
+# field, _number names a bad component, and the constructor the order.
 def _read_crisp(field: str) -> CellValue:
     token = field.strip()
-    if token:
-        value = float(token)
-        if -_INF < value < _INF and "_" not in token:
-            return Crisp(value)
-    return _gap(token)
+    try:
+        if "_" not in token:
+            return Crisp(float(token))
+    except ValueError:
+        pass
+    return _gap(token, _NOT_A_NUMBER.format("expected crisp cell", token))
 
 
 def _read_interval(field: str) -> CellValue:
     token = field.strip()
     if token[:1] != "[" or token[-1:] != "]":
-        return _gap(token)
-    lower, upper = token[1:-1].split(";")
-    lower, upper = float(lower.strip()), float(upper.strip())
-    if -_INF < lower <= upper < _INF and "_" not in token:
-        return Interval(lower, upper)
-    raise ValueError(token)
+        return _gap(token, f"expected interval cell '[lower;upper]', found {token!r}")
+    parts = token[1:-1].split(";")
+    try:
+        lower, upper = parts
+        if "_" not in token:
+            return Interval(float(lower), float(upper))
+    except ValueError:
+        pass
+    if len(parts) != 2:
+        raise ValueError(f"expected interval cell with 2 components, found {len(parts)}")
+    return Interval(
+        _number(parts[0].strip(), "interval lower bound"),
+        _number(parts[1].strip(), "interval upper bound"),
+    )
 
 
 def _read_fuzzy(field: str) -> CellValue:
     token = field.strip()
     if token[:1] != "(" or token[-1:] != ")":
-        return _gap(token)
-    a1, a2, a3 = token[1:-1].split(";")
-    a1, a2, a3 = float(a1.strip()), float(a2.strip()), float(a3.strip())
-    if -_INF < a1 <= a2 <= a3 < _INF and "_" not in token:
-        return FuzzyTFN(a1, a2, a3)
-    raise ValueError(token)
+        return _gap(token, f"expected fuzzy cell '(a1;a2;a3)', found {token!r}")
+    parts = token[1:-1].split(";")
+    try:
+        a1, a2, a3 = parts
+        if "_" not in token:
+            return FuzzyTFN(float(a1), float(a2), float(a3))
+    except ValueError:
+        pass
+    if len(parts) != 3:
+        raise ValueError(f"expected fuzzy cell with 3 components, found {len(parts)}")
+    return FuzzyTFN(*[_number(part.strip(), "fuzzy component") for part in parts])
 
 
 _READERS = {
@@ -192,12 +161,13 @@ def parse(text: str) -> DataMatrix:
             raise ParseError(
                 lineno, 1, f"expected {arity} fields, found {len(fields)}"
             )
-        rows.append(
-            tuple(
-                _parse_cell(field.strip(), schema[col - 1], lineno, col)
-                for col, field in enumerate(fields, start=1)
-            )
-        )
+        row = []
+        for col, (read, field) in enumerate(zip(readers, fields), start=1):
+            try:
+                row.append(read(field))
+            except ValueError as exc:
+                raise ParseError(lineno, col, str(exc)) from None
+        rows.append(tuple(row))
     if not rows:
         raise ParseError(1, 1, "document has a header but no data rows")
     return DataMatrix(tuple(schema), tuple(rows), tuple(names))

@@ -2,13 +2,26 @@
 library code paths they check: plain loops, no shared helpers, formulas
 spelled out from scratch. Every float sum is a left-to-right loop from 0.0,
 never sum(), which Python 3.12 made compensated.
+
+The reference typed-CSV cell grammar, ``bf_parse_cell``, reads one field
+token by token, checks every rule itself and builds the cell only after
+that, so the cell's own check never decides what it reports.
 """
 
 from __future__ import annotations
 
 import math
 
-from hetimpute.core import Crisp, DataMatrix, Interval, Missing
+from hetimpute.core import (
+    CellValue,
+    ColumnKind,
+    Crisp,
+    DataMatrix,
+    FuzzyTFN,
+    Interval,
+    Missing,
+)
+from hetimpute.typed_csv import ParseError
 
 
 def bf_cell_distance(a, b) -> float:
@@ -69,3 +82,56 @@ def bf_weights(distances: list[float]) -> list[float]:
     for inv in inverses:
         total += inv
     return [inv / total for inv in inverses]
+
+
+def bf_parse_number(token: str, line: int, column: int, what: str) -> float:
+    # float() reads every decimal literal, and also '_' separators, 'inf',
+    # 'nan' and literals that overflow to inf, which a finite cell refuses.
+    try:
+        value = float(token)
+        if "_" not in token and math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ParseError(line, column, f"{what}: {token!r} is not a finite decimal number")
+
+
+def bf_parse_cell(token: str, kind: ColumnKind, line: int, column: int) -> CellValue:
+    if token == "" or token.lower() == "nan":
+        return None
+    if kind is ColumnKind.CRISP:
+        return Crisp(bf_parse_number(token, line, column, "expected crisp cell"))
+    if kind is ColumnKind.INTERVAL:
+        if not (token.startswith("[") and token.endswith("]")):
+            raise ParseError(
+                line, column, f"expected interval cell '[lower;upper]', found {token!r}"
+            )
+        parts = token[1:-1].split(";")
+        if len(parts) != 2:
+            raise ParseError(
+                line,
+                column,
+                f"expected interval cell with 2 components, found {len(parts)}",
+            )
+        lower = bf_parse_number(parts[0].strip(), line, column, "interval lower bound")
+        upper = bf_parse_number(parts[1].strip(), line, column, "interval upper bound")
+        if lower > upper:
+            raise ParseError(line, column, "lower > upper")
+        return Interval(lower, upper)
+    if not (token.startswith("(") and token.endswith(")")):
+        raise ParseError(
+            line, column, f"expected fuzzy cell '(a1;a2;a3)', found {token!r}"
+        )
+    parts = token[1:-1].split(";")
+    if len(parts) != 3:
+        raise ParseError(
+            line,
+            column,
+            f"expected fuzzy cell with 3 components, found {len(parts)}",
+        )
+    a1, a2, a3 = (
+        bf_parse_number(p.strip(), line, column, "fuzzy component") for p in parts
+    )
+    if a1 > a2 or a2 > a3:
+        raise ParseError(line, column, "fuzzy components out of order")
+    return FuzzyTFN(a1, a2, a3)

@@ -73,26 +73,3 @@ def matrices(
 def complete_matrices(**kwargs) -> st.SearchStrategy[DataMatrix]:
     return matrices(missing_pct=0, **kwargs)
 
-
-@st.composite
-def unchecked_matrices(draw, max_rows: int = 4, max_cols: int = 4) -> DataMatrix:
-    """Matrices whose cells may break validate()'s rules.
-
-    Components are unsorted and range over every float but NaN (which typed
-    CSV reads as a missing cell), ±inf included.
-    """
-    reals = st.floats(allow_nan=False)
-    cells = {
-        ColumnKind.CRISP: st.builds(Crisp, reals),
-        ColumnKind.INTERVAL: st.builds(Interval, reals, reals),
-        ColumnKind.FUZZY: st.builds(FuzzyTFN, reals, reals, reals),
-    }
-    schema = tuple(draw(st.lists(column_kinds, min_size=1, max_size=max_cols)))
-    rows = draw(
-        st.lists(
-            st.tuples(*(st.one_of(st.just(MISSING), cells[kind]) for kind in schema)),
-            min_size=1,
-            max_size=max_rows,
-        )
-    )
-    return DataMatrix(schema, tuple(rows))

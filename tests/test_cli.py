@@ -466,3 +466,22 @@ class TestUsageErrors:
 
     def test_no_arguments(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["impute", "--input", "x", "--output", "y", "--k", "abc"],
+             "argument --k: expected a positive integer, found 'abc'"),
+            (["impute", "--input", "x", "--output", "y", "--k", "0"],
+             "argument --k: expected a positive integer, found '0'"),
+            (["benchmark", "--fixture", "case1", "--k-min", "1", "--k-max", "1",
+              "--nan-min", "0", "--nan-max", "x", "--output", "y"],
+             "argument --nan-max: expected a nonnegative integer, found 'x'"),
+        ],
+        ids=["k-word", "k-zero", "nan-max-word"],
+    )
+    def test_bad_count_names_what_is_expected(self, args, expected, capsys):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(expected)
+        assert "_int" not in err

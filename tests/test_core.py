@@ -18,7 +18,6 @@ from hetimpute.core import (
     components,
     matches_kind,
     missing_cells,
-    validate,
 )
 from hetimpute.evaluation import Summary, TrialRecord, mask_random
 from hetimpute.imputer import Donor, impute
@@ -26,24 +25,26 @@ from hetimpute.imputer import Donor, impute
 from strategies import cell_values, column_kinds, matrices
 
 
+# A cell checks its own components when it is built: a cell that breaks
+# the rule of its kind never exists, so no matrix can hold one.
+
+
 def test_validate_accepts_fixture(case1):
-    assert validate(case1) == []
+    for row in case1.cells:
+        for cell in row:
+            assert type(cell)(*components(cell)) == cell
 
 
 def test_validate_reports_interval_order_violation():
-    m = DataMatrix(
-        schema=(ColumnKind.CRISP, ColumnKind.INTERVAL),
-        cells=((Crisp(0.1), Interval(0.9, 0.3)),),
-    )
-    report = validate(m)
-    assert len(report) == 1
-    assert report[0].ref == CellRef(0, 1)
-    assert str(report[0]) == "lower > upper at (0,1)"
+    with pytest.raises(ValueError, match=r"^lower > upper$"):
+        Interval(0.9, 0.3)
+    with pytest.raises(ValueError, match=r"^lower > upper$"):
+        Interval(math.ulp(0.0), 0.0)
+    assert Interval(0.3, 0.3) == Interval(0.3, 0.3)
 
 
 def test_validate_reports_kind_mismatch():
-    # A cell of another kind never reaches validate(): building the matrix
-    # rejects it and names the cell.
+    # Building the matrix rejects a cell of another kind and names the cell.
     with pytest.raises(
         ValueError, match=r"^cell \(1,0\): Crisp does not match column kind fuzzy$"
     ):
@@ -54,33 +55,70 @@ def test_validate_reports_kind_mismatch():
 
 
 def test_validate_reports_fuzzy_order_violation():
-    m = DataMatrix(
-        schema=(ColumnKind.FUZZY,),
-        cells=((FuzzyTFN(0.5, 0.2, 0.8),),),
-    )
-    assert [v.message for v in validate(m)] == ["fuzzy components out of order"]
+    for a1, a2, a3 in [(0.5, 0.2, 0.8), (0.1, 0.9, 0.8), (0.3, 0.2, 0.1)]:
+        with pytest.raises(ValueError, match=r"^fuzzy components out of order$"):
+            FuzzyTFN(a1, a2, a3)
+    assert FuzzyTFN(0.5, 0.5, 0.5) == FuzzyTFN(0.5, 0.5, 0.5)
 
 
 def test_validate_reports_nonfinite_components():
-    m = DataMatrix(
-        schema=(ColumnKind.CRISP, ColumnKind.INTERVAL),
-        cells=((Crisp(math.nan), Interval(0.0, math.inf)),),
-    )
-    messages = [v.message for v in validate(m)]
-    assert messages == ["non-finite component", "non-finite component"]
+    # A non-finite component is reported as such, even where the order
+    # breaks too; nan compares with nothing.
+    for bad in (math.nan, math.inf, -math.inf):
+        for cls, args in [
+            (Crisp, (bad,)),
+            (Interval, (0.0, bad)),
+            (Interval, (bad, 0.0)),
+            (Interval, (bad, bad)),
+            (FuzzyTFN, (bad, 0.0, 1.0)),
+            (FuzzyTFN, (0.0, bad, 1.0)),
+            (FuzzyTFN, (0.0, 1.0, bad)),
+            (FuzzyTFN, (1.0, 0.0, bad)),
+        ]:
+            with pytest.raises(ValueError, match=r"^non-finite component$"):
+                cls(*args)
 
 
 def test_validate_is_idempotent_on_invalid_input():
-    m = DataMatrix(
-        schema=(ColumnKind.INTERVAL,),
-        cells=((Interval(2.0, 1.0),), (Interval(0.0, 1.0),)),
-    )
-    assert validate(m) == validate(m)
+    # The same components are refused every time, with the same message.
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(ValueError) as err:
+            Interval(2.0, 1.0)
+        messages.add(str(err.value))
+    assert messages == {"lower > upper"}
 
 
 def test_validate_skips_missing_cells():
+    # A gap is None, no cell: it has no components to check.
     m = DataMatrix(schema=(ColumnKind.FUZZY,), cells=((MISSING,),))
-    assert validate(m) == []
+    assert m.cells == ((None,),)
+
+
+@pytest.mark.parametrize(
+    "cls, args, message",
+    [
+        (Crisp, (math.inf,), "non-finite component"),
+        (Interval, (0.9, 0.3), "lower > upper"),
+        (FuzzyTFN, (0.5, 0.2, 0.8), "fuzzy components out of order"),
+        (FuzzyTFN, (0.0, math.nan, 1.0), "non-finite component"),
+    ],
+    ids=["crisp-inf", "interval-order", "fuzzy-order", "fuzzy-nan"],
+)
+def test_unpickling_a_broken_cell_raises(cls, args, message):
+    # A cell pickles as its class and components, and unpickling calls the
+    # class: a pickle whose components break the cell's rule is refused.
+    def forge(parts):
+        class Forged:
+            def __reduce__(self):
+                return cls, parts
+
+        return pickle.dumps(Forged())
+
+    good = (0.25, 0.5, 0.75)[: len(args)]
+    assert forge(good) == pickle.dumps(cls(*good))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pickle.loads(forge(args))
 
 
 def test_missing_cells_finds_masked_fixture_cell(case1_masked):
@@ -162,15 +200,6 @@ def test_gap_record_follows_every_derived_matrix(data):
     for d in (m, twin):
         assert copy.deepcopy(d)._gaps == d._gaps
         assert pickle.loads(pickle.dumps(d))._gaps == d._gaps
-
-
-@given(matrices())
-def test_validate_pure(m):
-    before = m.cells
-    first = validate(m)
-    second = validate(m)
-    assert first == second
-    assert m.cells == before
 
 
 def test_matrix_rejects_empty_and_ragged():

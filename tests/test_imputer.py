@@ -16,7 +16,6 @@ from hetimpute.core import (
     Missing,
     components,
     missing_cells,
-    validate,
 )
 from hetimpute.imputer import (
     combine_cells,
@@ -173,6 +172,36 @@ class TestCombineCells:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             combine_cells([])
+
+    @pytest.mark.parametrize(
+        "distances",
+        [[1.0, 3.0, 7.0], [0.5, 0.5, 2.0], [1e-3, 1e300, 7.0], [0.3, 1.0, math.inf],
+         [math.inf] * 3, [1e-7, 3e-7, 1e-6]],
+    )
+    def test_order_survives_donors_one_ulp_apart(self, distances):
+        # A filled cell is built through its constructor, which refuses
+        # components out of order: the weighted sums must keep the donors'
+        # order at the largest doubles and among the subnormals, where
+        # rounding may still carry them outside the donors' range.
+        top = sys.float_info.max
+        tiny = math.ulp(0.0)
+        weights = neighbor_weights(distances)
+        for a, b in [
+            (math.nextafter(top, 0.0), top),
+            (-top, math.nextafter(-top, 0.0)),
+            (-tiny, 0.0),
+            (0.0, tiny),
+            (tiny, 2 * tiny),
+            (-2 * tiny, tiny),
+        ]:
+            for donors in [
+                [Interval(a, b), Interval(b, b), Interval(a, a)],
+                [Interval(a, a), Interval(a, b), Interval(b, b)],
+                [FuzzyTFN(a, a, b), FuzzyTFN(a, b, b), FuzzyTFN(b, b, b)],
+                [FuzzyTFN(a, a, a), FuzzyTFN(a, a, b), FuzzyTFN(a, b, b)],
+            ]:
+                parts = components(combine_cells(list(zip(donors, weights))))
+                assert list(parts) == sorted(parts)
 
     @given(
         kind=st.sampled_from(list(ColumnKind)),
@@ -356,7 +385,7 @@ def test_impute_results_are_valid_and_deterministic(m, k):
     first = impute(m, k)
     second = impute(m, k)
     assert first == second
-    assert validate(first.matrix) == []
+    assert parse(serialize(first.matrix)) == first.matrix
     originally_missing = set(missing_cells(m))
     assert set(first.trace) | set(first.unimputable) == originally_missing
     assert set(first.trace) & set(first.unimputable) == set()
