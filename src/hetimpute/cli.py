@@ -137,7 +137,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.input)
     result = impute(matrix, args.k)
     outputs = [(Path(args.output), serialize(result.matrix))]
-    if args.trace:
+    if args.trace is not None:
         lines = ["row,col,donor_row,distance,weight"]
         for ref in sorted(result.trace):
             for donor in result.trace[ref].donors:
@@ -323,6 +323,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # An output path must name a file: benchmark names its summary after it.
+    for option in ("output", "trace"):
+        path = getattr(args, option, None)
+        if path is not None and not Path(path).name:
+            message = f"argument --{option}: expected a file name, found {path!r}"
+            return _usage_error(message)
     try:
         return args.func(args)
     except _DataError as exc:

@@ -14,14 +14,21 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple, Union
 
-# Cells refuse assignment, so their constructors set their slots through
+# Values refuse assignment, so their constructors set their slots through
 # object's own __setattr__.
 _set = object.__setattr__
 _INF = float("inf")
 
 
-class _Frozen:
-    """Refuses to assign or delete an attribute once an object is built."""
+class _Value:
+    """Base of the read-only values, the cells and the matrix. A value keeps
+    its fields in ``__slots__`` and returns the public ones, in that order,
+    from ``_components``, and it equals a value of its class with equal
+    components. Its constructor checks it and raises ValueError, and pickle
+    and copy rebuild it through its constructor. Cells are no tuples: the
+    distance kernel reads their fields, and a slot reads faster than a
+    named-tuple field.
+    """
 
     __slots__ = ()
 
@@ -30,22 +37,6 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class _Cell(_Frozen):
-    """Base of the observed cell kinds: a few float slots, read-only once
-    built, and equal to a cell of the same class with equal components.
-
-    A constructor accepts only finite components in order, by one chained
-    comparison that nan fails too, and raises ValueError otherwise. Pickle
-    and copy rebuild a cell through its constructor, so they check it too.
-
-    Each kind lists its fields in ``__slots__`` and returns them, in that
-    order, from ``_components``. Cells are no tuples: the distance kernel
-    reads their fields, and a slot reads faster than a named-tuple field.
-    """
-
-    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -59,11 +50,12 @@ class _Cell(_Frozen):
         return self.__class__, self._components()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        public = [name for name in self.__slots__ if name[0] != "_"]
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in public)
         return f"{self.__class__.__name__}({fields})"
 
 
-class Crisp(_Cell):
+class Crisp(_Value):
     """A single exact real value."""
 
     __slots__ = ("value",)
@@ -77,7 +69,7 @@ class Crisp(_Cell):
         return (self.value,)
 
 
-class Interval(_Cell):
+class Interval(_Value):
     """A closed range [lower, upper]. Degenerate (lower == upper) is legal."""
 
     __slots__ = ("lower", "upper")
@@ -92,7 +84,7 @@ class Interval(_Cell):
         return (self.lower, self.upper)
 
 
-class FuzzyTFN(_Cell):
+class FuzzyTFN(_Value):
     """A triangular fuzzy number (a1, a2, a3) with a1 <= a2 <= a3."""
 
     __slots__ = ("a1", "a2", "a3")
@@ -156,34 +148,31 @@ class CellRef(NamedTuple):
     col: int
 
 
-class _MatrixFields(NamedTuple):
-    schema: tuple[ColumnKind, ...]
-    cells: tuple[tuple[CellValue, ...], ...]
-    column_names: tuple[str, ...]
-
-
-class DataMatrix(_MatrixFields, _Frozen):
+class DataMatrix(_Value):
     """Rectangular grid of cells with a per-column kind declaration.
 
     Construction enforces the structure (at least one row and one column, a
-    rectangular grid, schema and names of matching length) and the kinds:
-    every schema entry is a ColumnKind and every cell matches its column's
-    kind or is None (a gap), else ValueError names the first bad cell in
-    row-major order. Each cell checked its own components when it was
-    built, so every observed cell of a DataMatrix is finite and ordered.
+    rectangular grid, one str name per column) and the kinds: every schema
+    entry is a ColumnKind and every cell matches its column's kind or is
+    None (a gap), else ValueError names the first bad cell in row-major
+    order. Each cell checked its own components when it was built, so every
+    observed cell of a DataMatrix is finite and ordered.
 
-    A DataMatrix is the named tuple ``(schema, cells, column_names)``. The
-    gaps are recorded once, as the row-major tuple ``_gaps`` of their
-    CellRefs. It is an attribute, not an item, so ``==``, ``hash`` and
-    ``repr`` see the cells alone.
+    A DataMatrix is a read-only value like its cells: it equals a matrix
+    with the same schema, cells and column names. The gaps are recorded
+    once, as the row-major tuple ``_gaps`` of their CellRefs. The record is
+    derived from the cells, never carried: pickle and copy rebuild it, and
+    ``==``, ``hash`` and ``repr`` do not read it.
     """
 
-    def __new__(
-        cls,
+    __slots__ = ("schema", "cells", "column_names", "_gaps")
+
+    def __init__(
+        self,
         schema: Iterable[ColumnKind],
         cells: Iterable[Iterable[CellValue]],
         column_names: Iterable[str] = (),
-    ) -> DataMatrix:
+    ) -> None:
         schema = tuple(schema)
         cells = tuple(tuple(row) for row in cells)
         names = tuple(column_names)
@@ -206,22 +195,27 @@ class DataMatrix(_MatrixFields, _Frozen):
         # each class in a column stands for all of them.
         firsts = []
         gaps = []
-        for l, (kind, column) in enumerate(zip(schema, zip(*cells))):
+        for l, (kind, name, column) in enumerate(zip(schema, names, zip(*cells))):
             if not isinstance(kind, ColumnKind):
                 raise ValueError(f"column {l} has kind {kind!r}, not a ColumnKind")
+            if not isinstance(name, str):
+                raise ValueError(f"column {l} has name {name!r}, not a str")
             classes = list(map(type, column))
             firsts += [(classes.index(c), l) for c in set(classes)]
             if Missing in classes:
                 gaps += [CellRef(i, l) for i, c in enumerate(column) if c is None]
         _check_cells(schema, [(i, l, cells[i][l]) for i, l in sorted(firsts)])
-        self = tuple.__new__(cls, (schema, cells, names))
-        self.__dict__["_gaps"] = tuple(sorted(gaps))
+        self._fill(schema, cells, names, gaps)
+
+    def _fill(self, schema, cells, names, gaps: Iterable[CellRef]) -> DataMatrix:
+        _set(self, "schema", schema)
+        _set(self, "cells", cells)
+        _set(self, "column_names", names)
+        _set(self, "_gaps", tuple(sorted(gaps)))
         return self
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> DataMatrix:
-        # _replace builds through _make: check its result like any other.
-        return cls(*iterable)
+    def _components(self) -> tuple:
+        return (self.schema, self.cells, self.column_names)
 
     @property
     def n_rows(self) -> int:
@@ -275,10 +269,9 @@ def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMa
         rows[i] = tuple(row)
     gaps = [g for g in matrix._gaps if g not in changes]
     gaps += [g for g, v in changes.items() if v is None]
-    # tuple.__new__ skips DataMatrix.__new__'s whole-grid pass.
-    out = tuple.__new__(DataMatrix, (matrix.schema, tuple(rows), matrix.column_names))
-    out.__dict__["_gaps"] = tuple(sorted(gaps))
-    return out
+    # object.__new__ skips DataMatrix.__init__'s whole-grid pass.
+    out = object.__new__(DataMatrix)
+    return out._fill(matrix.schema, tuple(rows), matrix.column_names, gaps)
 
 
 def missing_cells(matrix: DataMatrix) -> list[CellRef]:

@@ -485,3 +485,29 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].endswith(expected)
         assert "_int" not in err
+
+    @pytest.mark.parametrize("path", ["", ".", "/"], ids=["empty", "dot", "root"])
+    @pytest.mark.parametrize(
+        "command, option",
+        [("benchmark", "--output"), ("impute", "--output"), ("impute", "--trace")],
+        ids=["benchmark-output", "impute-output", "impute-trace"],
+    )
+    def test_output_path_must_name_a_file(self, tmp_path, command, option, path):
+        # benchmark names its summary after --output, and an empty --trace
+        # must not drop the trace; refuse either before any work is done.
+        src = tmp_path / "in.csv"
+        write_case1_masked(src)
+        paths = {"--output": str(tmp_path / "o.csv"), "--trace": str(tmp_path / "t.csv")}
+        paths[option] = path
+        if command == "impute":
+            args = ["--input", str(src), "--k", "1", "--trace", paths["--trace"]]
+        else:
+            args = ["--fixture", "case1", *BENCH_ARGS]
+        run = run_cli(command, *args, "--output", paths["--output"])
+        assert "Traceback" not in run.stderr
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [
+            f"error: argument {option}: expected a file name, found {path!r}"
+        ]
+        assert run.stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]

@@ -149,7 +149,7 @@ def test_missing_plus_observed_covers_grid(m):
 @given(st.data())
 def test_gap_record_follows_every_derived_matrix(data):
     # The gaps are recorded once at construction and derived by with_cell,
-    # mask_random, impute and _replace; each record must equal a scan of the grid.
+    # mask_random and impute; each record must equal a scan of the grid.
     m = data.draw(matrices())
     i = data.draw(st.integers(0, m.n_rows - 1))
     l = data.draw(st.integers(0, m.n_cols - 1))
@@ -167,7 +167,6 @@ def test_gap_record_follows_every_derived_matrix(data):
         complete,
         mask_random(complete, count, data.draw(st.integers(0, 2**32)))[0],
         impute(m, data.draw(st.integers(1, 4))).matrix,
-        complete._replace(cells=m.cells),
     ]
     for d in derived:
         scan = [
@@ -177,7 +176,8 @@ def test_gap_record_follows_every_derived_matrix(data):
             if cell is MISSING
         ]
         built = DataMatrix(d.schema, d.cells, d.column_names)
-        for twin in (d, built, copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        copies = (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d)))
+        for twin in (d, built, *copies):
             assert missing_cells(twin) == scan
             assert all(isinstance(ref, CellRef) for ref in missing_cells(twin))
             assert twin.is_complete() == (not scan)
@@ -188,18 +188,19 @@ def test_gap_record_follows_every_derived_matrix(data):
         f"DataMatrix(schema={m.schema!r}, cells={m.cells!r}, "
         f"column_names={m.column_names!r})"
     )
-    # The gap record is no item of the matrix: a twin whose record was
-    # derived another way (here, one that disagrees) still equals, hashes
-    # and prints like it, and pickle and deepcopy carry each record over.
-    twin = copy.copy(m)
-    vars(twin)["_gaps"] = (*m._gaps, CellRef(m.n_rows, 0))
+    # The gap record is no component of the matrix: a twin whose record is
+    # forced wrong still equals, hashes and prints like it, and copy,
+    # deepcopy and pickle rebuild the record from the cells, not carry it.
+    twin = DataMatrix(m.schema, m.cells, m.column_names)
+    object.__setattr__(twin, "_gaps", (*m._gaps, CellRef(m.n_rows, 0)))
     assert twin._gaps != m._gaps
-    assert twin == m == (m.schema, m.cells, m.column_names)
+    assert twin == m
+    assert m != (m.schema, m.cells, m.column_names)
     assert hash(twin) == hash(m)
     assert repr(twin) == repr(m)
-    for d in (m, twin):
-        assert copy.deepcopy(d)._gaps == d._gaps
-        assert pickle.loads(pickle.dumps(d))._gaps == d._gaps
+    copies = (copy.copy(twin), copy.deepcopy(twin), pickle.loads(pickle.dumps(twin)))
+    for rebuilt in copies:
+        assert rebuilt._gaps == m._gaps
 
 
 def test_matrix_rejects_empty_and_ragged():
@@ -218,14 +219,21 @@ def test_matrix_rejects_empty_and_ragged():
             cells=((Crisp(1.0),),),
             column_names=("a", "b"),
         )
-    # A named tuple's _replace builds through the same checks.
-    with pytest.raises(ValueError):
-        DataMatrix(schema=(ColumnKind.CRISP,), cells=((Crisp(1.0),),))._replace(cells=())
 
 
 def test_matrix_rejects_a_schema_entry_that_is_not_a_kind():
     with pytest.raises(ValueError, match=r"^column 1 has kind 'crisp'"):
         DataMatrix(schema=(ColumnKind.CRISP, "crisp"), cells=((MISSING, MISSING),))
+
+
+def test_matrix_rejects_a_column_name_that_is_not_a_str():
+    # serialize could not write such a name, so no matrix holds one.
+    with pytest.raises(ValueError, match=r"^column 1 has name 5, not a str$"):
+        DataMatrix(
+            schema=(ColumnKind.CRISP, ColumnKind.CRISP),
+            cells=((MISSING, MISSING),),
+            column_names=("a", 5),
+        )
 
 
 def test_missing_is_one_instance():
@@ -347,7 +355,29 @@ def test_cell_is_an_immutable_value(cell, field):
         delattr(cell, field)
     with pytest.raises(AttributeError):
         cell.note = "anything"
+    with pytest.raises(TypeError):
+        vars(cell)
     assert components(cell) == before
+
+
+def test_matrix_is_an_immutable_value(case1_masked):
+    m = case1_masked
+    for name in ("schema", "cells", "column_names", "_gaps"):
+        before = getattr(m, name)
+        with pytest.raises(AttributeError):
+            setattr(m, name, ())
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+        assert getattr(m, name) == before
+    with pytest.raises(AttributeError):
+        m.note = "anything"
+    with pytest.raises(TypeError):
+        vars(m)
+    # A matrix is no tuple: it has no length, items or tuple methods.
+    for use in (len, iter, lambda m: m[0], lambda m: m + m):
+        with pytest.raises(TypeError):
+            use(m)
+    assert not hasattr(m, "_replace")
 
 
 def test_cells_equal_only_cells_of_their_own_kind():
