@@ -191,20 +191,24 @@ class DataMatrix(_Value):
                 raise ValueError(
                     f"row {i} has {len(row)} cells, expected {len(schema)}"
                 )
-        # matches_kind depends on a cell's class alone, so the first cell of
-        # each class in a column stands for all of them.
-        firsts = []
+        # A column passes on its set of classes when each cell is a gap or of
+        # its kind's class. Another class may subclass the kind's class, which
+        # matches_kind accepts, so _check_cells tests those columns per cell.
+        mixed = []
         gaps = []
         for l, (kind, name, column) in enumerate(zip(schema, names, zip(*cells))):
             if not isinstance(kind, ColumnKind):
                 raise ValueError(f"column {l} has kind {kind!r}, not a ColumnKind")
             if not isinstance(name, str):
                 raise ValueError(f"column {l} has name {name!r}, not a str")
-            classes = list(map(type, column))
-            firsts += [(classes.index(c), l) for c in set(classes)]
+            classes = set(map(type, column))
+            if not classes <= {_KIND_CLASS[kind], Missing}:
+                mixed.append(l)
             if Missing in classes:
                 gaps += [CellRef(i, l) for i, c in enumerate(column) if c is None]
-        _check_cells(schema, [(i, l, cells[i][l]) for i, l in sorted(firsts)])
+        _check_cells(
+            schema, [(i, l, row[l]) for i, row in enumerate(cells) for l in mixed]
+        )
         self._fill(schema, cells, names, gaps)
 
     def _fill(self, schema, cells, names, gaps: Iterable[CellRef]) -> DataMatrix:

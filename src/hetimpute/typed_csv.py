@@ -18,8 +18,8 @@ newline. parse(serialize(m)) reproduces m bit-exactly.
 Both directions work column by column: each column's cell reader and writer
 is picked once, from the header. The readers are the one cell grammar, and
 a cell's constructor checks that its components are finite and in order.
-A line that a reader refuses is read again by the same readers, left to
-right, and the ParseError names its first bad field.
+Each data line is read once: its field count first, then its fields left
+to right, and the ParseError names the first that is wrong.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def parse(text: str) -> DataMatrix:
     would violate a matrix invariant.
     """
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     if not lines:
         raise ParseError(1, 1, "empty document")
@@ -149,24 +149,16 @@ def parse(text: str) -> DataMatrix:
     rows: list[tuple[CellValue, ...]] = []
     for lineno, raw_line in enumerate(lines[1:], start=2):
         fields = raw_line.split(",")
-        try:
-            row = [read(field) for read, field in zip(readers, fields, strict=True)]
-            rows.append(tuple(row))
-            continue
-        except ValueError:
-            pass
-        # A reader refused this line: read it again cell by cell, left to
-        # right, so that the ParseError names its first bad field.
         if len(fields) != arity:
             raise ParseError(
                 lineno, 1, f"expected {arity} fields, found {len(fields)}"
             )
-        row = []
-        for col, (read, field) in enumerate(zip(readers, fields), start=1):
-            try:
+        row: list[CellValue] = []
+        try:
+            for read, field in zip(readers, fields):
                 row.append(read(field))
-            except ValueError as exc:
-                raise ParseError(lineno, col, str(exc)) from None
+        except ValueError as exc:
+            raise ParseError(lineno, len(row) + 1, str(exc)) from None
         rows.append(tuple(row))
     if not rows:
         raise ParseError(1, 1, "document has a header but no data rows")

@@ -54,6 +54,27 @@ def test_validate_reports_kind_mismatch():
         )
 
 
+def test_kind_check_accepts_a_subclass_of_the_kind_class():
+    class Tagged(Crisp):
+        pass
+
+    cells = ((Tagged(1.0),), (MISSING,), (Crisp(2.0),), (Tagged(3.0),))
+    m = DataMatrix(schema=(ColumnKind.CRISP,), cells=cells)
+    assert m.cells == cells
+    # In a column of another kind, the row-major first one is named.
+    with pytest.raises(
+        ValueError, match=r"^cell \(1,1\): Tagged does not match column kind interval$"
+    ):
+        DataMatrix(
+            schema=(ColumnKind.CRISP, ColumnKind.INTERVAL),
+            cells=(
+                (Crisp(0.0), Interval(0.0, 1.0)),
+                (Tagged(1.0), Tagged(2.0)),
+                (Crisp(0.0), Tagged(3.0)),
+            ),
+        )
+
+
 def test_validate_reports_fuzzy_order_violation():
     for a1, a2, a3 in [(0.5, 0.2, 0.8), (0.1, 0.9, 0.8), (0.3, 0.2, 0.1)]:
         with pytest.raises(ValueError, match=r"^fuzzy components out of order$"):

@@ -77,6 +77,10 @@ class TestParse:
             "line 3, column 2: "
             "expected crisp cell: 'zzz' is not a finite decimal number"
         )
+        # A line's field count is checked before any of its fields.
+        with pytest.raises(ParseError) as err:
+            parse("x:crisp,y:crisp,z:crisp\nzzz,1\n")
+        assert str(err.value) == "line 2, column 1: expected 3 fields, found 2"
 
     def test_interval_order_enforced(self):
         with pytest.raises(ParseError, match="lower > upper") as err:
