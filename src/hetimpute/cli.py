@@ -13,11 +13,11 @@ import stat
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import DataMatrix
 from .distances import cell_distance, row_distance
-from .evaluation import BenchmarkReport, benchmark
+from .evaluation import benchmark
 from .fixtures import FIXTURE_NAMES, fixture
 from .imputer import impute
 from .typed_csv import ParseError, parse, serialize
@@ -133,19 +133,22 @@ def _write(*outputs: tuple[Path, str]) -> None:
         raise _DataError(f"cannot write {failed}: {exc.strerror or exc}") from None
 
 
+def _table(header: str, rows: Iterable[Sequence[object]]) -> str:
+    """``header``, then one line per row: values by ``repr``, None as the
+    empty field, and a newline after every line."""
+    lines = [",".join(["" if v is None else repr(v) for v in row]) for row in rows]
+    return "\n".join([header, *lines, ""])
+
+
 def cmd_impute(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.input)
     result = impute(matrix, args.k)
     outputs = [(Path(args.output), serialize(result.matrix))]
     if args.trace is not None:
-        lines = ["row,col,donor_row,distance,weight"]
-        for ref in sorted(result.trace):
-            for donor in result.trace[ref].donors:
-                lines.append(
-                    f"{ref.row},{ref.col},{donor.row},"
-                    f"{donor.distance!r},{donor.weight!r}"
-                )
-        outputs.append((Path(args.trace), "\n".join([*lines, ""])))
+        trace = result.trace
+        rows = ((*ref, *d) for ref in sorted(trace) for d in trace[ref].donors)
+        table = _table("row,col,donor_row,distance,weight", rows)
+        outputs.append((Path(args.trace), table))
     _write(*outputs)
     if result.unimputable:
         for ref in result.unimputable:
@@ -155,24 +158,6 @@ def cmd_impute(args: argparse.Namespace) -> int:
             )
         return 1
     return 0
-
-
-def raw_table(report: BenchmarkReport) -> str:
-    lines = ["k,missing_count,trial,error,imputable"]
-    for rec in report.trials:
-        error = "" if rec.error is None else repr(rec.error)
-        flag = 0 if rec.error is None else 1
-        lines.append(f"{rec.k},{rec.missing_count},{rec.trial},{error},{flag}")
-    return "\n".join([*lines, ""])
-
-
-def summary_table(report: BenchmarkReport) -> str:
-    lines = ["k,min,q1,median,q3,max,mean"]
-    for k, s in report.k_summaries.items():
-        lines.append(
-            f"{k},{s.min!r},{s.q1!r},{s.median!r},{s.q3!r},{s.max!r},{s.mean!r}"
-        )
-    return "\n".join([*lines, ""])
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
@@ -199,9 +184,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     out = Path(args.output)
-    summary = summary_table(report)
+    trials = ((*t, int(t.error is not None)) for t in report.trials)
+    per_k = ((k, *s) for k, s in report.k_summaries.items())
+    summary = _table("k,min,q1,median,q3,max,mean", per_k)
     _write(
-        (out, raw_table(report)),
+        (out, _table("k,missing_count,trial,error,imputable", trials)),
         (out.with_name(out.stem + ".summary" + out.suffix), summary),
     )
     print(summary, end="")
@@ -324,9 +311,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # An output path must name a file: benchmark names its summary after it.
+    # Test it as typed, since pathlib drops a trailing "/" or "/.".
     for option in ("output", "trace"):
         path = getattr(args, option, None)
-        if path is not None and not Path(path).name:
+        if path is not None and os.path.basename(path) in ("", ".", ".."):
             message = f"argument --{option}: expected a file name, found {path!r}"
             return _usage_error(message)
     try:

@@ -341,6 +341,30 @@ class TestBenchmarkCommand:
         )
         assert code == 0
 
+    def test_unimputable_trials_keep_an_empty_error(self, tmp_path, capsys):
+        # One row: masking its only row leaves no donor, so every such trial
+        # is kept in the raw table with an empty error and flag 0.
+        src = tmp_path / "one.csv"
+        src.write_text("a:crisp,b:crisp\n1,2\n", encoding="utf-8")
+        out = tmp_path / "bench.csv"
+        code = main(
+            ["benchmark", "--input", str(src), "--k-min", "1", "--k-max", "2",
+             "--nan-min", "0", "--nan-max", "1", "--trials", "2", "--seed", "0",
+             "--output", str(out)]
+        )
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == (
+            "k,missing_count,trial,error,imputable\n"
+            "1,0,0,0.0,1\n1,0,1,0.0,1\n1,1,0,,0\n1,1,1,,0\n"
+            "2,0,0,0.0,1\n2,0,1,0.0,1\n2,1,0,,0\n2,1,1,,0\n"
+        )
+        summary = (
+            "k,min,q1,median,q3,max,mean\n"
+            "1,0.0,0.0,0.0,0.0,0.0,0.0\n2,0.0,0.0,0.0,0.0,0.0,0.0\n"
+        )
+        assert (tmp_path / "bench.summary.csv").read_text(encoding="utf-8") == summary
+        assert capsys.readouterr().out == summary
+
     def test_nan_max_above_rows_is_usage_error(self, tmp_path, capsys):
         code = main(
             ["benchmark", "--fixture", "case1", "--k-min", "1", "--k-max", "1",
@@ -486,7 +510,11 @@ class TestUsageErrors:
         assert err.splitlines()[-1].endswith(expected)
         assert "_int" not in err
 
-    @pytest.mark.parametrize("path", ["", ".", "/"], ids=["empty", "dot", "root"])
+    @pytest.mark.parametrize(
+        "path",
+        ["", ".", "/", "{tmp}/sub/", "{tmp}/o.csv/.", "{tmp}/.."],
+        ids=["empty", "dot", "root", "trailing-slash", "trailing-dot", "parent"],
+    )
     @pytest.mark.parametrize(
         "command, option",
         [("benchmark", "--output"), ("impute", "--output"), ("impute", "--trace")],
@@ -495,6 +523,8 @@ class TestUsageErrors:
     def test_output_path_must_name_a_file(self, tmp_path, command, option, path):
         # benchmark names its summary after --output, and an empty --trace
         # must not drop the trace; refuse either before any work is done.
+        # pathlib would read "<dir>/" and "<file>/." as the file's own name.
+        path = path.format(tmp=tmp_path)
         src = tmp_path / "in.csv"
         write_case1_masked(src)
         paths = {"--output": str(tmp_path / "o.csv"), "--trace": str(tmp_path / "t.csv")}
