@@ -5,7 +5,8 @@ Each case is one ``hetimpute benchmark --fixture`` run that masks 1..n
 cells (one per row at most) over k = 1..k_max, many seeded trials each.
 It writes ``<case>.csv`` (the per-trial errors) and ``<case>.summary.csv``
 (the per-k box-plot summary) into the output directory, and echoes the
-summary table here. The exit code is the first failing run's, else 0.
+summary table here. The exit code is the first failing run's, else 0; an
+output directory that cannot be created is one ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
@@ -26,7 +27,11 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--outdir", type=Path, default=Path("results"))
     args = parser.parse_args()
-    args.outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create {args.outdir}: {exc}", file=sys.stderr)
+        return 1
     for name, k_max, nan_max in SWEEPS:
         print(f"{name}:")
         code = hetimpute([

@@ -5,7 +5,6 @@ inverse-distance weights, the blended fuzzy value, and the resulting error.
 """
 
 from hetimpute import (
-    MISSING,
     CellRef,
     ColumnKind,
     cell_distance,
@@ -19,7 +18,7 @@ from hetimpute import (
 
 def main() -> None:
     original = fixture("case1")
-    masked = original.with_cell(2, 2, MISSING)
+    masked = original.with_cell(2, 2, None)
     print("input (fuzzy cell at row 2, column 2 removed):")
     print(serialize(masked))
 
@@ -31,14 +30,14 @@ def main() -> None:
         )
 
     result = impute(masked, k=2)
-    for donor in result.trace[CellRef(2, 2)].donors:
+    for donor in result.trace[CellRef(2, 2)]:
         print(f"donor row {donor.row}: weight {donor.weight:.4f}")
 
     completed = result.matrix
-    filled = completed.cell(2, 2)
+    filled = completed.cells[2][2]
     print(f"imputed fuzzy value: ({filled.a1:.4f}, {filled.a2:.4f}, {filled.a3:.4f})")
 
-    gap = cell_distance(original.cell(2, 2), filled, ColumnKind.FUZZY)
+    gap = cell_distance(original.cells[2][2], filled, ColumnKind.FUZZY)
     print(f"distance to the true value: {gap:.4f}")
     print(f"whole-matrix error: {matrix_error(original, completed):.4f}")
 

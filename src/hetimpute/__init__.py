@@ -8,7 +8,6 @@ on and off disk.
 """
 
 from .core import (
-    MISSING,
     CellRef,
     ColumnKind,
     Crisp,

@@ -146,7 +146,7 @@ def cmd_impute(args: argparse.Namespace) -> int:
     outputs = [(Path(args.output), serialize(result.matrix))]
     if args.trace is not None:
         trace = result.trace
-        rows = ((*ref, *d) for ref in sorted(trace) for d in trace[ref].donors)
+        rows = ((*ref, *d) for ref in sorted(trace) for d in trace[ref])
         table = _table("row,col,donor_row,distance,weight", rows)
         outputs.append((Path(args.trace), table))
     _write(*outputs)
@@ -158,6 +158,12 @@ def cmd_impute(args: argparse.Namespace) -> int:
             )
         return 1
     return 0
+
+
+def _summary_path(output: str) -> Path:
+    """Where ``benchmark`` writes its per-k summary: beside ``output``."""
+    out = Path(output)
+    return out.with_name(out.stem + ".summary" + out.suffix)
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
@@ -183,13 +189,12 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    out = Path(args.output)
     trials = ((*t, int(t.error is not None)) for t in report.trials)
     per_k = ((k, *s) for k, s in report.k_summaries.items())
     summary = _table("k,min,q1,median,q3,max,mean", per_k)
     _write(
-        (out, _table("k,missing_count,trial,error,imputable", trials)),
-        (out.with_name(out.stem + ".summary" + out.suffix), summary),
+        (Path(args.output), _table("k,missing_count,trial,error,imputable", trials)),
+        (_summary_path(args.output), summary),
     )
     print(summary, end="")
     return 0
@@ -312,12 +317,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     # An output path must name a file: benchmark names its summary after it.
     # Test it as typed, since pathlib drops a trailing "/" or "/.".
-    for option in ("output", "trace"):
-        path = getattr(args, option, None)
+    outputs = [getattr(args, option, None) for option in ("output", "trace")]
+    for option, path in zip(("output", "trace"), outputs):
         if path is not None and os.path.basename(path) in ("", ".", ".."):
             message = f"argument --{option}: expected a file name, found {path!r}"
             return _usage_error(message)
+    if args.command == "benchmark":
+        outputs.append(_summary_path(args.output))
     try:
+        # _write would refuse an existing directory too, but only after the work.
+        for path in outputs:
+            if path is not None and os.path.isdir(path):
+                raise _DataError(f"cannot write {Path(path)}: Is a directory")
         return args.func(args)
     except _DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

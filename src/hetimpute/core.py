@@ -108,9 +108,7 @@ def _refused(order: str, *components: float) -> ValueError:
     return ValueError("non-finite component")
 
 
-#: A gap is ``None``: ``MISSING`` is that object, ``Missing`` its type, so
-#: ``Missing()`` returns it and ``cell is None`` tests for a gap.
-MISSING = None
+#: A gap is ``None``, and ``Missing`` is its type: ``Missing()`` returns it.
 Missing = type(None)
 
 CellValue = Union[Crisp, Interval, FuzzyTFN, None]
@@ -228,9 +226,6 @@ class DataMatrix(_Value):
     @property
     def n_cols(self) -> int:
         return len(self.schema)
-
-    def cell(self, row: int, col: int) -> CellValue:
-        return self.cells[row][col]
 
     def with_cell(self, row: int, col: int, value: CellValue) -> DataMatrix:
         """A copy of this matrix with one cell replaced."""

@@ -26,21 +26,13 @@ class Donor(NamedTuple):
     weight: float
 
 
-class NeighborSet(NamedTuple):
-    """The donors selected for one missing cell, nearest first.
-
-    Never empty in a trace: a cell whose column no comparable row observes
-    gets no trace entry and is listed in ``unimputable`` instead.
-    """
-
-    donors: tuple[Donor, ...]
-
-
 class ImputationResult(NamedTuple):
-    """A completed matrix plus, per filled cell, the donors that built it."""
+    """A completed matrix plus, per filled cell, the donors that built it,
+    nearest first. A cell whose column no comparable row observes gets no
+    trace entry and is listed in ``unimputable`` instead."""
 
     matrix: DataMatrix
-    trace: dict[CellRef, NeighborSet]
+    trace: dict[CellRef, tuple[Donor, ...]]
     unimputable: tuple[CellRef, ...]
 
 
@@ -70,20 +62,19 @@ def neighbor_weights(distances: Sequence[float]) -> list[float]:
 
 def _neighbors(
     distances: list[tuple[float, int, int]], missing: set[int], k: int
-) -> NeighborSet:
+) -> tuple[Donor, ...]:
     """The k nearest rows of ``distances`` outside ``missing``, the rows
-    that do not observe the target column.
+    that do not observe the target column, as donors nearest first.
 
     Ties at the k-th distance break toward the lower row index.
     """
     chosen = sorted(p for p in distances if p[1] not in missing)[:k]
     if not chosen:
-        return NeighborSet(())
+        return ()
     weights = neighbor_weights([p[0] for p in chosen])
-    donors = tuple(
+    return tuple(
         Donor(row=p[1], distance=p[0], weight=w) for p, w in zip(chosen, weights)
     )
-    return NeighborSet(donors)
 
 
 def combine_cells(donors: Sequence[tuple[CellValue, float]]) -> CellValue:
@@ -136,7 +127,7 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
     if k < 1:
         raise ValueError("k must be at least 1")
     filled: dict[CellRef, CellValue] = {}
-    trace: dict[CellRef, NeighborSet] = {}
+    trace: dict[CellRef, tuple[Donor, ...]] = {}
     gaps: dict[int, list[CellRef]] = {}
     missing: list[set[int]] = [set() for _ in matrix.schema]
     for ref in missing_cells(matrix):
@@ -149,12 +140,12 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
         rows = [j for j in range(matrix.n_rows) if j not in excluded]
         distances = _row_distances(matrix, i, rows, terms)
         for ref in refs:
-            neighbors = _neighbors(distances, missing[ref.col], k)
-            if not neighbors.donors:
+            donors = _neighbors(distances, missing[ref.col], k)
+            if not donors:
                 continue
-            cells = [(matrix.cells[d.row][ref.col], d.weight) for d in neighbors.donors]
+            cells = [(matrix.cells[d.row][ref.col], d.weight) for d in donors]
             filled[ref] = combine_cells(cells)
-            trace[ref] = neighbors
+            trace[ref] = donors
     # The cells left None are exactly those without donors.
     completed = _with_cells(matrix, filled)
     return ImputationResult(completed, trace, tuple(missing_cells(completed)))

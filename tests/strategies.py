@@ -5,7 +5,6 @@ from __future__ import annotations
 import hypothesis.strategies as st
 
 from hetimpute.core import (
-    MISSING,
     ColumnKind,
     Crisp,
     DataMatrix,
@@ -63,7 +62,7 @@ def matrices(
         row = []
         for kind in schema:
             if missing_pct and draw(st.integers(0, 99)) < missing_pct:
-                row.append(MISSING)
+                row.append(None)
             else:
                 row.append(draw(cell_values(kind, elements)))
         rows.append(tuple(row))

@@ -15,7 +15,6 @@ import pytest
 
 from hetimpute.cli import main
 from hetimpute.core import (
-    MISSING,
     CellRef,
     ColumnKind,
     Crisp,
@@ -65,7 +64,7 @@ def random_matrix(rng: random.Random, max_rows=8, max_cols=5, missing_rate=0.25)
     schema = tuple(rng.choice(list(ColumnKind)) for _ in range(m))
     cells = tuple(
         tuple(
-            MISSING if rng.random() < missing_rate else random_cell(rng, kind)
+            None if rng.random() < missing_rate else random_cell(rng, kind)
             for kind in schema
         )
         for _ in range(n)
@@ -100,10 +99,10 @@ def test_criterion_1_worked_example_chain(case1, case1_masked):
         assert to_first.value == approx(0.2661, abs=5e-4)
         assert to_second.value == approx(0.0945, abs=5e-4)
         result = impute(case1_masked, k=2)
-        by_row = {d.row: d for d in result.trace[CellRef(2, 2)].donors}
+        by_row = {d.row: d for d in result.trace[CellRef(2, 2)]}
         assert by_row[0].weight == approx(0.2620, abs=1e-3)
         assert by_row[1].weight == approx(0.7380, abs=1e-3)
-        filled = result.matrix.cell(2, 2)
+        filled = result.matrix.cells[2][2]
         assert filled.a1 == approx(0.3935, abs=1e-3)
         assert filled.a2 == approx(0.5604, abs=1e-3)
         assert filled.a3 == approx(0.7273, abs=1e-3)
@@ -113,7 +112,7 @@ def test_criterion_1_worked_example_chain(case1, case1_masked):
 def test_criterion_2_error_arithmetic(case1, case1_masked):
     with criterion("criterion 2 (error arithmetic)"):
         completed = impute(case1_masked, k=2).matrix
-        gap = cell_distance(case1.cell(2, 2), completed.cell(2, 2), ColumnKind.FUZZY)
+        gap = cell_distance(case1.cells[2][2], completed.cells[2][2], ColumnKind.FUZZY)
         total = matrix_error(case1, completed)
         assert total == approx(gap / 9, rel=1e-12)
         assert gap == approx(0.061000, abs=1e-3)
@@ -197,12 +196,12 @@ def test_criterion_5_property_suites(tmp_path):
             m = random_matrix(rng)
             result = impute(m, rng.randint(1, 4))
             assert parse(serialize(result.matrix)) == result.matrix
-            for ref, ns in result.trace.items():
-                filled = components(result.matrix.cell(ref.row, ref.col))
-                donors = [components(m.cell(d.row, ref.col)) for d in ns.donors]
+            for ref, donors in result.trace.items():
+                filled = components(result.matrix.cells[ref.row][ref.col])
+                values = [components(m.cells[d.row][ref.col]) for d in donors]
                 for pos, value in enumerate(filled):
-                    lo = min(d[pos] for d in donors)
-                    hi = max(d[pos] for d in donors)
+                    lo = min(v[pos] for v in values)
+                    hi = max(v[pos] for v in values)
                     assert lo - 1e-9 <= value <= hi + 1e-9
 
         # k=1 copies the nearest donor verbatim
@@ -210,10 +209,9 @@ def test_criterion_5_property_suites(tmp_path):
         for _ in range(200):
             m = random_matrix(rng)
             result = impute(m, 1)
-            for ref, ns in result.trace.items():
-                assert result.matrix.cell(ref.row, ref.col) == m.cell(
-                    ns.donors[0].row, ref.col
-                )
+            for ref, donors in result.trace.items():
+                nearest = donors[0].row
+                assert result.matrix.cells[ref.row][ref.col] == m.cells[nearest][ref.col]
 
         # brute-force neighbor-oracle equivalence on matrices with n <= 8
         rng = random.Random(504)
@@ -226,19 +224,19 @@ def test_criterion_5_property_suites(tmp_path):
                 if ref not in result.trace:
                     assert ranked == [] and ref in result.unimputable
                     continue
-                ns = result.trace[ref]
-                assert len(ns.donors) == min(k, len(ranked))
-                chosen = {d.row for d in ns.donors}
+                donors = result.trace[ref]
+                assert len(donors) == min(k, len(ranked))
+                chosen = {d.row for d in donors}
                 worst = max(d for d, j in ranked if j in chosen)
                 best_left = min(
                     (d for d, j in ranked if j not in chosen), default=math.inf
                 )
                 assert worst <= best_left + 1e-9
-                for donor in ns.donors:
+                for donor in donors:
                     (bf_d,) = [d for d, j in ranked if j == donor.row]
                     assert donor.distance == approx(bf_d, rel=1e-9, abs=1e-12)
                 for donor, w in zip(
-                    ns.donors, bf_weights([d.distance for d in ns.donors])
+                    donors, bf_weights([d.distance for d in donors])
                 ):
                     assert donor.weight == approx(w, rel=1e-9, abs=1e-12)
 
@@ -285,27 +283,27 @@ def test_criterion_6_zero_distance_regularization():
         m = DataMatrix(
             schema=(ColumnKind.CRISP, ColumnKind.FUZZY),
             cells=(
-                (Crisp(0.4), MISSING),
+                (Crisp(0.4), None),
                 (Crisp(0.4), target_value),
                 (Crisp(0.9), FuzzyTFN(0.5, 0.6, 0.7)),
             ),
         )
         result = impute(m, 2)
-        ns = result.trace[CellRef(0, 1)]
-        assert [d.weight for d in ns.donors] == [1.0, 0.0]
-        assert result.matrix.cell(0, 1) == target_value
+        donors = result.trace[CellRef(0, 1)]
+        assert [d.weight for d in donors] == [1.0, 0.0]
+        assert result.matrix.cells[0][1] == target_value
 
         # a sub-epsilon but nonzero distance behaves the same way
         m = DataMatrix(
             schema=(ColumnKind.CRISP, ColumnKind.INTERVAL),
             cells=(
-                (Crisp(0.0), MISSING),
+                (Crisp(0.0), None),
                 (Crisp(1e-26), Interval(0.25, 0.5)),
                 (Crisp(0.75), Interval(0.6, 0.9)),
             ),
         )
         result = impute(m, 2)
-        ns = result.trace[CellRef(0, 1)]
-        assert 0.0 < ns.donors[0].distance < 1e-12
-        assert [d.weight for d in ns.donors] == [1.0, 0.0]
-        assert result.matrix.cell(0, 1) == Interval(0.25, 0.5)
+        donors = result.trace[CellRef(0, 1)]
+        assert 0.0 < donors[0].distance < 1e-12
+        assert [d.weight for d in donors] == [1.0, 0.0]
+        assert result.matrix.cells[0][1] == Interval(0.25, 0.5)

@@ -1,20 +1,28 @@
+import contextlib
+import io
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hetimpute
-from hetimpute import MISSING, fixture, parse, serialize
+from hetimpute import fixture, parse, serialize
+from hetimpute import cli
 from hetimpute.cli import main
+
+from strategies import matrices, raw_reals
 
 approx = pytest.approx
 
 
 def write_case1_masked(path):
-    m = fixture("case1").with_cell(2, 2, MISSING)
+    m = fixture("case1").with_cell(2, 2, None)
     path.write_text(serialize(m), encoding="utf-8")
     return m
 
@@ -184,6 +192,36 @@ class TestBadFilesEndInOneLine:
                       "--output", str(tmp_path / "nope" / "o.csv"))
         assert_one_line_data_error(run)
 
+    @pytest.mark.parametrize("blocked", ["o.csv", "t.csv", "o.summary.csv"],
+                             ids=["impute-output", "impute-trace", "benchmark-summary"])
+    def test_existing_directory_is_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys, blocked
+    ):
+        # _write would fail on the directory too, but only after imputing
+        # the input or running every trial.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the work ran before the output was checked")
+
+        monkeypatch.setattr(cli, "impute", unreachable)
+        monkeypatch.setattr(cli, "benchmark", unreachable)
+        src = tmp_path / "in.csv"
+        write_case1_masked(src)
+        (tmp_path / blocked).mkdir()
+        out = str(tmp_path / "o.csv")
+        if blocked == "o.summary.csv":
+            args = ["benchmark", "--fixture", "case1", *BENCH_ARGS, "--output", out]
+        else:
+            args = ["impute", "--input", str(src), "--k", "1", "--output", out,
+                    "--trace", str(tmp_path / "t.csv")]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: cannot write {tmp_path / blocked}: Is a directory"
+        ]
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_fixtures_dest_under_a_regular_file(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("not a directory\n", encoding="utf-8")
@@ -247,7 +285,7 @@ class TestImputeCommand:
         )
         assert code == 0
         completed = parse(out.read_text(encoding="utf-8"))
-        filled = completed.cell(2, 2)
+        filled = completed.cells[2][2]
         assert filled.a1 == approx(0.3935, abs=1e-3)
         assert filled.a2 == approx(0.5604, abs=1e-3)
         assert filled.a3 == approx(0.7273, abs=1e-3)
@@ -541,3 +579,75 @@ class TestUsageErrors:
         ]
         assert run.stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+
+# Aim 3 over generated files: a file that validate accepts imputes, or fails
+# with exit 1 and one line per problem, at the extremes of the double range.
+BIG = sys.float_info.max  # about 1.8e308
+EXTREME_REALS = st.one_of(
+    st.sampled_from([BIG, -BIG, 1e300, -1e300, 5e-324, -5e-324, 0.0, 1.0]),
+    raw_reals(),
+)
+
+
+def run_in_process(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)``, with its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 40).flatmap(
+        lambda pct: matrices(elements=EXTREME_REALS, missing_pct=pct)
+    ),
+    st.integers(1, 4),
+)
+def test_a_valid_file_imputes_or_fails_in_one_line(m, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out, trace = (os.path.join(tmp, name) for name in ("in", "out", "trace"))
+        Path(src).write_text(serialize(m), encoding="utf-8")
+        code, stdout, stderr = run_in_process(
+            ["impute", "--input", src, "--output", out, "--k", str(k), "--trace", trace]
+        )
+        assert code in (0, 1)
+        assert stdout == ""
+        assert all(line.startswith(("error:", "unimputable:"))
+                   for line in stderr.splitlines())
+        assert run_in_process(["validate", "--input", out]) == (0, "", "")
+        completed = parse(Path(out).read_text(encoding="utf-8"))
+        for row, filled in zip(m.cells, completed.cells):
+            assert all(a is None or a == b for a, b in zip(row, filled))
+        result = hetimpute.impute(m, k)
+        assert completed == result.matrix
+        rows = [(*ref, *d) for ref in sorted(result.trace) for d in result.trace[ref]]
+        assert Path(trace).read_text(encoding="utf-8").splitlines() == [
+            "row,col,donor_row,distance,weight", *(",".join(map(repr, r)) for r in rows)
+        ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    matrices(elements=EXTREME_REALS, missing_pct=0),
+    st.lists(st.integers(1, 3), min_size=2, max_size=2),
+    st.lists(st.integers(0, 3), min_size=2, max_size=2),
+    st.integers(1, 3),
+)
+def test_a_complete_file_benchmarks_or_is_a_usage_error(m, ks, counts, trials):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "b.csv")
+        Path(src).write_text(serialize(m), encoding="utf-8")
+        code, stdout, stderr = run_in_process([
+            "benchmark", "--input", src, "--output", out, "--trials", str(trials),
+            "--k-min", str(ks[0]), "--k-max", str(ks[1]),
+            "--nan-min", str(counts[0]), "--nan-max", str(counts[1]),
+        ])
+        assert code in (0, 2)
+        assert all(line.startswith("error:") for line in stderr.splitlines())
+        if code == 0:
+            summary = Path(tmp, "b.summary.csv").read_text(encoding="utf-8")
+            assert stdout == summary
+            fields = [f for line in summary.splitlines() for f in line.split(",")]
+            assert "nan" not in fields

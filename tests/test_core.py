@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetimpute.core import (
-    MISSING,
     CellRef,
     ColumnKind,
     Crisp,
@@ -50,7 +49,7 @@ def test_validate_reports_kind_mismatch():
     ):
         DataMatrix(
             schema=(ColumnKind.FUZZY,),
-            cells=((MISSING,), (Crisp(0.5),)),
+            cells=((None,), (Crisp(0.5),)),
         )
 
 
@@ -58,7 +57,7 @@ def test_kind_check_accepts_a_subclass_of_the_kind_class():
     class Tagged(Crisp):
         pass
 
-    cells = ((Tagged(1.0),), (MISSING,), (Crisp(2.0),), (Tagged(3.0),))
+    cells = ((Tagged(1.0),), (None,), (Crisp(2.0),), (Tagged(3.0),))
     m = DataMatrix(schema=(ColumnKind.CRISP,), cells=cells)
     assert m.cells == cells
     # In a column of another kind, the row-major first one is named.
@@ -112,7 +111,7 @@ def test_validate_is_idempotent_on_invalid_input():
 
 def test_validate_skips_missing_cells():
     # A gap is None, no cell: it has no components to check.
-    m = DataMatrix(schema=(ColumnKind.FUZZY,), cells=((MISSING,),))
+    m = DataMatrix(schema=(ColumnKind.FUZZY,), cells=((None,),))
     assert m.cells == ((None,),)
 
 
@@ -153,7 +152,7 @@ def test_missing_cells_empty_for_complete_matrix(case1):
 def test_missing_cells_row_major_order():
     m = DataMatrix(
         schema=(ColumnKind.CRISP, ColumnKind.CRISP),
-        cells=((MISSING, Crisp(1.0)), (Crisp(2.0), MISSING)),
+        cells=((None, Crisp(1.0)), (Crisp(2.0), None)),
     )
     assert missing_cells(m) == [CellRef(0, 0), CellRef(1, 1)]
 
@@ -177,13 +176,13 @@ def test_gap_record_follows_every_derived_matrix(data):
     complete = m
     for row, cells in enumerate(m.cells):
         for col, cell in enumerate(cells):
-            if cell is MISSING:
+            if cell is None:
                 value = data.draw(cell_values(m.schema[col]))
                 complete = complete.with_cell(row, col, value)
     count = data.draw(st.integers(0, m.n_rows))
     derived = [
         m,
-        m.with_cell(i, l, MISSING),
+        m.with_cell(i, l, None),
         m.with_cell(i, l, data.draw(cell_values(m.schema[l]))),
         complete,
         mask_random(complete, count, data.draw(st.integers(0, 2**32)))[0],
@@ -194,7 +193,7 @@ def test_gap_record_follows_every_derived_matrix(data):
             CellRef(r, c)
             for r, cells in enumerate(d.cells)
             for c, cell in enumerate(cells)
-            if cell is MISSING
+            if cell is None
         ]
         built = DataMatrix(d.schema, d.cells, d.column_names)
         copies = (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d)))
@@ -244,7 +243,7 @@ def test_matrix_rejects_empty_and_ragged():
 
 def test_matrix_rejects_a_schema_entry_that_is_not_a_kind():
     with pytest.raises(ValueError, match=r"^column 1 has kind 'crisp'"):
-        DataMatrix(schema=(ColumnKind.CRISP, "crisp"), cells=((MISSING, MISSING),))
+        DataMatrix(schema=(ColumnKind.CRISP, "crisp"), cells=((None, None),))
 
 
 def test_matrix_rejects_a_column_name_that_is_not_a_str():
@@ -252,23 +251,22 @@ def test_matrix_rejects_a_column_name_that_is_not_a_str():
     with pytest.raises(ValueError, match=r"^column 1 has name 5, not a str$"):
         DataMatrix(
             schema=(ColumnKind.CRISP, ColumnKind.CRISP),
-            cells=((MISSING, MISSING),),
+            cells=((None, None),),
             column_names=("a", 5),
         )
 
 
 def test_missing_is_one_instance():
-    assert Missing() is MISSING
-    m = DataMatrix(schema=(ColumnKind.CRISP,), cells=((Missing(),),))
-    assert m.cells[0][0] is MISSING
-    # A gap is None itself, so a matrix built in the library can write it so.
-    assert MISSING is None
+    # A gap is None itself, and Missing is its type.
     assert Missing() is None
+    assert isinstance(None, Missing)
+    m = DataMatrix(schema=(ColumnKind.CRISP,), cells=((Missing(),),))
+    assert m.cells[0][0] is None
     crisp = ColumnKind.CRISP
     m = DataMatrix((crisp, crisp), ((Crisp(1.0), None), (Crisp(2.0), Crisp(3.0))))
     assert missing_cells(m) == [CellRef(0, 1)]
     result = impute(m, 1)
-    assert result.matrix.cell(0, 1) == Crisp(3.0)
+    assert result.matrix.cells[0][1] == Crisp(3.0)
     assert result.unimputable == ()
 
 
@@ -286,21 +284,21 @@ def test_construction_raises_exactly_on_a_cell_of_another_kind(data):
         (i, l)
         for i, row in enumerate(rows)
         for l, (cell, kind) in enumerate(zip(row, schema))
-        if cell is not MISSING and not matches_kind(cell, kind)
+        if cell is not None and not matches_kind(cell, kind)
     ]
     if bad:
         with pytest.raises(ValueError, match=r"^cell \(%d,%d\): " % bad[0]):
             DataMatrix(schema, rows)
     else:
         m = DataMatrix(schema, rows)
-        assert all(cell is MISSING for row in m.cells for cell in row
+        assert all(cell is None for row in m.cells for cell in row
                    if isinstance(cell, Missing))
 
 
 def test_matrix_accepts_lists_and_freezes_them():
     m = DataMatrix(
         schema=[ColumnKind.CRISP],
-        cells=[[Crisp(1.0)], [MISSING]],
+        cells=[[Crisp(1.0)], [None]],
         column_names=["x"],
     )
     assert isinstance(m.cells, tuple)
@@ -311,18 +309,18 @@ def test_matrix_accepts_lists_and_freezes_them():
 def test_matrix_default_column_names():
     m = DataMatrix(
         schema=(ColumnKind.CRISP, ColumnKind.FUZZY),
-        cells=((Crisp(0.0), MISSING),),
+        cells=((Crisp(0.0), None),),
     )
     assert m.column_names == ("c1", "c2")
 
 
 def test_with_cell_returns_modified_copy(case1):
     changed = case1.with_cell(0, 0, Crisp(0.9))
-    assert changed.cell(0, 0) == Crisp(0.9)
-    assert case1.cell(0, 0) == Crisp(0.5891)
+    assert changed.cells[0][0] == Crisp(0.9)
+    assert case1.cells[0][0] == Crisp(0.5891)
     with pytest.raises(IndexError):
-        case1.with_cell(5, 0, MISSING)
-    assert case1.with_cell(0, 0, Missing()).cell(0, 0) is MISSING
+        case1.with_cell(5, 0, None)
+    assert case1.with_cell(0, 0, Missing()).cells[0][0] is None
 
 
 def test_is_complete(case1, case1_masked):
@@ -332,12 +330,12 @@ def test_is_complete(case1, case1_masked):
 
 def test_matches_kind_and_components():
     assert matches_kind(Crisp(1.0), ColumnKind.CRISP)
-    assert not matches_kind(MISSING, ColumnKind.CRISP)
+    assert not matches_kind(None, ColumnKind.CRISP)
     assert not matches_kind(Interval(0.0, 1.0), ColumnKind.FUZZY)
     assert components(FuzzyTFN(1.0, 2.0, 3.0)) == (1.0, 2.0, 3.0)
     assert components(Interval(0.0, 1.0)) == (0.0, 1.0)
     with pytest.raises(ValueError):
-        components(MISSING)
+        components(None)
 
 
 def test_cellref_orders_row_major():

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetimpute.core import (
-    MISSING,
     ColumnKind,
     Crisp,
     DataMatrix,
@@ -86,9 +85,9 @@ class TestCellDistance:
 
     def test_missing_operand_rejected(self):
         with pytest.raises(ValueError):
-            cell_distance(MISSING, Crisp(1.0), ColumnKind.CRISP)
+            cell_distance(None, Crisp(1.0), ColumnKind.CRISP)
         with pytest.raises(ValueError):
-            cell_distance(Crisp(1.0), MISSING, ColumnKind.CRISP)
+            cell_distance(Crisp(1.0), None, ColumnKind.CRISP)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -111,7 +110,7 @@ class TestRowDistance:
     def test_disjoint_rows_incomparable(self):
         m = DataMatrix(
             schema=(ColumnKind.CRISP, ColumnKind.CRISP),
-            cells=((Crisp(1.0), MISSING), (MISSING, Crisp(2.0))),
+            cells=((Crisp(1.0), None), (None, Crisp(2.0))),
         )
         assert row_distance(m, 0, 1) is None
 

@@ -8,7 +8,7 @@ change that is meant to alter the output bytes.
 
 import hashlib
 
-from hetimpute import MISSING, fixture, serialize
+from hetimpute import fixture, serialize
 from hetimpute.cli import main
 
 GOLDEN = {
@@ -73,7 +73,7 @@ def _digest(data: bytes) -> str:
 def _masked(name):
     m = fixture(name)
     for i in range(m.n_rows):
-        m = m.with_cell(i, (2 * i) % m.n_cols, MISSING)
+        m = m.with_cell(i, (2 * i) % m.n_cols, None)
     return m
 
 

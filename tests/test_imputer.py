@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hetimpute.core import (
-    MISSING,
     CellRef,
     ColumnKind,
     Crisp,
@@ -77,31 +76,31 @@ class TestFindNeighbors:
     """A cell's donors, as ``impute`` records them in its trace."""
 
     def test_worked_example(self, case1_masked):
-        ns = impute(case1_masked, k=2).trace[CellRef(2, 2)]
-        assert [d.row for d in ns.donors] == [1, 0]
-        assert ns.donors[0].distance == approx(0.0945, abs=5e-4)
-        assert ns.donors[1].distance == approx(0.2661, abs=5e-4)
-        assert ns.donors[0].weight == approx(0.7380, abs=1e-3)
-        assert ns.donors[1].weight == approx(0.2620, abs=1e-3)
+        donors = impute(case1_masked, k=2).trace[CellRef(2, 2)]
+        assert [d.row for d in donors] == [1, 0]
+        assert donors[0].distance == approx(0.0945, abs=5e-4)
+        assert donors[1].distance == approx(0.2661, abs=5e-4)
+        assert donors[0].weight == approx(0.7380, abs=1e-3)
+        assert donors[1].weight == approx(0.2620, abs=1e-3)
 
     def test_single_candidate_gets_full_weight(self):
         m = DataMatrix(
             schema=(ColumnKind.CRISP, ColumnKind.CRISP),
             cells=(
-                (Crisp(0.2), MISSING),
+                (Crisp(0.2), None),
                 (Crisp(0.3), Crisp(0.4)),
-                (Crisp(0.9), MISSING),
+                (Crisp(0.9), None),
             ),
         )
-        ns = impute(m, k=3).trace[CellRef(0, 1)]
-        assert len(ns.donors) == 1
-        assert ns.donors[0].row == 1
-        assert ns.donors[0].weight == 1.0
+        donors = impute(m, k=3).trace[CellRef(0, 1)]
+        assert len(donors) == 1
+        assert donors[0].row == 1
+        assert donors[0].weight == 1.0
 
     def test_no_shared_columns_gives_empty_set(self):
         m = DataMatrix(
             schema=(ColumnKind.CRISP, ColumnKind.CRISP),
-            cells=((MISSING, MISSING), (Crisp(1.0), Crisp(2.0))),
+            cells=((None, None), (Crisp(1.0), Crisp(2.0))),
         )
         result = impute(m, k=1)
         assert CellRef(0, 0) not in result.trace
@@ -111,13 +110,13 @@ class TestFindNeighbors:
         m = DataMatrix(
             schema=(ColumnKind.CRISP, ColumnKind.CRISP),
             cells=(
-                (MISSING, Crisp(0.5)),
+                (None, Crisp(0.5)),
                 (Crisp(0.3), Crisp(0.25)),
                 (Crisp(0.9), Crisp(0.25)),
             ),
         )
-        ns = impute(m, k=1).trace[CellRef(0, 0)]
-        assert [d.row for d in ns.donors] == [1]
+        donors = impute(m, k=1).trace[CellRef(0, 0)]
+        assert [d.row for d in donors] == [1]
 
     def test_target_must_be_missing(self, case1, case1_masked):
         # An observed cell never has a trace entry.
@@ -132,8 +131,8 @@ class TestFindNeighbors:
 class TestCombineCells:
     def test_worked_example_fuzzy_blend(self, case1):
         donors = [
-            (case1.cell(0, 2), 0.2620),
-            (case1.cell(1, 2), 0.7380),
+            (case1.cells[0][2], 0.2620),
+            (case1.cells[1][2], 0.7380),
         ]
         out = combine_cells(donors)
         assert out.a1 == approx(0.3935, abs=1e-3)
@@ -225,7 +224,7 @@ class TestCombineCells:
 class TestImpute:
     def test_worked_example_completion(self, case1, case1_masked):
         result = impute(case1_masked, k=2)
-        filled = result.matrix.cell(2, 2)
+        filled = result.matrix.cells[2][2]
         assert filled.a1 == approx(0.3935, abs=1e-3)
         assert filled.a2 == approx(0.5604, abs=1e-3)
         assert filled.a3 == approx(0.7273, abs=1e-3)
@@ -235,7 +234,7 @@ class TestImpute:
         for i in range(3):
             for l in range(3):
                 if (i, l) != (2, 2):
-                    assert result.matrix.cell(i, l) == case1.cell(i, l)
+                    assert result.matrix.cells[i][l] == case1.cells[i][l]
 
     def test_complete_matrix_is_returned_unchanged(self, case1):
         result = impute(case1, k=3)
@@ -246,16 +245,16 @@ class TestImpute:
     def test_single_column_matrix_is_unimputable(self):
         m = DataMatrix(
             schema=(ColumnKind.CRISP,),
-            cells=((Crisp(5.0),), (MISSING,), (Crisp(5.0),)),
+            cells=((Crisp(5.0),), (None,), (Crisp(5.0),)),
         )
         result = impute(m, k=2)
         assert result.unimputable == (CellRef(1, 0),)
-        assert isinstance(result.matrix.cell(1, 0), Missing)
+        assert isinstance(result.matrix.cells[1][0], Missing)
         assert result.trace == {}
 
     def test_input_not_mutated(self, case1_masked):
         impute(case1_masked, k=2)
-        assert isinstance(case1_masked.cell(2, 2), Missing)
+        assert isinstance(case1_masked.cells[2][2], Missing)
 
     def test_k_below_one_rejected(self, case1):
         with pytest.raises(ValueError):
@@ -268,19 +267,19 @@ class TestImpute:
         m = DataMatrix(
             schema=(ColumnKind.CRISP, ColumnKind.CRISP, ColumnKind.CRISP),
             cells=(
-                (Crisp(1.0), Crisp(1.0), MISSING),
-                (MISSING, Crisp(1.0), Crisp(2.0)),
+                (Crisp(1.0), Crisp(1.0), None),
+                (None, Crisp(1.0), Crisp(2.0)),
                 (Crisp(4.0), Crisp(1.0), Crisp(6.0)),
             ),
         )
         result = impute(m, k=1)
-        assert result.matrix.cell(1, 0) == Crisp(1.0)
+        assert result.matrix.cells[1][0] == Crisp(1.0)
 
     def test_rows_with_several_gaps_are_filled_per_cell(self):
         m = DataMatrix(
             schema=(ColumnKind.CRISP, ColumnKind.CRISP, ColumnKind.CRISP),
             cells=(
-                (MISSING, Crisp(0.5), MISSING),
+                (None, Crisp(0.5), None),
                 (Crisp(0.1), Crisp(0.5), Crisp(0.9)),
                 (Crisp(0.2), Crisp(0.6), Crisp(0.8)),
             ),
@@ -296,19 +295,19 @@ class TestImpute:
             schema=(ColumnKind.CRISP, ColumnKind.INTERVAL, ColumnKind.FUZZY),
             cells=(
                 row,
-                (Crisp(0.31), Interval(0.2, 0.4), MISSING),
+                (Crisp(0.31), Interval(0.2, 0.4), None),
                 (Crisp(0.9), Interval(0.5, 0.7), FuzzyTFN(0.2, 0.3, 0.9)),
             ),
         )
         result = impute(m, k=1)
-        assert result.matrix.cell(1, 2) == row[2]
+        assert result.matrix.cells[1][2] == row[2]
 
     @pytest.mark.parametrize("bad_row", [0, 1], ids=["target", "donor"])
     def test_kind_mismatch_from_library_input_raises(self, bad_row):
         # A Crisp cell in an interval column, in a hand-built matrix: the
         # matrix refuses it by name before any imputation can start.
         rows = [
-            [Interval(0.1, 0.2), MISSING],
+            [Interval(0.1, 0.2), None],
             [Interval(0.3, 0.4), Crisp(0.3)],
         ]
         rows[bad_row][0] = Crisp(0.5)
@@ -334,32 +333,32 @@ def test_find_neighbors_agrees_with_bruteforce(m, k):
         if ref not in result.trace:
             assert ranked == [] and ref in result.unimputable
             continue
-        ns = result.trace[ref]
-        assert len(ns.donors) == min(k, len(ranked))
-        assert all(d.row != ref.row for d in ns.donors)
+        donors = result.trace[ref]
+        assert len(donors) == min(k, len(ranked))
+        assert all(d.row != ref.row for d in donors)
         assert all(
-            not isinstance(m.cell(d.row, ref.col), Missing) for d in ns.donors
+            not isinstance(m.cells[d.row][ref.col], Missing) for d in donors
         )
-        ordered = [d.distance for d in ns.donors]
+        ordered = [d.distance for d in donors]
         assert ordered == sorted(ordered)
-        assert sum(d.weight for d in ns.donors) == approx(1.0, abs=1e-12)
-        chosen = {d.row for d in ns.donors}
+        assert sum(d.weight for d in donors) == approx(1.0, abs=1e-12)
+        chosen = {d.row for d in donors}
         worst_chosen = max(d for d, j in ranked if j in chosen)
         best_skipped = min(
             (d for d, j in ranked if j not in chosen), default=float("inf")
         )
         assert worst_chosen <= best_skipped + 1e-9
-        for donor in ns.donors:
+        for donor in donors:
             (bf_d,) = [d for d, j in ranked if j == donor.row]
             assert donor.distance == approx(bf_d, rel=1e-9, abs=1e-12)
-        bf_w = bf_weights([d.distance for d in ns.donors])
-        for donor, expected in zip(ns.donors, bf_w):
+        bf_w = bf_weights([d.distance for d in donors])
+        for donor, expected in zip(donors, bf_w):
             assert donor.weight == approx(expected, rel=1e-9, abs=1e-12)
         gaps = [
             abs(a - b) for (a, _), (b, _) in zip(ranked, ranked[1:])
         ]
         if all(g > 1e-9 for g in gaps):
-            assert [d.row for d in ns.donors] == [j for _, j in ranked[:k]]
+            assert [d.row for d in donors] == [j for _, j in ranked[:k]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -371,9 +370,9 @@ def test_impute_matches_oracle_bit_for_bit(m, k):
     for ref in missing_cells(m):
         ranked = bf_candidate_distances(m, ref.row, ref.col)[:k]
         if ranked:
-            ns = result.trace[ref]
-            assert [(d.distance, d.row) for d in ns.donors] == ranked
-            assert [d.weight for d in ns.donors] == bf_weights([d for d, _ in ranked])
+            donors = result.trace[ref]
+            assert [(d.distance, d.row) for d in donors] == ranked
+            assert [d.weight for d in donors] == bf_weights([d for d, _ in ranked])
         else:
             assert ref not in result.trace
             assert ref in result.unimputable
@@ -396,19 +395,19 @@ def test_impute_results_are_valid_and_deterministic(m, k):
 @given(matrices(min_rows=2))
 def test_k1_copies_nearest_donor_verbatim(m):
     result = impute(m, k=1)
-    for ref, ns in result.trace.items():
-        donor = ns.donors[0]
+    for ref, donors in result.trace.items():
+        donor = donors[0]
         assert donor.weight == 1.0
-        assert result.matrix.cell(ref.row, ref.col) == m.cell(donor.row, ref.col)
+        assert result.matrix.cells[ref.row][ref.col] == m.cells[donor.row][ref.col]
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(min_rows=2), st.integers(1, 4))
 def test_imputed_components_stay_in_donor_hull(m, k):
     result = impute(m, k)
-    for ref, ns in result.trace.items():
-        filled = components(result.matrix.cell(ref.row, ref.col))
-        donor_cells = [m.cell(d.row, ref.col) for d in ns.donors]
+    for ref, donors in result.trace.items():
+        filled = components(result.matrix.cells[ref.row][ref.col])
+        donor_cells = [m.cells[d.row][ref.col] for d in donors]
         for position, value in enumerate(filled):
             donor_values = [components(c)[position] for c in donor_cells]
             assert min(donor_values) - 1e-9 <= value <= max(donor_values) + 1e-9
@@ -430,6 +429,6 @@ def test_impute_over_the_full_float_range(m, k):
     # Distances and weighted sums may overflow; every filled value stays a
     # finite cell that typed CSV can carry.
     result = impute(m, k)
-    for ref in result.trace:
-        assert all(map(math.isfinite, components(result.matrix.cell(ref.row, ref.col))))
+    for i, l in result.trace:
+        assert all(map(math.isfinite, components(result.matrix.cells[i][l])))
     assert parse(serialize(result.matrix)) == result.matrix

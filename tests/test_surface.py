@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "DataMatrix",
     "FuzzyTFN",
     "Interval",
-    "MISSING",
     "Missing",
     "ParseError",
     "__version__",

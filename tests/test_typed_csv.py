@@ -331,9 +331,9 @@ class TestFixtures:
         m = fixture("case1")
         assert (m.n_rows, m.n_cols) == (3, 3)
         assert m.schema == (ColumnKind.CRISP, ColumnKind.INTERVAL, ColumnKind.FUZZY)
-        assert m.cell(0, 0) == Crisp(0.5891)
-        assert m.cell(1, 1) == Interval(0.55470, 0.83205)
-        assert m.cell(2, 2) == FuzzyTFN(0.491539, 0.573462, 0.655386)
+        assert m.cells[0][0] == Crisp(0.5891)
+        assert m.cells[1][1] == Interval(0.55470, 0.83205)
+        assert m.cells[2][2] == FuzzyTFN(0.491539, 0.573462, 0.655386)
 
     def test_case2_shape_and_digits(self):
         m = fixture("case2")
@@ -344,15 +344,15 @@ class TestFixtures:
             ColumnKind.FUZZY,
             ColumnKind.INTERVAL,
         )
-        assert m.cell(0, 1) == FuzzyTFN(0.32, 0.48, 0.71)
-        assert m.cell(3, 3) == Interval(0.50, 0.69)
+        assert m.cells[0][1] == FuzzyTFN(0.32, 0.48, 0.71)
+        assert m.cells[3][3] == Interval(0.50, 0.69)
 
     def test_case3_shape_and_digits(self):
         m = fixture("case3")
         assert (m.n_rows, m.n_cols) == (5, 3)
         assert m.schema == (ColumnKind.CRISP, ColumnKind.INTERVAL, ColumnKind.FUZZY)
-        assert m.cell(4, 1) == Interval(0.20, 0.98)
-        assert m.cell(2, 2) == FuzzyTFN(0.46, 0.57, 0.68)
+        assert m.cells[4][1] == Interval(0.20, 0.98)
+        assert m.cells[2][2] == FuzzyTFN(0.46, 0.57, 0.68)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_all_fixtures_valid_and_complete(self, name):
