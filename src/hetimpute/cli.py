@@ -63,65 +63,74 @@ def _read_matrix(path: str) -> DataMatrix:
         raise _DataError(f"{path}: {exc}") from None
 
 
-def _replace_target(path: Path) -> Optional[tuple[str, int]]:
-    """The file that the finished text of ``path`` replaces, and its mode.
+#: An output path and the (file, mode) its text replaces, or None to write in place.
+_Target = tuple[Path, Optional[tuple[str, int]]]
 
-    None when ``path`` exists but is no regular file that its resolved path
-    reaches (a device such as /dev/null or /dev/stdout, a FIFO): such a
-    target is written in place. A symlink resolves to its target, so the
-    link stays a link; a file that exists keeps its mode.
+
+def _targets(paths: Iterable[Path]) -> list[_Target]:
+    """Each of ``paths`` as a target, checked before any work is done.
+
+    A path that exists but is no regular file that its resolved path
+    reaches (a device such as /dev/null or /dev/stdout, a FIFO) is written
+    in place. A symlink resolves to its target, so the link stays a link; a
+    file that exists keeps its mode. A directory, a missing or non-directory
+    parent, and a path that resolves to the same file as an earlier path
+    are data errors.
     """
-    real = os.path.realpath(path)
-    try:
-        st = os.stat(path)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        return real, 0o666 & ~umask
-    try:
-        same = os.path.samestat(st, os.stat(real))
-    except OSError:
-        same = False
-    if not (same and stat.S_ISREG(st.st_mode)):
-        return None
-    return real, stat.S_IMODE(st.st_mode)
+    targets: list[_Target] = []
+    for path in paths:
+        real = os.path.realpath(path)
+        try:
+            try:
+                st = os.stat(path)
+            except FileNotFoundError:
+                os.stat(os.path.dirname(real))  # raises when the parent is missing
+                st = None
+        except OSError as exc:
+            raise _DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+        if st is None:
+            umask = os.umask(0)
+            os.umask(umask)
+            target = real, 0o666 & ~umask
+        elif stat.S_ISDIR(st.st_mode):
+            raise _DataError(f"cannot write {path}: Is a directory")
+        else:
+            try:
+                same = os.path.samestat(st, os.stat(real))
+            except OSError:
+                same = False
+            regular = same and stat.S_ISREG(st.st_mode)
+            target = (real, stat.S_IMODE(st.st_mode)) if regular else None
+        if target and any(t and t[0] == real for _, t in targets):
+            raise _DataError(f"cannot write {path}: same file as another output")
+        targets.append((path, target))
+    return targets
 
 
-def _write(*outputs: tuple[Path, str]) -> None:
-    """Write each ``(path, text)`` pair, replacing no file until all are written.
+def _write(targets: Sequence[_Target], *texts: str) -> None:
+    """Write each text to its target, replacing no file until all are written.
 
-    A missing or regular target is written to a temporary file beside it,
-    which ``os.replace`` moves over it only after every temporary file and
-    every in-place target is written, so a write that fails leaves no
-    completed output behind. Two paths that resolve to one such file are a
-    data error, raised before any file is created.
+    A text that replaces a file goes to a temporary file beside it, which
+    ``os.replace`` moves over it only after every temporary file and every
+    in-place target is written, so a failed write leaves no output behind.
     """
-    targets: dict[str, tuple[Path, int, str]] = {}
     staged: list[tuple[str, str]] = []
-    in_place: list[tuple[Path, str]] = []
     failed = None
     try:
-        for failed, text in outputs:
-            target = _replace_target(failed)
+        for (failed, target), text in zip(targets, texts):
+            if target is not None:
+                real, mode = target
+                fd, temp = tempfile.mkstemp(
+                    ".tmp", f".{os.path.basename(real)}.", os.path.dirname(real)
+                )
+                staged.append((temp, real))
+                with os.fdopen(fd, "w", encoding="utf-8") as out:
+                    out.write(text)
+                os.chmod(temp, mode)
+        for (failed, target), text in zip(targets, texts):
             if target is None:
-                in_place.append((failed, text))
-            elif target[0] in targets:
-                raise _DataError(f"cannot write {failed}: same file as another output")
-            else:
-                targets[target[0]] = (failed, target[1], text)
-        for real, (failed, mode, text) in targets.items():
-            fd, temp = tempfile.mkstemp(
-                prefix=f".{os.path.basename(real)}.",
-                suffix=".tmp",
-                dir=os.path.dirname(real),
-            )
-            staged.append((temp, real))
-            with os.fdopen(fd, "w", encoding="utf-8") as out:
-                out.write(text)
-            os.chmod(temp, mode)
-        for failed, text in in_place:
-            with open(failed, "w", encoding="utf-8") as out:
-                out.write(text)
+                with open(failed, "w", encoding="utf-8") as out:
+                    out.write(text)
         for temp, failed in staged:
             os.replace(temp, failed)
     except OSError as exc:
@@ -143,13 +152,12 @@ def _table(header: str, rows: Iterable[Sequence[object]]) -> str:
 def cmd_impute(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.input)
     result = impute(matrix, args.k)
-    outputs = [(Path(args.output), serialize(result.matrix))]
+    texts = [serialize(result.matrix)]
     if args.trace is not None:
         trace = result.trace
         rows = ((*ref, *d) for ref in sorted(trace) for d in trace[ref])
-        table = _table("row,col,donor_row,distance,weight", rows)
-        outputs.append((Path(args.trace), table))
-    _write(*outputs)
+        texts.append(_table("row,col,donor_row,distance,weight", rows))
+    _write(args.targets, *texts)
     if result.unimputable:
         for ref in result.unimputable:
             print(
@@ -158,12 +166,6 @@ def cmd_impute(args: argparse.Namespace) -> int:
             )
         return 1
     return 0
-
-
-def _summary_path(output: str) -> Path:
-    """Where ``benchmark`` writes its per-k summary: beside ``output``."""
-    out = Path(output)
-    return out.with_name(out.stem + ".summary" + out.suffix)
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
@@ -192,10 +194,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     trials = ((*t, int(t.error is not None)) for t in report.trials)
     per_k = ((k, *s) for k, s in report.k_summaries.items())
     summary = _table("k,min,q1,median,q3,max,mean", per_k)
-    _write(
-        (Path(args.output), _table("k,missing_count,trial,error,imputable", trials)),
-        (_summary_path(args.output), summary),
-    )
+    raw = _table("k,missing_count,trial,error,imputable", trials)
+    _write(args.targets, raw, summary)
     print(summary, end="")
     return 0
 
@@ -241,9 +241,9 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
         dest.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _DataError(f"cannot create {dest}: {exc}") from None
-    for name in names:
-        path = dest / f"{name}.csv"
-        _write((path, serialize(fixture(name))))
+    paths = [dest / f"{name}.csv" for name in names]
+    _write(_targets(paths), *(serialize(fixture(name)) for name in names))
+    for path in paths:
         print(path)
     return 0
 
@@ -322,13 +322,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if path is not None and os.path.basename(path) in ("", ".", ".."):
             message = f"argument --{option}: expected a file name, found {path!r}"
             return _usage_error(message)
-    if args.command == "benchmark":
-        outputs.append(_summary_path(args.output))
+    paths = [Path(path) for path in outputs if path is not None]
+    if args.command == "benchmark":  # the per-k summary lands beside --output
+        out = paths[0]
+        paths.append(out.with_name(out.stem + ".summary" + out.suffix))
     try:
-        # _write would refuse an existing directory too, but only after the work.
-        for path in outputs:
-            if path is not None and os.path.isdir(path):
-                raise _DataError(f"cannot write {Path(path)}: Is a directory")
+        args.targets = _targets(paths)
         return args.func(args)
     except _DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

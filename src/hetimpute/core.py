@@ -3,8 +3,8 @@
 A cell is one of four things: a crisp real, a closed interval, a triangular
 fuzzy number, or ``None`` for a gap. A cell checks its own components when
 it is built: they are finite and, for an interval or a fuzzy number, in
-order. Columns carry a single declared kind; a cell either matches its
-column's kind or is None, which a DataMatrix checks once, when it is built.
+order. Columns carry one declared kind; a cell matches its column's kind
+or is None, which DataMatrix and its ``with_cell`` check on the way in.
 Everything here is an immutable value, so matrices can be shared freely
 between threads and reused as the frozen donor pool during imputation.
 """
@@ -189,10 +189,9 @@ class DataMatrix(_Value):
                 raise ValueError(
                     f"row {i} has {len(row)} cells, expected {len(schema)}"
                 )
-        # A column passes on its set of classes when each cell is a gap or of
-        # its kind's class. Another class may subclass the kind's class, which
-        # matches_kind accepts, so _check_cells tests those columns per cell.
-        mixed = []
+        # A column passes when each of its classes is a gap's or subclasses its
+        # kind's class; _check_cells names the first cell of a column that fails.
+        failed = []
         gaps = []
         for l, (kind, name, column) in enumerate(zip(schema, names, zip(*cells))):
             if not isinstance(kind, ColumnKind):
@@ -200,12 +199,12 @@ class DataMatrix(_Value):
             if not isinstance(name, str):
                 raise ValueError(f"column {l} has name {name!r}, not a str")
             classes = set(map(type, column))
-            if not classes <= {_KIND_CLASS[kind], Missing}:
-                mixed.append(l)
+            if not all(issubclass(c, (_KIND_CLASS[kind], Missing)) for c in classes):
+                failed.append(l)
             if Missing in classes:
                 gaps += [CellRef(i, l) for i, c in enumerate(column) if c is None]
         _check_cells(
-            schema, [(i, l, row[l]) for i, row in enumerate(cells) for l in mixed]
+            schema, [(i, l, row[l]) for i, row in enumerate(cells) for l in failed]
         )
         self._fill(schema, cells, names, gaps)
 
@@ -231,6 +230,7 @@ class DataMatrix(_Value):
         """A copy of this matrix with one cell replaced."""
         if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
             raise IndexError(f"cell ({row},{col}) out of bounds")
+        _check_cells(self.schema, [(row, col, value)])
         return _with_cells(self, {CellRef(row, col): value})
 
     def is_complete(self) -> bool:
@@ -254,13 +254,12 @@ def _check_cells(
 def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMatrix:
     """A copy of ``matrix`` with the cells in ``changes`` replaced.
 
-    Only the changed cells are checked against their column kinds, since
-    ``matrix`` was checked when it was built. Only the rows named in
-    ``changes`` are copied; every other row tuple is immutable and shared
-    with ``matrix``. The gap record is ``matrix``'s, less the changed cells,
-    plus those changed to None.
+    The new cells are not checked: each caller passes gaps or cells that it
+    built of their column's kind. Only the rows named in ``changes`` are
+    copied; every other row tuple is immutable and shared with ``matrix``.
+    The gap record is ``matrix``'s, less the changed cells, plus those
+    changed to None.
     """
-    _check_cells(matrix.schema, sorted((i, l, v) for (i, l), v in changes.items()))
     rows = list(matrix.cells)
     for (i, l), value in changes.items():
         row = list(rows[i])

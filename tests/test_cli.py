@@ -192,18 +192,21 @@ class TestBadFilesEndInOneLine:
                       "--output", str(tmp_path / "nope" / "o.csv"))
         assert_one_line_data_error(run)
 
-    @pytest.mark.parametrize("blocked", ["o.csv", "t.csv", "o.summary.csv"],
-                             ids=["impute-output", "impute-trace", "benchmark-summary"])
-    def test_existing_directory_is_refused_before_any_work(
-        self, tmp_path, monkeypatch, capsys, blocked
-    ):
-        # _write would fail on the directory too, but only after imputing
-        # the input or running every trial.
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Make imputing and benchmarking fail, so a test sees that an output
+        was refused before any work ran."""
         def unreachable(*args, **kwargs):
             raise AssertionError("the work ran before the output was checked")
 
         monkeypatch.setattr(cli, "impute", unreachable)
         monkeypatch.setattr(cli, "benchmark", unreachable)
+
+    @pytest.mark.parametrize("blocked", ["o.csv", "t.csv", "o.summary.csv"],
+                             ids=["impute-output", "impute-trace", "benchmark-summary"])
+    def test_existing_directory_is_refused_before_any_work(
+        self, tmp_path, no_work, capsys, blocked
+    ):
         src = tmp_path / "in.csv"
         write_case1_masked(src)
         (tmp_path / blocked).mkdir()
@@ -218,6 +221,46 @@ class TestBadFilesEndInOneLine:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
             f"error: cannot write {tmp_path / blocked}: Is a directory"
+        ]
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "output, trace, refused, reason",
+        [
+            ("nope/o.csv", None, "nope/o.csv", "No such file or directory"),
+            ("o.csv", "nope/t.csv", "nope/t.csv", "No such file or directory"),
+            ("in.csv/o.csv", None, "in.csv/o.csv", "Not a directory"),
+            ("o.csv", "in.csv/t.csv", "in.csv/t.csv", "Not a directory"),
+            ("o.csv", "o.csv", "o.csv", "same file as another output"),
+            ("o.csv", "./o.csv", "o.csv", "same file as another output"),
+            ("o.csv", "link.csv", "link.csv", "same file as another output"),
+            ("nope/o.csv", "benchmark", "nope/o.csv", "No such file or directory"),
+            ("in.csv/o.csv", "benchmark", "in.csv/o.csv", "Not a directory"),
+        ],
+        ids=["impute-output-missing-parent", "impute-trace-missing-parent",
+             "impute-output-file-parent", "impute-trace-file-parent",
+             "same-file-plain", "same-file-dotted", "same-file-symlink",
+             "benchmark-output-missing-parent", "benchmark-output-file-parent"],
+    )
+    def test_unwritable_output_is_refused_before_any_work(
+        self, tmp_path, no_work, capsys, output, trace, refused, reason
+    ):
+        src = tmp_path / "in.csv"
+        write_case1_masked(src)
+        (tmp_path / "link.csv").symlink_to(tmp_path / "o.csv")
+        out = os.path.join(tmp_path, output)
+        if trace == "benchmark":
+            args = ["benchmark", "--fixture", "case1", *BENCH_ARGS, "--output", out]
+        else:
+            args = ["impute", "--input", str(src), "--k", "1", "--output", out]
+            if trace is not None:
+                args += ["--trace", os.path.join(tmp_path, trace)]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: cannot write {tmp_path / refused}: {reason}"
         ]
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before
@@ -516,6 +559,17 @@ class TestFixturesCommand:
 
     def test_unknown_fixture_is_usage_error(self, tmp_path):
         assert main(["fixtures", "--dest", str(tmp_path), "--name", "case9"]) == 2
+
+    def test_unwritable_file_exports_none(self, tmp_path, capsys):
+        (tmp_path / "case2.csv").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["fixtures", "--dest", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: cannot write {tmp_path / 'case2.csv'}: Is a directory"
+        ]
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestUsageErrors:

@@ -11,8 +11,8 @@ ROOT = Path(__file__).parents[1]
 SCRIPTS = ROOT / "scripts"
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run_script(name: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
     return subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", str(SCRIPTS / name), *args],
         capture_output=True, env=env, timeout=120,
@@ -23,6 +23,22 @@ def test_worked_example_prints_its_expected_output():
     run = run_script("worked_example.py")
     assert run.returncode == 0, run.stderr.decode()
     assert run.stdout == (SCRIPTS / "worked_example.expected.txt").read_bytes()
+
+
+def test_case_studies_are_independent_of_hash_randomization(tmp_path):
+    runs = []
+    for seed in ("0", "1"):
+        outdir = tmp_path / f"hash{seed}"
+        run = run_script("run_case_studies.py", "--trials", "20",
+                         "--outdir", str(outdir), PYTHONHASHSEED=seed)
+        assert run.returncode == 0, run.stderr.decode()
+        tables = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+        runs.append((tables, run.stdout))
+    assert sorted(runs[0][0]) == [
+        f"{case}{suffix}.csv" for case in ("case1", "case2", "case3")
+        for suffix in ("", ".summary")
+    ]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
