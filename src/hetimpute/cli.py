@@ -13,14 +13,14 @@ import stat
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import DataMatrix
 from .distances import cell_distance, row_distance
 from .evaluation import benchmark
 from .fixtures import FIXTURE_NAMES, fixture
 from .imputer import impute
-from .typed_csv import ParseError, parse, serialize
+from .typed_csv import ParseError, _records, parse
 
 
 class _DataError(Exception):
@@ -107,17 +107,18 @@ def _targets(paths: Iterable[Path]) -> list[_Target]:
     return targets
 
 
-def _write(targets: Sequence[_Target], *texts: str) -> None:
-    """Write each text to its target, replacing no file until all are written.
+def _write(targets: Sequence[_Target], *outputs: Iterable[str]) -> None:
+    """Write each output's lines to its target, replacing no file until all
+    are written. The lines are drawn one at a time, as they are written.
 
-    A text that replaces a file goes to a temporary file beside it, which
+    An output that replaces a file goes to a temporary file beside it, which
     ``os.replace`` moves over it only after every temporary file and every
     in-place target is written, so a failed write leaves no output behind.
     """
     staged: list[tuple[str, str]] = []
     failed = None
     try:
-        for (failed, target), text in zip(targets, texts):
+        for (failed, target), lines in zip(targets, outputs):
             if target is not None:
                 real, mode = target
                 fd, temp = tempfile.mkstemp(
@@ -125,39 +126,42 @@ def _write(targets: Sequence[_Target], *texts: str) -> None:
                 )
                 staged.append((temp, real))
                 with os.fdopen(fd, "w", encoding="utf-8") as out:
-                    out.write(text)
+                    out.writelines(lines)
                 os.chmod(temp, mode)
-        for (failed, target), text in zip(targets, texts):
+        for (failed, target), lines in zip(targets, outputs):
             if target is None:
                 with open(failed, "w", encoding="utf-8") as out:
-                    out.write(text)
+                    out.writelines(lines)
         for temp, failed in staged:
             os.replace(temp, failed)
-    except OSError as exc:
+    except BaseException as exc:
         for temp, _ in staged:
             try:
                 os.unlink(temp)
             except FileNotFoundError:
                 pass
-        raise _DataError(f"cannot write {failed}: {exc.strerror or exc}") from None
+        if isinstance(exc, OSError):
+            raise _DataError(f"cannot write {failed}: {exc.strerror or exc}") from None
+        raise
 
 
-def _table(header: str, rows: Iterable[Sequence[object]]) -> str:
+def _table(header: str, rows: Iterable[Sequence[object]]) -> Iterator[str]:
     """``header``, then one line per row: values by ``repr``, None as the
-    empty field, and a newline after every line."""
-    lines = [",".join(["" if v is None else repr(v) for v in row]) for row in rows]
-    return "\n".join([header, *lines, ""])
+    empty field. Each line ends in a newline and is made as it is drawn."""
+    yield header + "\n"
+    for row in rows:
+        yield ",".join(["" if v is None else repr(v) for v in row]) + "\n"
 
 
 def cmd_impute(args: argparse.Namespace) -> int:
     matrix = _read_matrix(args.input)
     result = impute(matrix, args.k)
-    texts = [serialize(result.matrix)]
+    outputs = [_records(result.matrix)]
     if args.trace is not None:
         trace = result.trace
         rows = ((*ref, *d) for ref in sorted(trace) for d in trace[ref])
-        texts.append(_table("row,col,donor_row,distance,weight", rows))
-    _write(args.targets, *texts)
+        outputs.append(_table("row,col,donor_row,distance,weight", rows))
+    _write(args.targets, *outputs)
     if result.unimputable:
         for ref in result.unimputable:
             print(
@@ -193,10 +197,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     )
     trials = ((*t, int(t.error is not None)) for t in report.trials)
     per_k = ((k, *s) for k, s in report.k_summaries.items())
-    summary = _table("k,min,q1,median,q3,max,mean", per_k)
+    summary = list(_table("k,min,q1,median,q3,max,mean", per_k))
     raw = _table("k,missing_count,trial,error,imputable", trials)
     _write(args.targets, raw, summary)
-    print(summary, end="")
+    sys.stdout.writelines(summary)
     return 0
 
 
@@ -242,7 +246,7 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise _DataError(f"cannot create {dest}: {exc}") from None
     paths = [dest / f"{name}.csv" for name in names]
-    _write(_targets(paths), *(serialize(fixture(name)) for name in names))
+    _write(_targets(paths), *(_records(fixture(name)) for name in names))
     for path in paths:
         print(path)
     return 0

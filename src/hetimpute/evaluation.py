@@ -24,6 +24,16 @@ import operator
 import random
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+# The builtin SHA-256, as random imports its SHA-512: hashlib would load
+# OpenSSL (about 3.5 MB of RSS) for one short digest per trial.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 from .core import CellRef, DataMatrix, _with_cells
 from .distances import _CellTerms, cell_distance
 from .imputer import _impute
@@ -142,10 +152,8 @@ def summarize(values: Sequence[float]) -> Summary:
 
 def derive_trial_seed(seed: int, k: int, count: int, trial: int) -> int:
     """Stable per-trial seed, independent of Python's hash randomization."""
-    import hashlib  # here, not at the top: only benchmark runs need it
-
     key = f"{seed}|{k}|{count}|{trial}".encode()
-    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+    return int.from_bytes(_sha256(key).digest()[:8], "big")
 
 
 def benchmark(

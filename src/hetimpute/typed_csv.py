@@ -20,9 +20,17 @@ is picked once, from the header. The readers are the one cell grammar, and
 a cell's constructor checks that its components are finite and in order.
 Each data line is read once: its field count first, then its fields left
 to right, and the ParseError names the first that is wrong.
+
+Neither direction holds a second copy of the table. parse() draws its lines
+from the text one at a time, so it holds the text and the matrix it builds;
+_records() yields the canonical lines one at a time, so a writer can stream
+them to a file, and serialize() joins them.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import Iterator
 
 from .core import CellValue, ColumnKind, Crisp, DataMatrix, FuzzyTFN, Interval
 
@@ -118,6 +126,20 @@ _READERS = {
 }
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` one at a time: those of ``text.split("\n")``,
+    less the last when it is empty, so a final newline ends the last line
+    and "" has no line. No list of lines is built."""
+    start = 0
+    end = text.find("\n")
+    while end >= 0:
+        yield text[start:end]
+        start = end + 1
+        end = text.find("\n", start)
+    if start < len(text):
+        yield text[start:]
+
+
 def parse(text: str) -> DataMatrix:
     """Parse a typed-CSV document into a valid DataMatrix.
 
@@ -125,14 +147,13 @@ def parse(text: str) -> DataMatrix:
     malformed cells, kind or arity mismatches, ragged rows, and cells that
     would violate a matrix invariant.
     """
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
+    lines = _lines(text)
+    header = next(lines, None)
+    if header is None:
         raise ParseError(1, 1, "empty document")
     names: list[str] = []
     schema: list[ColumnKind] = []
-    for col, raw in enumerate(lines[0].split(","), start=1):
+    for col, raw in enumerate(header.split(","), start=1):
         cell = raw.strip()
         name, sep, tag = cell.rpartition(":")
         if not sep or tag not in _KIND_TAGS:
@@ -147,7 +168,7 @@ def parse(text: str) -> DataMatrix:
     arity = len(schema)
     readers = [_READERS[kind] for kind in schema]
     rows: list[tuple[CellValue, ...]] = []
-    for lineno, raw_line in enumerate(lines[1:], start=2):
+    for lineno, raw_line in enumerate(lines, start=2):
         fields = raw_line.split(",")
         if len(fields) != arity:
             raise ParseError(
@@ -174,8 +195,10 @@ _WRITERS = {
 }
 
 
-def serialize(matrix: DataMatrix) -> str:
-    """Render a matrix in canonical typed-CSV form."""
+def _records(matrix: DataMatrix) -> Iterator[str]:
+    """The canonical lines of ``matrix``, each ending in a newline: the
+    header, then one record per row. A column name that parse() would not
+    read back raises ValueError in this call, before any line is drawn."""
     for name in matrix.column_names:
         # parse() splits the header on both and strips a name's leading space.
         if "," in name or "\n" in name or name[:1].isspace():
@@ -185,8 +208,14 @@ def serialize(matrix: DataMatrix) -> str:
         for name, kind in zip(matrix.column_names, matrix.schema)
     )
     writers = [_WRITERS[kind] for kind in matrix.schema]
-    records = [
+    records = (
         ",".join(["" if c is None else write(c) for write, c in zip(writers, row)])
+        + "\n"
         for row in matrix.cells
-    ]
-    return "\n".join([header, *records, ""])
+    )
+    return itertools.chain([header + "\n"], records)
+
+
+def serialize(matrix: DataMatrix) -> str:
+    """Render a matrix in canonical typed-CSV form."""
+    return "".join(_records(matrix))

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -38,12 +39,15 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 
 def test_import_loads_only_what_runs():
     # -S keeps site-packages from preloading modules, so the child sees what
-    # importing the CLI itself loads. hashlib is loaded by the first trial seed.
+    # importing the CLI itself loads. A trial seed takes the builtin SHA-256,
+    # so hashlib and its OpenSSL stay unloaded after one as well.
+    heavy = "{'dataclasses', 'inspect', 'hashlib', '_hashlib'}"
     code = "\n".join([
         "import hetimpute.cli, sys",
-        "print(sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules)))",
+        f"print(sorted({heavy} & set(sys.modules)))",
         "from hetimpute.evaluation import derive_trial_seed",
         "print(derive_trial_seed(0, 1, 1, 0))",
+        f"print(sorted({heavy} & set(sys.modules)))",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
     run = subprocess.run(
@@ -51,7 +55,7 @@ def test_import_loads_only_what_runs():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n17714616561403392311\n"
+    assert run.stdout == "[]\n17714616561403392311\n[]\n"
 
 
 def assert_one_line_data_error(run: subprocess.CompletedProcess) -> None:
@@ -570,6 +574,38 @@ class TestFixturesCommand:
         ]
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestWrite:
+    def test_lines_are_streamed(self, tmp_path, tall_text):
+        # _write draws each record as it writes it: no list of records and
+        # no joined document sits beside the matrix.
+        matrix = parse(tall_text)
+        out = tmp_path / "o.csv"
+        targets = cli._targets([out])
+        tracemalloc.start()
+        try:
+            cli._write(targets, cli._records(matrix))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.read_text(encoding="utf-8") == tall_text
+        assert peak - held < 0.25 * out.stat().st_size
+
+    def test_an_output_that_fails_midway_leaves_none(self, tmp_path):
+        old = tmp_path / "old.csv"
+        old.write_text("kept\n", encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+
+        def failing():
+            yield "first\n"
+            raise RuntimeError("no second line")
+
+        targets = cli._targets([tmp_path / "new.csv", old])
+        with pytest.raises(RuntimeError, match="no second line"):
+            cli._write(targets, ["whole\n"], failing())
+        assert sorted(tmp_path.iterdir()) == before
+        assert old.read_text(encoding="utf-8") == "kept\n"
 
 
 class TestUsageErrors:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from hetimpute.core import (
     Missing,
 )
 from hetimpute.fixtures import FIXTURE_NAMES, fixture
-from hetimpute.typed_csv import ParseError, parse, serialize
+from hetimpute.typed_csv import ParseError, _lines, _records, parse, serialize
 
 from oracle import bf_parse_cell
 from strategies import column_kinds, grid_reals, matrices, raw_reals
@@ -141,6 +143,57 @@ class TestParse:
             parse("x:crisp\n")
 
 
+class TestLines:
+    @settings(max_examples=300)
+    @given(st.text(alphabet="x,\n\r", max_size=12))
+    def test_same_lines_as_split(self, text):
+        # A final newline ends the last line; "" has no line.
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        assert list(_lines(text)) == lines
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("", (1, 1, "empty document")),
+            ("\n", (1, 1, "header cell must be 'name:kind' with kind one of "
+                          "crisp, interval, fuzzy, found ''")),
+            ("x:crisp", (1, 1, "document has a header but no data rows")),
+            ("x:crisp\n\n", [(None,)]),
+            ("x:crisp\n1\n\n", [(Crisp(1.0),), (None,)]),
+            ("x:crisp,y:crisp\n1,2\n3", (3, 1, "expected 2 fields, found 1")),
+            ("x:crisp,y:crisp\n1,2\n3,", [(Crisp(1.0), Crisp(2.0)), (Crisp(3.0), None)]),
+            ("x:crisp\r\n1\r\n", [(Crisp(1.0),)]),
+            ("x:crisp,y:interval\r\n1,[0;1]\r\n\r\n", (3, 1, "expected 2 fields, found 1")),
+        ],
+        ids=["empty", "newline", "header-only-unterminated", "gap-row",
+             "blank-last-line", "ragged-unterminated", "gap-unterminated",
+             "crlf", "crlf-blank-line"],
+    )
+    def test_edge_documents(self, text, expected):
+        # The outcomes split("\n") gave: a matrix's rows, or the ParseError's
+        # line, column and message.
+        if isinstance(expected, tuple):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (err.value.line, err.value.column, err.value.message) == expected
+        else:
+            assert list(parse(text).cells) == expected
+
+    def test_parse_holds_no_list_of_lines(self, tall_text):
+        # Beside the text and the matrix it builds, parse holds one line at a
+        # time; a list of every line would add about 1.5x the text.
+        tracemalloc.start()
+        try:
+            matrix = parse(tall_text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.n_rows == 3000
+        assert peak - held < 0.75 * len(tall_text)
+
+
 class TestSerialize:
     def test_canonical_shortest_digits(self):
         m = parse("x:crisp\n0.50000\n")
@@ -171,6 +224,11 @@ class TestSerialize:
         bad = type(case1)(case1.schema, case1.cells, (name, "c", "d"))
         with pytest.raises(ValueError, match="column name"):
             serialize(bad)
+
+    def test_records_refuse_a_name_before_any_line(self, case1):
+        bad = type(case1)(case1.schema, case1.cells, ("a,b", "c", "d"))
+        with pytest.raises(ValueError, match="column name"):
+            _records(bad)  # no line drawn
 
     def test_colon_in_name_roundtrips(self, case1):
         named = type(case1)(case1.schema, case1.cells, ("a:b", "c", "d"))
