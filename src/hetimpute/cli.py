@@ -67,6 +67,12 @@ def _read_matrix(path: str) -> DataMatrix:
 _Target = tuple[Path, Optional[tuple[str, int]]]
 
 
+def _temp_beside(real: str) -> tuple[int, str]:
+    """A new temporary file in the directory of ``real``, as ``(fd, path)``."""
+    directory, name = os.path.split(real)
+    return tempfile.mkstemp(".tmp", f".{name}.", directory)
+
+
 def _targets(paths: Iterable[Path]) -> list[_Target]:
     """Each of ``paths`` as a target, checked before any work is done.
 
@@ -74,8 +80,8 @@ def _targets(paths: Iterable[Path]) -> list[_Target]:
     reaches (a device such as /dev/null or /dev/stdout, a FIFO) is written
     in place. A symlink resolves to its target, so the link stays a link; a
     file that exists keeps its mode. A directory, a missing or non-directory
-    parent, and a path that resolves to the same file as an earlier path
-    are data errors.
+    parent, a directory that refuses a new file, and a path that resolves to
+    the same file as an earlier path are data errors.
     """
     targets: list[_Target] = []
     for path in paths:
@@ -86,23 +92,27 @@ def _targets(paths: Iterable[Path]) -> list[_Target]:
             except FileNotFoundError:
                 os.stat(os.path.dirname(real))  # raises when the parent is missing
                 st = None
+            if st is None:
+                umask = os.umask(0)
+                os.umask(umask)
+                target = real, 0o666 & ~umask
+            elif stat.S_ISDIR(st.st_mode):
+                raise _DataError(f"cannot write {path}: Is a directory")
+            else:
+                try:
+                    same = os.path.samestat(st, os.stat(real))
+                except OSError:
+                    same = False
+                regular = same and stat.S_ISREG(st.st_mode)
+                target = (real, stat.S_IMODE(st.st_mode)) if regular else None
+            if target and any(t and t[0] == real for _, t in targets):
+                raise _DataError(f"cannot write {path}: same file as another output")
+            if target:  # the directory must take the file _write stages it in
+                fd, temp = _temp_beside(real)
+                os.close(fd)
+                os.unlink(temp)
         except OSError as exc:
             raise _DataError(f"cannot write {path}: {exc.strerror or exc}") from None
-        if st is None:
-            umask = os.umask(0)
-            os.umask(umask)
-            target = real, 0o666 & ~umask
-        elif stat.S_ISDIR(st.st_mode):
-            raise _DataError(f"cannot write {path}: Is a directory")
-        else:
-            try:
-                same = os.path.samestat(st, os.stat(real))
-            except OSError:
-                same = False
-            regular = same and stat.S_ISREG(st.st_mode)
-            target = (real, stat.S_IMODE(st.st_mode)) if regular else None
-        if target and any(t and t[0] == real for _, t in targets):
-            raise _DataError(f"cannot write {path}: same file as another output")
         targets.append((path, target))
     return targets
 
@@ -121,9 +131,7 @@ def _write(targets: Sequence[_Target], *outputs: Iterable[str]) -> None:
         for (failed, target), lines in zip(targets, outputs):
             if target is not None:
                 real, mode = target
-                fd, temp = tempfile.mkstemp(
-                    ".tmp", f".{os.path.basename(real)}.", os.path.dirname(real)
-                )
+                fd, temp = _temp_beside(real)
                 staged.append((temp, real))
                 with os.fdopen(fd, "w", encoding="utf-8") as out:
                     out.writelines(lines)

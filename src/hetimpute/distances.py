@@ -5,13 +5,15 @@ rows are observed, then takes the square root of that mean. Averaging (as
 opposed to plain summation) keeps rows comparable when they share different
 numbers of observed columns. All three per-cell distances stay within the
 same [0, 1]-ish magnitude for unit-range components, so no single column
-kind dominates the mix.
+kind dominates the mix. Donor selection walks the candidate rows once per
+target row and stops summing a row once it cannot be among the k nearest.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional
+from bisect import insort
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     CellValue,
@@ -82,28 +84,32 @@ class _CellTerms(dict):
         return row
 
 
-def _row_distances(
-    matrix: DataMatrix, i: int, rows: Iterable[int], terms: _CellTerms | None = None
-) -> list[tuple[float, int, int]]:
-    """``(distance, row, shared)`` from row i to each comparable row of ``rows``.
-
-    One pass per target row: the target's observed columns and their
-    distance functions are looked up once, and each donor cell pays a single
-    ``is None`` test. A DataMatrix holds only cells of their column's kind
-    and None for a gap, so no other test is needed. Each per-cell distance
-    is read from ``terms`` when given (a table of a matrix that differs from
-    ``matrix`` only in cells that are gaps here), else computed, and
-    added in schema order, so every bit matches a pairwise evaluation.
-    Rows sharing no observed column with row i are left out.
+def _nearest(
+    matrix: DataMatrix, i: int, gaps: Sequence[int], rows: Iterable[int], k: int,
+    terms: _CellTerms | None,
+) -> list[list[tuple[float, int]]]:
+    """For each column of ``gaps``, the ``(distance, row)`` of the k rows of
+    ``rows`` (ascending) nearest to row i that observe it, nearest first;
+    ties break toward the lower row. One pass keeps a sorted list of at most
+    k rows per gap and stops summing a row once it cannot enter any. Each cell
+    distance is read from ``terms`` when given (a table of a matrix that
+    differs from ``matrix`` only in cells that are gaps here), else
+    computed, and added in schema order, so every bit matches a pairwise
+    evaluation. Rows sharing no observed column with row i are left out.
     """
     columns = [
         (l, a, _CELL_DISTANCE[kind])
         for l, (a, kind) in enumerate(zip(matrix.cells[i], matrix.schema))
         if a is not None
     ]
+    c = len(columns)
     cells = matrix.cells
     table = terms[i] if terms is not None else None
-    out = []
+    # Each gap's k nearest so far as (distance, row), sorted: the last is
+    # the worst kept, and a later row of equal distance sorts after it.
+    nearest: list[list[tuple[float, int]]] = [[] for _ in gaps]
+    short = len(nearest)  # lists holding fewer than k rows
+    limit = math.inf
     for j in rows:
         other = cells[j]
         pair = table[j] if table else None
@@ -115,9 +121,34 @@ def _row_distances(
                 continue
             total += pair[l] if pair else distance(a, b)
             shared += 1
-        if shared:
-            out.append((math.sqrt(total / shared), j, shared))
-    return out
+            if total > limit:
+                break
+        else:
+            if not shared:
+                continue
+            d = math.sqrt(total / shared)
+            changed = False
+            for kept, l in zip(nearest, gaps):
+                if other[l] is None:
+                    continue
+                if len(kept) < k:
+                    insort(kept, (d, j))
+                    short -= len(kept) == k
+                elif d < kept[-1][0]:
+                    kept.pop()
+                    insort(kept, (d, j))
+                else:
+                    continue
+                changed = True
+            if changed and not short:
+                # A float sum never decreases when a term >= 0 is added, and
+                # dividing by a positive count (shared <= c) and sqrt are
+                # monotone: a partial sum past worst**2 * c gives a distance
+                # of at least worst, which enters no list. The slack covers
+                # rounding; the floor keeps sums whose mean underflows to 0.
+                worst = max([kept[-1][0] for kept in nearest])
+                limit = max(worst * worst * c * (1 + 2**-40), 2.0**-1000)
+    return nearest
 
 
 def row_distance(matrix: DataMatrix, i: int, j: int) -> Optional[RowDistance]:
@@ -132,6 +163,10 @@ def row_distance(matrix: DataMatrix, i: int, j: int) -> Optional[RowDistance]:
     n = matrix.n_rows
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"row pair ({i},{j}) out of range for {n} rows")
-    for value, _, shared in _row_distances(matrix, i, (j,)):
-        return RowDistance(value, shared)
-    return None
+    total = 0.0
+    shared = 0
+    for a, b, kind in zip(matrix.cells[i], matrix.cells[j], matrix.schema):
+        if a is not None and b is not None:
+            total += _CELL_DISTANCE[kind](a, b)
+            shared += 1
+    return RowDistance(math.sqrt(total / shared), shared) if shared else None

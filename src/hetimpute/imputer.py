@@ -1,11 +1,12 @@
 """Weighted k-nearest-neighbor imputation over heterogeneous matrices.
 
-For every missing cell: rank the rows that observe that column by row
-distance, keep the k closest, weight them by inverse distance, and fill the
-cell with the component-wise convex combination of their values. The donor
-pool is the matrix as passed in, frozen for the whole pass, so cells never
-see each other's freshly imputed values and the result is independent of
-evaluation order.
+For every missing cell: keep the k rows nearest by row distance among those
+that observe its column, selected in one pass per target row that cuts
+farther rows short, weight them by inverse distance, and fill the cell with
+the component-wise convex combination of their values. The donor pool is
+the matrix as passed in, frozen for the whole pass, so cells never see each
+other's freshly imputed values and the result is independent of evaluation
+order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .core import CellRef, CellValue, DataMatrix, _with_cells, components, missing_cells
-from .distances import _CellTerms, _row_distances
+from .distances import _CellTerms, _nearest
 
 #: Distances below this are treated as exact matches when weighting.
 ZERO_DISTANCE_EPS = 1e-12
@@ -58,23 +59,6 @@ def neighbor_weights(distances: Sequence[float]) -> list[float]:
     if total == 0.0:  # every distance is inf
         return [1.0 / len(distances)] * len(distances)
     return [inv / total for inv in inverses]
-
-
-def _neighbors(
-    distances: list[tuple[float, int, int]], missing: set[int], k: int
-) -> tuple[Donor, ...]:
-    """The k nearest rows of ``distances`` outside ``missing``, the rows
-    that do not observe the target column, as donors nearest first.
-
-    Ties at the k-th distance break toward the lower row index.
-    """
-    chosen = sorted(p for p in distances if p[1] not in missing)[:k]
-    if not chosen:
-        return ()
-    weights = neighbor_weights([p[0] for p in chosen])
-    return tuple(
-        Donor(row=p[1], distance=p[0], weight=w) for p, w in zip(chosen, weights)
-    )
 
 
 def combine_cells(donors: Sequence[tuple[CellValue, float]]) -> CellValue:
@@ -133,16 +117,19 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
     for ref in missing_cells(matrix):
         gaps.setdefault(ref.row, []).append(ref)
         missing[ref.col].add(ref.row)
-    # One distance pass per target row, shared by all of the row's gaps,
+    # One selection pass per target row, shared by all of the row's gaps,
     # over the rows that observe at least one of them.
     for i, refs in gaps.items():
         excluded = set.intersection(*(missing[ref.col] for ref in refs))
         rows = [j for j in range(matrix.n_rows) if j not in excluded]
-        distances = _row_distances(matrix, i, rows, terms)
-        for ref in refs:
-            donors = _neighbors(distances, missing[ref.col], k)
-            if not donors:
+        nearest = _nearest(matrix, i, [ref.col for ref in refs], rows, k, terms)
+        for ref, chosen in zip(refs, nearest):
+            if not chosen:
                 continue
+            weights = neighbor_weights([d for d, _ in chosen])
+            donors = tuple(
+                Donor(row=j, distance=d, weight=w) for (d, j), w in zip(chosen, weights)
+            )
             cells = [(matrix.cells[d.row][ref.col], d.weight) for d in donors]
             filled[ref] = combine_cells(cells)
             trace[ref] = donors

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import os
 import stat
@@ -225,6 +226,38 @@ class TestBadFilesEndInOneLine:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
             f"error: cannot write {tmp_path / blocked}: Is a directory"
+        ]
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("blocked", ["o.csv", "t.csv", "o.summary.csv"],
+                             ids=["impute-output", "impute-trace", "benchmark-summary"])
+    def test_directory_that_refuses_a_new_file_is_refused_before_any_work(
+        self, tmp_path, no_work, capsys, monkeypatch, blocked
+    ):
+        # A directory the process may not write to, simulated: every file
+        # staged beside ``blocked`` is refused as a read-only directory would.
+        create = tempfile.mkstemp
+
+        def mkstemp(suffix=None, prefix=None, dir=None, text=False):
+            if prefix == f".{blocked}.":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            return create(suffix, prefix, dir, text)
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        src = tmp_path / "in.csv"
+        write_case1_masked(src)
+        out = str(tmp_path / "o.csv")
+        if blocked == "o.summary.csv":
+            args = ["benchmark", "--fixture", "case1", *BENCH_ARGS, "--output", out]
+        else:
+            args = ["impute", "--input", str(src), "--k", "1", "--output", out,
+                    "--trace", str(tmp_path / "t.csv")]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: cannot write {tmp_path / blocked}: Permission denied"
         ]
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before

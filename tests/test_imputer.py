@@ -1,10 +1,12 @@
 import math
+import random
 import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hetimpute import distances
 from hetimpute.core import (
     CellRef,
     ColumnKind,
@@ -361,11 +363,10 @@ def test_find_neighbors_agrees_with_bruteforce(m, k):
             assert [d.row for d in donors] == [j for _, j in ranked[:k]]
 
 
-@settings(max_examples=150, deadline=None)
-@given(matrices(min_rows=2, max_rows=8), st.integers(1, 5))
-def test_impute_matches_oracle_bit_for_bit(m, k):
-    # One distance vector per target row, shared by the row's gaps, must
-    # select exactly what a per-cell brute force selects, to the last bit.
+def assert_matches_oracle(m, k):
+    # One selection pass per target row, shared by the row's gaps and
+    # cutting rows short, must select exactly what a per-cell brute force
+    # selects, to the last bit.
     result = impute(m, k)
     for ref in missing_cells(m):
         ranked = bf_candidate_distances(m, ref.row, ref.col)[:k]
@@ -376,6 +377,81 @@ def test_impute_matches_oracle_bit_for_bit(m, k):
         else:
             assert ref not in result.trace
             assert ref in result.unimputable
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(min_rows=2, max_rows=8), st.integers(1, 5))
+def test_impute_matches_oracle_bit_for_bit(m, k):
+    assert_matches_oracle(m, k)
+
+
+# Tables tall enough that the k nearest fill up early and later rows are cut
+# short: raw full-range floats, the extremes of the float range (subnormal,
+# tiny, huge and largest finite), and few values, so that rows tie.
+EXTREMES = [0.0, 5e-324, -5e-324, 1e-310, 2.0**-1000, 1e-160, 1.0, 1e150,
+            1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(min_rows=2, max_rows=40, elements=raw_reals()), st.integers(1, 5))
+def test_tall_tables_of_raw_floats_match_oracle_bit_for_bit(m, k):
+    assert_matches_oracle(m, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    matrices(min_rows=2, max_rows=40, elements=st.sampled_from(EXTREMES)),
+    st.integers(1, 5),
+)
+def test_tall_tables_at_the_extremes_match_oracle_bit_for_bit(m, k):
+    assert_matches_oracle(m, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    matrices(min_rows=2, max_rows=40, elements=st.sampled_from([0.0, 1.0, 2.0])),
+    st.integers(1, 5),
+)
+def test_tall_tables_full_of_ties_match_oracle_bit_for_bit(m, k):
+    assert_matches_oracle(m, k)
+
+
+def test_rows_that_cannot_be_nearest_are_cut_short(monkeypatch):
+    # Selection must stop summing a row once it cannot be among the k
+    # nearest, so it evaluates fewer cell distances than a full pass over
+    # every candidate row's shared columns would.
+    rng = random.Random(19)
+    kinds = [(Crisp, 1), (Interval, 2), (FuzzyTFN, 3)] * 2
+    rows = [
+        tuple(
+            None if rng.random() < 0.15
+            else cls(*sorted(rng.random() for _ in range(arity)))
+            for cls, arity in kinds
+        )
+        for _ in range(200)
+    ]
+    schema = (ColumnKind.CRISP, ColumnKind.INTERVAL, ColumnKind.FUZZY) * 2
+    m = DataMatrix(schema, tuple(rows))
+    full = 0
+    for i, row in enumerate(rows):
+        gaps = [l for l, a in enumerate(row) if a is None]
+        for j, other in enumerate(rows):
+            if j != i and any(other[l] is not None for l in gaps):
+                full += sum(a is not None and b is not None for a, b in zip(row, other))
+    evaluated = 0
+
+    def counted(distance):
+        def count(a, b):
+            nonlocal evaluated
+            evaluated += 1
+            return distance(a, b)
+        return count
+
+    for kind, distance in list(distances._CELL_DISTANCE.items()):
+        monkeypatch.setitem(distances._CELL_DISTANCE, kind, counted(distance))
+    impute(m, 5)
+    # A pass with no cut evaluates all of ``full``; this one about 73%.
+    assert 0 < evaluated < 0.8 * full
 
 
 @settings(max_examples=100, deadline=None)
