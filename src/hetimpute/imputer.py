@@ -6,19 +6,33 @@ farther rows short, weight them by inverse distance, and fill the cell with
 the component-wise convex combination of their values. The donor pool is
 the matrix as passed in, frozen for the whole pass, so cells never see each
 other's freshly imputed values and the result is independent of evaluation
-order.
+order. On POSIX, ``impute`` may fork short-lived workers that select the
+donors of some target rows on other CPUs; they are reaped before it returns.
 """
 
 from __future__ import annotations
 
+import _thread
+import marshal
 import math
-from typing import NamedTuple, Sequence
+import os
+from contextlib import suppress
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import CellRef, CellValue, DataMatrix, _with_cells, components, missing_cells
 from .distances import _CellTerms, _nearest
 
 #: Distances below this are treated as exact matches when weighting.
 ZERO_DISTANCE_EPS = 1e-12
+
+#: Selection forks only with this many target rows per process and this many
+#: cell visits (target rows times rows times columns) in all. Two processes
+#: against one (2-core Xeon VM, Python 3.11, k=5, median of 31 to 41 calls),
+#: target rows of rows of columns: 24x30x8 0.53x, 32x60x8 0.93x, 24x250x2
+#: 0.61x, 24x1000x2 0.89x, 48x500x2 1.07x, 24x250x8 1.3x, 12x250x16 1.25x;
+#: 4x12000x8 1.03x, 8x12000x8 1.37x.
+_FORK_MIN_TARGETS = 4
+_FORK_MIN_CELLS = 48000
 
 
 class Donor(NamedTuple):
@@ -117,12 +131,8 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
     for ref in missing_cells(matrix):
         gaps.setdefault(ref.row, []).append(ref)
         missing[ref.col].add(ref.row)
-    # One selection pass per target row, shared by all of the row's gaps,
-    # over the rows that observe at least one of them.
-    for i, refs in gaps.items():
-        excluded = set.intersection(*(missing[ref.col] for ref in refs))
-        rows = [j for j in range(matrix.n_rows) if j not in excluded]
-        nearest = _nearest(matrix, i, [ref.col for ref in refs], rows, k, terms)
+    selected = _select(matrix, list(gaps.items()), missing, k, terms)
+    for refs, nearest in zip(gaps.values(), selected):
         for ref, chosen in zip(refs, nearest):
             if not chosen:
                 continue
@@ -136,3 +146,54 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
     # The cells left None are exactly those without donors.
     completed = _with_cells(matrix, filled)
     return ImputationResult(completed, trace, tuple(missing_cells(completed)))
+
+
+def _select(matrix: DataMatrix, targets: list, missing: list, k: int, terms) -> Iterable:
+    """``_nearest`` of each ``(row, refs)`` of ``targets``, in order, over the
+    rows that observe one of the row's gaps. Forked worker w of p selects every
+    p-th target from the w-th and replies by ``marshal``, which keeps float
+    bits; the parent selects the rest, and reaps every worker before it returns."""
+
+    def select(share: list) -> Iterator[list]:
+        for i, refs in share:
+            excluded = set.intersection(*(missing[ref.col] for ref in refs))
+            rows = [j for j in range(matrix.n_rows) if j not in excluded]
+            yield _nearest(matrix, i, [ref.col for ref in refs], rows, k, terms)
+
+    # Fork only if it pays, on POSIX, with no other Python thread, onto more
+    # CPUs than one, and not with ``terms``: a worker's rows would be lost.
+    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
+    p = len(targets) // _FORK_MIN_TARGETS
+    if (p < 2 or len(targets) * matrix.n_rows * matrix.n_cols < _FORK_MIN_CELLS
+            or terms is not None or not hasattr(os, "fork") or _thread._count()
+            or len(cpus(0)) < 2):
+        return select(targets)
+    p = min(p, len(cpus(0)))
+    nearest: list = [None] * len(targets)
+    workers = {}  # share -> (pid or None, read end of its pipe)
+    try:
+        for w in range(1, p):
+            r, out = os.pipe()
+            pid = None  # no worker, so an empty reply: the parent selects the share
+            with suppress(OSError):
+                pid = os.fork()
+            if pid == 0:  # the worker: it replies and leaves, whatever happens
+                try:
+                    os.write(out, marshal.dumps(list(select(targets[w::p]))))
+                finally:
+                    os._exit(0)
+            os.close(out)
+            workers[w] = pid, open(r, "rb")
+        for w in range(p):
+            # No worker, or a reply cut short or of another length: select here.
+            with suppress(KeyError, EOFError, ValueError, TypeError):
+                nearest[w::p] = marshal.loads(workers[w][1].read())
+                continue
+            nearest[w::p] = select(targets[w::p])
+    finally:
+        for pid, pipe in workers.values():
+            pipe.close()
+            if pid:
+                os.kill(pid, 9)  # SIGKILL, a no-op once the worker has exited
+                os.waitpid(pid, 0)
+    return nearest

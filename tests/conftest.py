@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hetimpute import fixture
+from hetimpute import ColumnKind, Crisp, DataMatrix, FuzzyTFN, Interval, fixture
 
 
 @pytest.fixture
@@ -33,3 +34,62 @@ def tall_text():
     lines = ["a:crisp,b:interval,c:fuzzy,d:crisp,e:interval,f:fuzzy"]
     lines += [",".join(cells() + cells()) for _ in range(3000)]
     return "\n".join(lines) + "\n"
+
+
+def seeded_table(n_rows: int, n_cols: int, seed: int, gap_rate: float) -> DataMatrix:
+    """Columns of crisp, interval and fuzzy cells in turn, components uniform
+    in [0, 1), each cell missing with probability ``gap_rate``."""
+    rng = random.Random(seed)
+    kinds = [(ColumnKind.CRISP, Crisp, 1), (ColumnKind.INTERVAL, Interval, 2),
+             (ColumnKind.FUZZY, FuzzyTFN, 3)]
+    kinds = [kinds[l % 3] for l in range(n_cols)]
+    rows = [
+        tuple(
+            None if rng.random() < gap_rate
+            else cls(*sorted(rng.random() for _ in range(arity)))
+            for _, cls, arity in kinds
+        )
+        for _ in range(n_rows)
+    ]
+    return DataMatrix(tuple(kind for kind, _, _ in kinds), tuple(rows))
+
+
+@pytest.fixture(scope="session")
+def dense_matrix():
+    """200 rows of 6 columns, about 15% of cells missing: enough target rows
+    that selection forks at the default thresholds."""
+    return seeded_table(200, 6, seed=19, gap_rate=0.15)
+
+
+def patch_forks(mp: pytest.MonkeyPatch) -> list:
+    """Give this process two CPUs and count its forks: returns the list that
+    collects the pid of every worker forked."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", counted)
+    mp.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
+    return pids
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids forked while the test runs, on two CPUs."""
+    return patch_forks(monkeypatch)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Two CPUs, and a fork fails the test."""
+
+    def refused():
+        raise AssertionError("selection forked")
+
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)

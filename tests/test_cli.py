@@ -41,14 +41,26 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 def test_import_loads_only_what_runs():
     # -S keeps site-packages from preloading modules, so the child sees what
     # importing the CLI itself loads. A trial seed takes the builtin SHA-256,
-    # so hashlib and its OpenSSL stay unloaded after one as well.
-    heavy = "{'dataclasses', 'inspect', 'hashlib', '_hashlib'}"
+    # so hashlib and its OpenSSL stay unloaded after one as well, and an
+    # impute that forks its selection loads no process or thread machinery.
+    heavy = (
+        "{'dataclasses', 'inspect', 'hashlib', '_hashlib',"
+        " 'multiprocessing', 'concurrent', 'pickle', 'threading'}"
+    )
     code = "\n".join([
-        "import hetimpute.cli, sys",
+        "import hetimpute.cli, os, sys",
         f"print(sorted({heavy} & set(sys.modules)))",
         "from hetimpute.evaluation import derive_trial_seed",
         "print(derive_trial_seed(0, 1, 1, 0))",
         f"print(sorted({heavy} & set(sys.modules)))",
+        "from hetimpute import ColumnKind, Crisp, DataMatrix, impute",
+        "rows = [(None if i % 5 else Crisp(i * 37 % 101 / 101), Crisp(i * 53 % 97 / 97))",
+        "        for i in range(200)]",
+        "forks, fork = [], os.fork",
+        "os.fork = lambda: forks.append(1) or fork()",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "impute(DataMatrix((ColumnKind.CRISP,) * 2, rows), 3)",
+        f"print(len(forks), sorted({heavy} & set(sys.modules)))",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
     run = subprocess.run(
@@ -56,7 +68,7 @@ def test_import_loads_only_what_runs():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n17714616561403392311\n[]\n"
+    assert run.stdout == "[]\n17714616561403392311\n[]\n1 []\n"
 
 
 def assert_one_line_data_error(run: subprocess.CompletedProcess) -> None:
@@ -415,6 +427,16 @@ class TestImputeCommand:
         )
         assert code == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_a_forked_selection_leaves_no_process(self, tmp_path, dense_matrix, forks):
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out.csv"
+        src.write_text(serialize(dense_matrix), encoding="utf-8")
+        assert main(["impute", "--input", str(src), "--output", str(out), "--k", "5"]) == 0
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert parse(out.read_text(encoding="utf-8")) == hetimpute.impute(dense_matrix, 5).matrix
 
 
 class TestBenchmarkCommand:

@@ -1,12 +1,17 @@
+import contextlib
+import errno
+import marshal
 import math
-import random
+import os
 import sys
+import threading
+import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from hetimpute import distances
+from hetimpute import distances, evaluation, imputer
 from hetimpute.core import (
     CellRef,
     ColumnKind,
@@ -25,6 +30,7 @@ from hetimpute.imputer import (
 )
 from hetimpute.typed_csv import parse, serialize
 
+from conftest import patch_forks, seeded_table
 from oracle import bf_candidate_distances, bf_weights
 from strategies import cell_values, matrices, raw_reals
 
@@ -363,10 +369,20 @@ def test_find_neighbors_agrees_with_bruteforce(m, k):
             assert [d.row for d in donors] == [j for _, j in ranked[:k]]
 
 
+@contextlib.contextmanager
+def forking():
+    """Thresholds so low that selection forks on any table of two or more
+    target rows, two CPUs, and the list of the pids forked meanwhile."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(imputer, "_FORK_MIN_TARGETS", 1)
+        mp.setattr(imputer, "_FORK_MIN_CELLS", 0)
+        yield patch_forks(mp)
+
+
 def assert_matches_oracle(m, k):
     # One selection pass per target row, shared by the row's gaps and
     # cutting rows short, must select exactly what a per-cell brute force
-    # selects, to the last bit.
+    # selects, to the last bit, in one process or split over two.
     result = impute(m, k)
     for ref in missing_cells(m):
         ranked = bf_candidate_distances(m, ref.row, ref.col)[:k]
@@ -377,9 +393,19 @@ def assert_matches_oracle(m, k):
         else:
             assert ref not in result.trace
             assert ref in result.unimputable
+    with forking() as forks:
+        assert impute(m, k) == result
+    assert len(forks) == (len({ref.row for ref in missing_cells(m)}) >= 2)
 
 
-@settings(max_examples=150, deadline=None)
+# The oracle properties report the first table that fails, unshrunk: on a
+# kernel that drops rows it should keep, shrinking took 70 s of a 124 s
+# failing run on the 8-row tables, and the 40-row ones ran past 400 s, where
+# finding a failure takes a few seconds.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
 @given(matrices(min_rows=2, max_rows=8), st.integers(1, 5))
 def test_impute_matches_oracle_bit_for_bit(m, k):
     assert_matches_oracle(m, k)
@@ -392,13 +418,13 @@ EXTREMES = [0.0, 5e-324, -5e-324, 1e-310, 2.0**-1000, 1e-160, 1.0, 1e150,
             1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 @given(matrices(min_rows=2, max_rows=40, elements=raw_reals()), st.integers(1, 5))
 def test_tall_tables_of_raw_floats_match_oracle_bit_for_bit(m, k):
     assert_matches_oracle(m, k)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 @given(
     matrices(min_rows=2, max_rows=40, elements=st.sampled_from(EXTREMES)),
     st.integers(1, 5),
@@ -407,7 +433,7 @@ def test_tall_tables_at_the_extremes_match_oracle_bit_for_bit(m, k):
     assert_matches_oracle(m, k)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 @given(
     matrices(min_rows=2, max_rows=40, elements=st.sampled_from([0.0, 1.0, 2.0])),
     st.integers(1, 5),
@@ -420,18 +446,8 @@ def test_rows_that_cannot_be_nearest_are_cut_short(monkeypatch):
     # Selection must stop summing a row once it cannot be among the k
     # nearest, so it evaluates fewer cell distances than a full pass over
     # every candidate row's shared columns would.
-    rng = random.Random(19)
-    kinds = [(Crisp, 1), (Interval, 2), (FuzzyTFN, 3)] * 2
-    rows = [
-        tuple(
-            None if rng.random() < 0.15
-            else cls(*sorted(rng.random() for _ in range(arity)))
-            for cls, arity in kinds
-        )
-        for _ in range(200)
-    ]
-    schema = (ColumnKind.CRISP, ColumnKind.INTERVAL, ColumnKind.FUZZY) * 2
-    m = DataMatrix(schema, tuple(rows))
+    m = seeded_table(200, 6, seed=19, gap_rate=0.15)
+    rows = m.cells
     full = 0
     for i, row in enumerate(rows):
         gaps = [l for l, a in enumerate(row) if a is None]
@@ -449,9 +465,148 @@ def test_rows_that_cannot_be_nearest_are_cut_short(monkeypatch):
 
     for kind, distance in list(distances._CELL_DISTANCE.items()):
         monkeypatch.setitem(distances._CELL_DISTANCE, kind, counted(distance))
+    # In one process, so that every evaluation is counted here.
+    monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 10**9)
     impute(m, 5)
     # A pass with no cut evaluates all of ``full``; this one about 73%.
     assert 0 < evaluated < 0.8 * full
+
+
+# -- selection split over forked workers -------------------------------------
+
+
+def serially(m, k):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(imputer, "_FORK_MIN_TARGETS", 10**9)
+        return impute(m, k)
+
+
+def test_a_dense_table_forks_at_the_default_thresholds(dense_matrix, forks):
+    result = impute(dense_matrix, 5)
+    assert len(forks) == 1
+    assert result == serially(dense_matrix, 5)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_two_gaps_in_a_tall_table_stay_serial(tall_text, no_fork):
+    m = parse(tall_text).with_cell(7, 1, None).with_cell(2900, 4, None)
+    assert set(impute(m, 5).trace) == {(7, 1), (2900, 4)}
+
+
+@pytest.mark.parametrize("rows, cols", [(30, 8), (250, 2)])
+def test_few_target_rows_of_a_small_table_stay_serial(no_fork, rows, cols):
+    # 24 target rows of these tables ran 0.53x and 0.61x as fast when forked.
+    m = seeded_table(rows, cols, seed=30, gap_rate=0.0)
+    for i in range(24):
+        m = m.with_cell(i, i % cols, None)
+    assert len(impute(m, 5).trace) == 24
+
+
+@pytest.mark.parametrize("table_terms", [2**18, 0], ids=["table", "no table"])
+def test_benchmark_sweep_trials_stay_serial(monkeypatch, no_fork, table_terms):
+    # The perfbench benchmark-sweep shape: 60 complete rows, k 1 to 5, 1 to 4 gaps.
+    m = seeded_table(60, 8, seed=60, gap_rate=0.0)
+    monkeypatch.setattr(evaluation, "_MAX_TABLE_TERMS", table_terms)
+    report = evaluation.benchmark(m, range(1, 6), range(1, 5), trials=10, seed=201)
+    assert len(report.trials) == 200
+
+
+@pytest.mark.parametrize("table_terms, forked", [(2**18, 0), (0, 1)], ids=["table", "no table"])
+def test_a_trial_forks_only_without_a_table(monkeypatch, forks, table_terms, forked):
+    # A worker's rows of the trials' shared table would not come back to the
+    # parent, so a trial large enough to fork stays serial while it keeps one.
+    m = seeded_table(200, 6, seed=7, gap_rate=0.0)
+    monkeypatch.setattr(evaluation, "_MAX_TABLE_TERMS", table_terms)
+    report = evaluation.benchmark(m, [5], [60], trials=1, seed=1)
+    assert len(forks) == forked
+    assert report.trials[0].error is not None
+
+
+def test_a_live_thread_keeps_selection_serial(dense_matrix, no_fork):
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert impute(dense_matrix, 5) == serially(dense_matrix, 5)
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_one_cpu_keeps_selection_serial(dense_matrix, no_fork, monkeypatch):
+    # The CPUs this process may run on, not the machine's.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert impute(dense_matrix, 5) == serially(dense_matrix, 5)
+
+
+def in_worker(parent_pid, act):
+    """Wrap ``imputer._nearest`` so that ``act()`` runs first in a worker."""
+    nearest = imputer._nearest
+
+    def wrapped(*args):
+        if os.getpid() != parent_pid:
+            act()
+        return nearest(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda: os._exit(3),
+        lambda: 1 / 0,
+        lambda: setattr(marshal, "dumps", lambda obj: b"[\x02"),
+    ],
+    ids=["exits nonzero", "raises", "replies short"],
+)
+def test_a_failed_worker_gives_the_serial_result(dense_matrix, forks, monkeypatch, fault):
+    expected = serially(dense_matrix, 5)
+    monkeypatch.setattr(imputer, "_nearest", in_worker(os.getpid(), fault))
+    assert impute(dense_matrix, 5) == expected
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_fork_that_fails_gives_the_serial_result(dense_matrix, monkeypatch):
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    expected = serially(dense_matrix, 5)
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
+    fd_dir = "/proc/self/fd"
+    before = sorted(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+    assert impute(dense_matrix, 5) == expected
+    if before is not None:  # both ends of the pipe are closed
+        assert sorted(os.listdir(fd_dir)) == before
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_parent_exception_kills_and_reaps_the_workers(dense_matrix, forks, monkeypatch, error):
+    parent = os.getpid()
+    nearest = imputer._nearest
+
+    def stuck(*args):
+        if os.getpid() != parent:  # a worker that would take 30 s
+            time.sleep(30)
+            os._exit(1)
+        if forks:  # the parent's first target row, after the fork
+            raise error("stop")
+        return nearest(*args)
+
+    monkeypatch.setattr(imputer, "_nearest", stuck)
+    start = time.monotonic()
+    with pytest.raises(error):
+        impute(dense_matrix, 5)
+    assert time.monotonic() - start < 10
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @settings(max_examples=100, deadline=None)
