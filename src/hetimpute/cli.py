@@ -89,8 +89,7 @@ def _targets(paths: Iterable[Path]) -> list[_Target]:
         try:
             try:
                 st = os.stat(path)
-            except FileNotFoundError:
-                os.stat(os.path.dirname(real))  # raises when the parent is missing
+            except FileNotFoundError:  # a missing parent fails the probe below
                 st = None
             if st is None:
                 umask = os.umask(0)

@@ -6,8 +6,8 @@ farther rows short, weight them by inverse distance, and fill the cell with
 the component-wise convex combination of their values. The donor pool is
 the matrix as passed in, frozen for the whole pass, so cells never see each
 other's freshly imputed values and the result is independent of evaluation
-order. On POSIX, ``impute`` may fork short-lived workers that select the
-donors of some target rows on other CPUs; they are reaped before it returns.
+order. On POSIX, ``impute`` may fork workers that select donors on other CPUs
+and reaps them before it returns; it selects a share itself if no whole reply came.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import marshal
 import math
 import os
 from contextlib import suppress
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import CellRef, CellValue, DataMatrix, _with_cells, components, missing_cells
 from .distances import _CellTerms, _nearest
@@ -131,7 +131,19 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
     for ref in missing_cells(matrix):
         gaps.setdefault(ref.row, []).append(ref)
         missing[ref.col].add(ref.row)
-    selected = _select(matrix, list(gaps.items()), missing, k, terms)
+    def select(targets: list) -> Iterator[list]:  # over the rows that observe a gap
+        for i, refs in targets:
+            excluded = set.intersection(*(missing[ref.col] for ref in refs))
+            rows = [j for j in range(matrix.n_rows) if j not in excluded]
+            yield _nearest(matrix, i, [ref.col for ref in refs], rows, k, terms)
+
+    # Fork only if it pays, on POSIX, with no other Python thread, onto more
+    # CPUs than one, and not with ``terms``: a worker's rows would be lost.
+    p = len(gaps) // _FORK_MIN_TARGETS
+    forks = (p >= 2 and len(gaps) * matrix.n_rows * matrix.n_cols >= _FORK_MIN_CELLS
+             and terms is None and hasattr(os, "fork") and not _thread._count())
+    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
+    selected = _map_shares(select, list(gaps.items()), min(p, len(cpus(0))) if forks else 1)
     for refs, nearest in zip(gaps.values(), selected):
         for ref, chosen in zip(refs, nearest):
             if not chosen:
@@ -148,52 +160,48 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
     return ImputationResult(completed, trace, tuple(missing_cells(completed)))
 
 
-def _select(matrix: DataMatrix, targets: list, missing: list, k: int, terms) -> Iterable:
-    """``_nearest`` of each ``(row, refs)`` of ``targets``, in order, over the
-    rows that observe one of the row's gaps. Forked worker w of p selects every
-    p-th target from the w-th and replies by ``marshal``, which keeps float
-    bits; the parent selects the rest, and reaps every worker before it returns."""
-
-    def select(share: list) -> Iterator[list]:
-        for i, refs in share:
-            excluded = set.intersection(*(missing[ref.col] for ref in refs))
-            rows = [j for j in range(matrix.n_rows) if j not in excluded]
-            yield _nearest(matrix, i, [ref.col for ref in refs], rows, k, terms)
-
-    # Fork only if it pays, on POSIX, with no other Python thread, onto more
-    # CPUs than one, and not with ``terms``: a worker's rows would be lost.
-    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
-    p = len(targets) // _FORK_MIN_TARGETS
-    if (p < 2 or len(targets) * matrix.n_rows * matrix.n_cols < _FORK_MIN_CELLS
-            or terms is not None or not hasattr(os, "fork") or _thread._count()
-            or len(cpus(0)) < 2):
-        return select(targets)
-    p = min(p, len(cpus(0)))
-    nearest: list = [None] * len(targets)
-    workers = {}  # share -> (pid or None, read end of its pipe)
+def _map_shares(function: Callable[[list], Iterable], items: list, p: int) -> Iterable:
+    """``function``, which maps a list item by item, over ``items``: with p < 2,
+    ``function(items)`` itself; else forked worker w of p maps ``items[w::p]``
+    and replies by ``marshal``, which keeps float bits, and the parent maps the
+    rest. A worker that replied has exited and is only reaped. One that has not
+    gets SIGKILL if the parent raises; with SIGCHLD ignored, its pid may be reused."""
+    if p < 2:
+        return function(items)
+    results: list = [None] * len(items)
+    workers = {}  # share -> (pid, read end of its pipe) until it replies
     try:
         for w in range(1, p):
-            r, out = os.pipe()
-            pid = None  # no worker, so an empty reply: the parent selects the share
-            with suppress(OSError):
+            fds = ()
+            try:
+                fds = r, out = os.pipe()
                 pid = os.fork()
+            except OSError:  # no file descriptor or process left: the parent maps the share
+                for fd in fds:
+                    os.close(fd)
+                continue
             if pid == 0:  # the worker: it replies and leaves, whatever happens
                 try:
-                    os.write(out, marshal.dumps(list(select(targets[w::p]))))
+                    os.write(out, marshal.dumps(list(function(items[w::p]))))
                 finally:
                     os._exit(0)
             os.close(out)
             workers[w] = pid, open(r, "rb")
         for w in range(p):
-            # No worker, or a reply cut short or of another length: select here.
-            with suppress(KeyError, EOFError, ValueError, TypeError):
-                nearest[w::p] = marshal.loads(workers[w][1].read())
-                continue
-            nearest[w::p] = select(targets[w::p])
+            reply = b""  # no worker: the parent maps the share
+            if w in workers:
+                with workers[w][1] as pipe:
+                    reply = pipe.read()  # to its end, so the worker has exited
+                with suppress(ChildProcessError):  # reaped already if SIGCHLD is ignored
+                    os.waitpid(workers.pop(w)[0], 0)
+            try:
+                results[w::p] = marshal.loads(reply)
+            except (EOFError, ValueError, TypeError):  # none, cut short or of another length
+                results[w::p] = function(items[w::p])
     finally:
-        for pid, pipe in workers.values():
+        for pid, pipe in workers.values():  # only if the parent raised
             pipe.close()
-            if pid:
-                os.kill(pid, 9)  # SIGKILL, a no-op once the worker has exited
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, 9)  # SIGKILL
                 os.waitpid(pid, 0)
-    return nearest
+    return results

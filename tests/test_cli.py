@@ -438,6 +438,32 @@ class TestImputeCommand:
             os.waitpid(-1, os.WNOHANG)
         assert parse(out.read_text(encoding="utf-8")) == hetimpute.impute(dense_matrix, 5).matrix
 
+    def test_an_ignored_sigchld_gives_the_normal_bytes(self, tmp_path, dense_matrix):
+        # With SIGCHLD ignored, the kernel reaps each worker as it exits, so
+        # the parent may find no child left to wait for or to signal.
+        src = tmp_path / "in.csv"
+        src.write_text(serialize(dense_matrix), encoding="utf-8")
+        args = ["impute", "--input", str(src), "--k", "5", "--output"]
+        assert run_cli(*args, str(tmp_path / "normal.csv")).returncode == 0
+        code = "\n".join([
+            "import os, runpy, signal",
+            "signal.signal(signal.SIGCHLD, signal.SIG_IGN)",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            "forks, fork = [], os.fork",
+            "os.fork = lambda: forks.append(1) or fork()",
+            "try:",
+            "    runpy.run_module('hetimpute.cli', run_name='__main__', alter_sys=True)",
+            "finally:",
+            "    print(len(forks))",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code, *args, str(tmp_path / "ignored.csv")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (run.returncode, run.stderr, run.stdout) == (0, "", "1\n")
+        assert (tmp_path / "ignored.csv").read_bytes() == (tmp_path / "normal.csv").read_bytes()
+
 
 class TestBenchmarkCommand:
     def test_deterministic_outputs(self, tmp_path, capsys):

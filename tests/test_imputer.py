@@ -572,18 +572,35 @@ def test_a_failed_worker_gives_the_serial_result(dense_matrix, forks, monkeypatc
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_fork_that_fails_gives_the_serial_result(dense_matrix, monkeypatch):
+@pytest.mark.parametrize(
+    "call, error",
+    [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+    ids=["fork refused", "pipe refused"],
+)
+def test_a_fork_that_fails_gives_the_serial_result(dense_matrix, monkeypatch, call, error):
     def refused():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        raise OSError(error, os.strerror(error))
 
     expected = serially(dense_matrix, 5)
-    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(os, call, refused)
     monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
     fd_dir = "/proc/self/fd"
     before = sorted(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
     assert impute(dense_matrix, 5) == expected
     if before is not None:  # both ends of the pipe are closed
         assert sorted(os.listdir(fd_dir)) == before
+
+
+def test_a_worker_that_replied_is_not_signalled(dense_matrix, forks, monkeypatch):
+    # It has exited, so it is only reaped: with SIGCHLD ignored its pid may
+    # already belong to another process.
+    signalled = []
+    monkeypatch.setattr(os, "kill", lambda *args: signalled.append(args))
+    assert impute(dense_matrix, 5) == serially(dense_matrix, 5)
+    assert len(forks) == 1
+    assert signalled == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
