@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     CellValue,
@@ -86,7 +86,7 @@ class _CellTerms(dict):
 
 def _nearest(
     matrix: DataMatrix, i: int, gaps: Sequence[int], rows: Iterable[int], k: int,
-    terms: _CellTerms | None,
+    terms: _CellTerms | None, functions: Sequence[Callable],
 ) -> list[list[tuple[float, int]]]:
     """For each column of ``gaps``, the ``(distance, row)`` of the k rows of
     ``rows`` (ascending) nearest to row i that observe it, nearest first;
@@ -94,12 +94,13 @@ def _nearest(
     k rows per gap and stops summing a row once it cannot enter any. Each cell
     distance is read from ``terms`` when given (a table of a matrix that
     differs from ``matrix`` only in cells that are gaps here), else
-    computed, and added in schema order, so every bit matches a pairwise
-    evaluation. Rows sharing no observed column with row i are left out.
+    computed by ``functions``, one per column, and added in schema order, so
+    every bit matches a pairwise evaluation. Rows sharing no observed column
+    with row i are left out.
     """
     columns = [
-        (l, a, _CELL_DISTANCE[kind])
-        for l, (a, kind) in enumerate(zip(matrix.cells[i], matrix.schema))
+        (l, a, distance)
+        for l, (a, distance) in enumerate(zip(matrix.cells[i], functions))
         if a is not None
     ]
     c = len(columns)

@@ -7,7 +7,8 @@ original and the completed matrix, divided by the n*m cell count; unmasked
 cells contribute 0. Sweeping k and the number of masked cells over many
 seeded trials yields the per-trial errors and per-k box-plot statistics
 used for reporting. Every trial masks the same complete matrix, so one
-lazily filled table of its per-column cell distances serves all trials.
+lazily filled table of its per-column cell distances serves all trials
+(filled up front for the rows they mask when they fork onto other CPUs).
 
 Every random choice flows from explicit integer seeds; per-trial seeds are
 derived by hashing (seed, k, count, trial), so any single trial can be
@@ -22,7 +23,7 @@ import itertools
 import math
 import operator
 import random
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # The builtin SHA-256, as random imports its SHA-512: hashlib would load
 # OpenSSL (about 3.5 MB of RSS) for one short digest per trial.
@@ -35,12 +36,20 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .core import CellRef, DataMatrix, _with_cells
-from .distances import _CellTerms, cell_distance
-from .imputer import _impute
+from .distances import _CELL_DISTANCE, _CellTerms
+from .imputer import _impute, _map_shares, _processes
 
 #: The most per-column cell distances (n*n*m) for which ``benchmark`` keeps
 #: a table; full, it takes about 19 bytes a term (about 5 MB at the cap).
 _MAX_TABLE_TERMS = 2**18
+
+#: ``benchmark`` forks only with this many masked cells per process, summed
+#: over its distinct imputations. Two processes against one (2-core Xeon VM,
+#: Python 3.11, median of 31 calls), masked cells on rows x columns: 135 on 3x3
+#: 0.80x, 288 on 3x3 1.07x; 142 on 5x3 0.89x, 237 on 5x3 1.00x, 468 on 5x3
+#: 1.21x; 150 on 30x4 0.99x, 200 on 30x4 1.16x; 100 on 60x8 0.89x, 150 on 60x8
+#: 1.08x, 500 on 60x8 1.28x; 90 on 200x6 0.99x, 195 on 200x6 1.08x.
+_FORK_MIN_MASKED = 100
 
 
 class Summary(NamedTuple):
@@ -78,6 +87,12 @@ def mask_random(
     each, so no row loses more than one value. Returns the masked matrix and
     the masked cells in row-major order. Same arguments, same pattern.
     """
+    refs = _mask_cells(matrix, count, seed)
+    return _with_cells(matrix, dict.fromkeys(refs)), refs
+
+
+def _mask_cells(matrix: DataMatrix, count: int, seed: int) -> tuple[CellRef, ...]:
+    """The cells ``mask_random`` masks, with its checks."""
     if count > matrix.n_rows:
         raise ValueError(
             f"cannot mask {count} cells with at most one per row "
@@ -89,8 +104,7 @@ def mask_random(
         raise ValueError("masking expects a complete matrix")
     rng = random.Random(seed)
     rows = rng.sample(range(matrix.n_rows), count)
-    refs = tuple(sorted(CellRef(r, rng.randrange(matrix.n_cols)) for r in rows))
-    return _with_cells(matrix, dict.fromkeys(refs)), refs
+    return tuple(sorted(CellRef(r, rng.randrange(matrix.n_cols)) for r in rows))
 
 
 def matrix_error(original: DataMatrix, imputed: DataMatrix) -> float:
@@ -101,11 +115,10 @@ def matrix_error(original: DataMatrix, imputed: DataMatrix) -> float:
     so with a single imputed cell this is exactly that cell's distance to
     the truth over the cell count.
     """
-    if (
-        original.n_rows != imputed.n_rows
-        or original.schema != imputed.schema
-    ):
+    if original.n_rows != imputed.n_rows or original.schema != imputed.schema:
         raise ValueError("matrices must share shape and schema")
+    if not (original.is_complete() and imputed.is_complete()):
+        raise ValueError("matrix_error expects two complete matrices")
     cells = itertools.product(range(original.n_rows), range(original.n_cols))
     return _error(original, imputed, cells)
 
@@ -118,11 +131,10 @@ def _error(
     Given in row-major order and leaving out only cells at distance 0 (the
     unmasked cells of a finite table), it keeps the bits of the full sum.
     """
+    functions = [_CELL_DISTANCE[kind] for kind in original.schema]
     total = 0.0
     for i, l in cells:
-        d = cell_distance(
-            original.cells[i][l], imputed.cells[i][l], original.schema[l]
-        )
+        d = functions[l](original.cells[i][l], imputed.cells[i][l])
         total += d * d
     return math.sqrt(total) / (original.n_rows * original.n_cols)
 
@@ -168,34 +180,38 @@ def benchmark(
 
     Trials where some cell could not be imputed are kept in the per-trial
     records with error None but excluded from the summaries. Per-k summaries
-    aggregate the errors of all missing counts for that k. ``mask_random``
-    rejects an incomplete matrix and a count above the row count.
-    Every trial reads its cell distances from one table of ``matrix``,
-    filled lazily, unless it would hold over ``_MAX_TABLE_TERMS`` terms.
+    aggregate the errors of all missing counts for that k. ``mask_random``'s
+    checks run on every trial's cells before any work. Each distinct (k,
+    cells) is imputed once, from one table of ``matrix`` unless it would
+    hold over ``_MAX_TABLE_TERMS`` terms. With a table, enough masked cells
+    fork workers on other CPUs, and the table is filled up front for them.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     n, m = matrix.n_rows, matrix.n_cols
+    plan = [(k, [(c, t, _mask_cells(matrix, c, derive_trial_seed(seed, k, c, t)))
+                 for c in missing_counts for t in range(trials)]) for k in k_values]
+    keys = list(dict.fromkeys((k, refs) for k, cells in plan for *_, refs in cells))
     terms = _CellTerms(matrix) if n * n * m <= _MAX_TABLE_TERMS else None
+    masked = sum(len(refs) for _, refs in keys)
+    p = _processes(min(len(keys), masked // _FORK_MIN_MASKED), terms is not None)
+    if p > 1:  # a row of the table that a worker filled would be lost
+        for i in {ref.row for _, refs in keys for ref in refs}:
+            terms[i]
+
+    def score(keys: list) -> Iterator[Optional[float]]:
+        for k, refs in keys:
+            result = _impute(_with_cells(matrix, dict.fromkeys(refs)), k, terms)
+            # Only the masked cells differ, so they carry the score.
+            yield None if result.unimputable else _error(matrix, result.matrix, refs)
+
+    errors = dict(zip(keys, _map_shares(score, keys, p)))
     k_summaries: dict[int, Summary] = {}
     records: list[TrialRecord] = []
-    for k in k_values:
-        errors: list[float] = []
-        for count in missing_counts:
-            for trial in range(trials):
-                trial_seed = derive_trial_seed(seed, k, count, trial)
-                masked, refs = mask_random(matrix, count, trial_seed)
-                result = _impute(masked, k, terms)
-                error = None
-                if not result.unimputable:
-                    # Only the masked cells differ, so they carry the score.
-                    error = _error(matrix, result.matrix, refs)
-                    errors.append(error)
-                records.append(TrialRecord(k, count, trial, error))
-        if errors:
-            k_summaries[k] = summarize(errors)
-    return BenchmarkReport(
-        dataset_name=dataset_name,
-        k_summaries=k_summaries,
-        trials=tuple(records),
-    )
+    for k, cells in plan:
+        found = [errors[k, refs] for *_, refs in cells]
+        records += [TrialRecord(k, c, t, e) for (c, t, _), e in zip(cells, found)]
+        scored = [e for e in found if e is not None]
+        if scored:
+            k_summaries[k] = summarize(scored)
+    return BenchmarkReport(dataset_name, k_summaries, tuple(records))

@@ -20,7 +20,7 @@ from contextlib import suppress
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import CellRef, CellValue, DataMatrix, _with_cells, components, missing_cells
-from .distances import _CellTerms, _nearest
+from .distances import _CELL_DISTANCE, _CellTerms, _nearest
 
 #: Distances below this are treated as exact matches when weighting.
 ZERO_DISTANCE_EPS = 1e-12
@@ -131,19 +131,17 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
     for ref in missing_cells(matrix):
         gaps.setdefault(ref.row, []).append(ref)
         missing[ref.col].add(ref.row)
+    functions = [_CELL_DISTANCE[kind] for kind in matrix.schema]
     def select(targets: list) -> Iterator[list]:  # over the rows that observe a gap
         for i, refs in targets:
             excluded = set.intersection(*(missing[ref.col] for ref in refs))
             rows = [j for j in range(matrix.n_rows) if j not in excluded]
-            yield _nearest(matrix, i, [ref.col for ref in refs], rows, k, terms)
+            yield _nearest(matrix, i, [ref.col for ref in refs], rows, k, terms, functions)
 
-    # Fork only if it pays, on POSIX, with no other Python thread, onto more
-    # CPUs than one, and not with ``terms``: a worker's rows would be lost.
-    p = len(gaps) // _FORK_MIN_TARGETS
-    forks = (p >= 2 and len(gaps) * matrix.n_rows * matrix.n_cols >= _FORK_MIN_CELLS
-             and terms is None and hasattr(os, "fork") and not _thread._count())
-    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
-    selected = _map_shares(select, list(gaps.items()), min(p, len(cpus(0))) if forks else 1)
+    # Not with ``terms``: a worker's rows would be lost, and a benchmark's workers use it.
+    p = _processes(len(gaps) // _FORK_MIN_TARGETS, terms is None
+                   and len(gaps) * matrix.n_rows * matrix.n_cols >= _FORK_MIN_CELLS)
+    selected = _map_shares(select, list(gaps.items()), p)
     for refs, nearest in zip(gaps.values(), selected):
         for ref, chosen in zip(refs, nearest):
             if not chosen:
@@ -158,6 +156,15 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
     # The cells left None are exactly those without donors.
     completed = _with_cells(matrix, filled)
     return ImputationResult(completed, trace, tuple(missing_cells(completed)))
+
+
+def _processes(p: int, pays: bool) -> int:
+    """p, at most one per CPU this process may run on, if p >= 2, the work
+    ``pays`` for the forks, on POSIX and with no other Python thread; else 1."""
+    if p < 2 or not pays or not hasattr(os, "fork") or _thread._count():
+        return 1
+    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
+    return min(p, len(cpus(0)))
 
 
 def _map_shares(function: Callable[[list], Iterable], items: list, p: int) -> Iterable:

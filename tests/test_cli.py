@@ -42,7 +42,8 @@ def test_import_loads_only_what_runs():
     # -S keeps site-packages from preloading modules, so the child sees what
     # importing the CLI itself loads. A trial seed takes the builtin SHA-256,
     # so hashlib and its OpenSSL stay unloaded after one as well, and an
-    # impute that forks its selection loads no process or thread machinery.
+    # impute that forks its selection, or a benchmark that forks its
+    # imputations, loads no process or thread machinery.
     heavy = (
         "{'dataclasses', 'inspect', 'hashlib', '_hashlib',"
         " 'multiprocessing', 'concurrent', 'pickle', 'threading'}"
@@ -61,6 +62,9 @@ def test_import_loads_only_what_runs():
         "os.sched_getaffinity = lambda pid: {0, 1}",
         "impute(DataMatrix((ColumnKind.CRISP,) * 2, rows), 3)",
         f"print(len(forks), sorted({heavy} & set(sys.modules)))",
+        "from hetimpute import benchmark, fixture",
+        "benchmark(fixture('case3'), range(1, 5), range(1, 6), 20, 0)",
+        f"print(len(forks), sorted({heavy} & set(sys.modules)))",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
     run = subprocess.run(
@@ -68,7 +72,7 @@ def test_import_loads_only_what_runs():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n17714616561403392311\n[]\n1 []\n"
+    assert run.stdout == "[]\n17714616561403392311\n[]\n1 []\n2 []\n"
 
 
 def assert_one_line_data_error(run: subprocess.CompletedProcess) -> None:
@@ -440,11 +444,15 @@ class TestImputeCommand:
 
     def test_an_ignored_sigchld_gives_the_normal_bytes(self, tmp_path, dense_matrix):
         # With SIGCHLD ignored, the kernel reaps each worker as it exits, so
-        # the parent may find no child left to wait for or to signal.
+        # the parent may find no child left to wait for or to signal. The
+        # impute forks its selection, the benchmark its imputations.
         src = tmp_path / "in.csv"
         src.write_text(serialize(dense_matrix), encoding="utf-8")
-        args = ["impute", "--input", str(src), "--k", "5", "--output"]
-        assert run_cli(*args, str(tmp_path / "normal.csv")).returncode == 0
+        commands = {
+            "impute": ["impute", "--input", str(src), "--k", "5"],
+            "benchmark": ["benchmark", "--fixture", "case3", "--k-min", "1", "--k-max", "4",
+                          "--nan-min", "1", "--nan-max", "5", "--trials", "20"],
+        }
         code = "\n".join([
             "import os, runpy, signal",
             "signal.signal(signal.SIGCHLD, signal.SIG_IGN)",
@@ -457,12 +465,17 @@ class TestImputeCommand:
             "    print(len(forks))",
         ])
         env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
-        run = subprocess.run(
-            [sys.executable, "-c", code, *args, str(tmp_path / "ignored.csv")],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert (run.returncode, run.stderr, run.stdout) == (0, "", "1\n")
-        assert (tmp_path / "ignored.csv").read_bytes() == (tmp_path / "normal.csv").read_bytes()
+        for name, args in commands.items():
+            normal = run_cli(*args, "--output", str(tmp_path / f"{name}.normal.csv"))
+            assert normal.returncode == 0
+            run = subprocess.run(
+                [sys.executable, "-c", code, *args, "--output", str(tmp_path / f"{name}.csv")],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (run.returncode, run.stderr, run.stdout) == (0, "", normal.stdout + "1\n")
+            for suffix in [".csv", ".summary.csv"] if name == "benchmark" else [".csv"]:
+                written = (tmp_path / f"{name}{suffix}").read_bytes()
+                assert written == (tmp_path / f"{name}.normal{suffix}").read_bytes()
 
 
 class TestBenchmarkCommand:

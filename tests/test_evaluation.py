@@ -1,11 +1,14 @@
+import errno
+import marshal
 import math
+import os
 import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetimpute import distances, evaluation
+from hetimpute import distances, evaluation, imputer
 from hetimpute.core import (
     CellRef,
     ColumnKind,
@@ -15,6 +18,7 @@ from hetimpute.core import (
     Interval,
     Missing,
     components,
+    missing_cells,
 )
 from hetimpute.evaluation import (
     benchmark,
@@ -27,6 +31,7 @@ from hetimpute.distances import cell_distance
 from hetimpute.fixtures import fixture
 from hetimpute.imputer import impute
 
+from conftest import patch_forks, seeded_table
 from oracle import bf_candidate_distances, bf_cell_distance, bf_weights
 from strategies import complete_matrices, raw_reals
 
@@ -106,6 +111,12 @@ class TestMatrixError:
         other = fixture("case3")
         with pytest.raises(ValueError):
             matrix_error(case1, other)
+
+    def test_a_gap_is_rejected(self, case1, case1_masked):
+        with pytest.raises(ValueError):
+            matrix_error(case1, case1_masked)
+        with pytest.raises(ValueError):
+            matrix_error(case1_masked, case1)
 
     def test_restoring_a_cell_never_increases_error(self, case1, case1_masked):
         completed = impute(case1_masked, k=2).matrix
@@ -207,6 +218,18 @@ class TestBenchmark:
             assert report.k_summaries[k] == summarize(pooled)
         errors = [r.error for r in report.trials if r.error is not None]
         assert errors and all(e >= 0.0 for e in errors)
+
+    def test_k_values_are_read_once_in_their_order(self):
+        # An iterator of k values, one of them twice: one summary per k, in
+        # first-seen order, of one pass's errors (here a summary of two
+        # passes' would differ), and each pass's trials in the order given.
+        m = fixture("case3")
+        one = {k: benchmark(m, [k], [1, 2], trials=5, seed=9) for k in (1, 2)}
+        report = benchmark(m, iter([2, 1, 2]), [1, 2], trials=5, seed=9)
+        assert list(report.k_summaries.items()) == [
+            (2, one[2].k_summaries[2]), (1, one[1].k_summaries[1])
+        ]
+        assert report.trials == one[2].trials + one[1].trials + one[2].trials
 
     def test_trial_records_cover_grid(self, case1):
         report = benchmark(case1, [1], [0, 1], trials=4, seed=1)
@@ -349,3 +372,140 @@ def test_benchmark_keeps_no_table_across_calls(monkeypatch):
     for rec in after.trials:
         trial_seed = derive_trial_seed(2, rec.k, rec.missing_count, rec.trial)
         assert rec.error == _bf_trial_error(m2, rec.k, rec.missing_count, trial_seed)
+
+
+# -- distinct imputations split over forked workers ---------------------------
+
+
+def serial_benchmark(*args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_FORK_MIN_MASKED", 10**9)
+        return benchmark(*args)
+
+
+def distinct_masks(m, ks, counts, trials, seed):
+    """The distinct (k, masked cells) of a benchmark's trials."""
+    return {
+        (k, mask_random(m, count, derive_trial_seed(seed, k, count, trial))[1])
+        for k in ks for count in counts for trial in range(trials)
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(complete_matrices(min_rows=2, max_rows=6), st.data())
+def test_a_benchmark_of_two_imputations_forks_and_matches_oracle(m, data):
+    # With one masked cell per process enough, any benchmark of two or more
+    # distinct imputations forks, and must give the one-process report bit
+    # for bit, trial by trial as the brute force does.
+    ks = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    counts = data.draw(st.lists(st.integers(1, m.n_rows), min_size=1, max_size=3))
+    args = (m, ks, counts, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**32)))
+    expected = serial_benchmark(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_FORK_MIN_MASKED", 1)
+        forks = patch_forks(mp)
+        report = benchmark(*args)
+    assert len(forks) == (len(distinct_masks(*args)) >= 2)
+    assert report == expected
+    for rec in report.trials:
+        trial_seed = derive_trial_seed(args[4], rec.k, rec.missing_count, rec.trial)
+        assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
+
+
+def test_each_distinct_mask_is_imputed_once(monkeypatch, no_fork, case1):
+    # case1's 3000 trials at 500 per (k, count) hold 126 distinct masks.
+    calls = []
+    impute_masked = evaluation._impute
+
+    def counted(masked, k, terms):
+        calls.append((k, tuple(missing_cells(masked))))
+        return impute_masked(masked, k, terms)
+
+    monkeypatch.setattr(evaluation, "_impute", counted)
+    monkeypatch.setattr(evaluation, "_FORK_MIN_MASKED", 10**9)  # count in this process
+    report = benchmark(case1, [1, 2], [1, 2, 3], 500, 0)
+    assert len(report.trials) == 3000
+    assert len(calls) == len(set(calls)) == 126
+    assert set(calls) == distinct_masks(case1, [1, 2], [1, 2, 3], 500, 0)
+
+
+@pytest.mark.parametrize("trials, forked", [(3, 0), (4, 1)])
+def test_a_benchmark_forks_from_100_masked_cells_per_process(forks, trials, forked):
+    # The perfbench benchmark-sweep shape masks 50 distinct cells a trial.
+    args = (seeded_table(60, 8, seed=60, gap_rate=0.0), range(1, 6), range(1, 5), trials, 1)
+    assert sum(len(refs) for _, refs in distinct_masks(*args)) == 50 * trials
+    benchmark(*args)
+    assert len(forks) == forked
+
+
+def test_workers_read_the_rows_the_parent_filled(monkeypatch, tmp_path, forks):
+    # Every row of the table that a trial needs is filled before the fork:
+    # a row a worker filled would be lost to the parent and the other workers.
+    log, fill = tmp_path / "fills", distances._CellTerms.__missing__
+
+    def logged(terms, i):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()}\n")
+        return fill(terms, i)
+
+    monkeypatch.setattr(distances._CellTerms, "__missing__", logged)
+    m = fixture("case3")
+    benchmark(m, range(1, 5), range(1, 6), 20, 3)
+    assert len(forks) == 1
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * m.n_rows
+
+
+@pytest.mark.parametrize("fault", ["fork refused", "pipe refused", "replies short"])
+def test_a_failed_fork_or_reply_gives_the_serial_report(monkeypatch, fault):
+    # case3 at 20 trials masks 1105 cells over 343 distinct imputations, so
+    # it forks at the default thresholds.
+    args = (fixture("case3"), range(1, 5), range(1, 6), 20, 3)
+    expected = serial_benchmark(*args)
+    forks = patch_forks(monkeypatch)
+    if fault == "replies short":
+        parent, impute_masked = os.getpid(), evaluation._impute
+
+        def short(*a):
+            if os.getpid() != parent:
+                marshal.dumps = lambda obj: b"[\x02"
+            return impute_masked(*a)
+
+        monkeypatch.setattr(evaluation, "_impute", short)
+    else:
+        call, error = {"fork refused": ("fork", errno.EAGAIN),
+                       "pipe refused": ("pipe", errno.EMFILE)}[fault]
+
+        def refused():
+            raise OSError(error, os.strerror(error))
+
+        monkeypatch.setattr(os, call, refused)
+    assert benchmark(*args) == expected
+    assert len(forks) == (fault == "replies short")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("table_terms", [2**18, 0], ids=["table", "no table"])
+def test_a_benchmark_forks_only_from_its_own_process(monkeypatch, tmp_path, table_terms):
+    # Selection would fork for any trial of two masked cells. With a table,
+    # the benchmark's one worker imputes its share without forking again;
+    # without one, each distinct imputation forks its selection from here.
+    args = (fixture("case3"), [1, 2], [2, 3], 3, 5)
+    expected = serial_benchmark(*args)
+    log, fork = tmp_path / "forks", os.fork
+
+    def logged():
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()}\n")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", logged)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
+    monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 1)
+    monkeypatch.setattr(imputer, "_FORK_MIN_CELLS", 0)
+    monkeypatch.setattr(evaluation, "_FORK_MIN_MASKED", 1)
+    monkeypatch.setattr(evaluation, "_MAX_TABLE_TERMS", table_terms)
+    assert benchmark(*args) == expected
+    pids = log.read_text(encoding="utf-8").split()
+    assert set(pids) == {str(os.getpid())}
+    assert len(pids) == (1 if table_terms else len(distinct_masks(*args)))

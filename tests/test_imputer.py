@@ -503,13 +503,22 @@ def test_few_target_rows_of_a_small_table_stay_serial(no_fork, rows, cols):
     assert len(impute(m, 5).trace) == 24
 
 
-@pytest.mark.parametrize("table_terms", [2**18, 0], ids=["table", "no table"])
-def test_benchmark_sweep_trials_stay_serial(monkeypatch, no_fork, table_terms):
-    # The perfbench benchmark-sweep shape: 60 complete rows, k 1 to 5, 1 to 4 gaps.
+@pytest.mark.parametrize("table_terms, forked", [(2**18, 1), (0, 0)], ids=["table", "no table"])
+def test_benchmark_sweep_trials_stay_serial(monkeypatch, forks, table_terms, forked):
+    # The perfbench benchmark-sweep shape: 60 complete rows, k 1 to 5, 1 to 4
+    # gaps. No trial forks its selection; with a table, the benchmark forks one
+    # worker that imputes a share of the trials.
     m = seeded_table(60, 8, seed=60, gap_rate=0.0)
     monkeypatch.setattr(evaluation, "_MAX_TABLE_TERMS", table_terms)
-    report = evaluation.benchmark(m, range(1, 6), range(1, 5), trials=10, seed=201)
+    args = (m, range(1, 6), range(1, 5), 10, 201)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_FORK_MIN_MASKED", 10**9)
+        expected = evaluation.benchmark(*args)
+    assert forks == []
+    report = evaluation.benchmark(*args)
     assert len(report.trials) == 200
+    assert len(forks) == forked
+    assert report == expected
 
 
 @pytest.mark.parametrize("table_terms, forked", [(2**18, 0), (0, 1)], ids=["table", "no table"])
