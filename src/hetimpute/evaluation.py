@@ -36,7 +36,7 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .core import CellRef, DataMatrix, _with_cells
-from .distances import _CELL_DISTANCE, _CellTerms
+from .distances import _CELL_DISTANCE, _KERNELS, _CellTerms
 from .imputer import _impute, _map_shares, _processes
 
 #: The most per-column cell distances (n*n*m) for which ``benchmark`` keeps
@@ -198,6 +198,7 @@ def benchmark(
     if p > 1:  # a row of the table that a worker filled would be lost
         for i in {ref.row for _, refs in keys for ref in refs}:
             terms[i]
+        _KERNELS[matrix.schema, True]  # compiled once, not in each worker
 
     def score(keys: list) -> Iterator[Optional[float]]:
         for k, refs in keys:

@@ -20,7 +20,7 @@ from contextlib import suppress
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import CellRef, CellValue, DataMatrix, _with_cells, components, missing_cells
-from .distances import _CELL_DISTANCE, _CellTerms, _nearest
+from .distances import _KERNELS, _CellTerms, _nearest
 
 #: Distances below this are treated as exact matches when weighting.
 ZERO_DISTANCE_EPS = 1e-12
@@ -131,16 +131,16 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
     for ref in missing_cells(matrix):
         gaps.setdefault(ref.row, []).append(ref)
         missing[ref.col].add(ref.row)
-    functions = [_CELL_DISTANCE[kind] for kind in matrix.schema]
     def select(targets: list) -> Iterator[list]:  # over the rows that observe a gap
         for i, refs in targets:
             excluded = set.intersection(*(missing[ref.col] for ref in refs))
             rows = [j for j in range(matrix.n_rows) if j not in excluded]
-            yield _nearest(matrix, i, [ref.col for ref in refs], rows, k, terms, functions)
+            yield _nearest(matrix, i, [ref.col for ref in refs], rows, k, terms)
 
     # Not with ``terms``: a worker's rows would be lost, and a benchmark's workers use it.
     p = _processes(len(gaps) // _FORK_MIN_TARGETS, terms is None
                    and len(gaps) * matrix.n_rows * matrix.n_cols >= _FORK_MIN_CELLS)
+    _KERNELS[matrix.schema, terms is not None]  # compiled once, before any fork
     selected = _map_shares(select, list(gaps.items()), p)
     for refs, nearest in zip(gaps.values(), selected):
         for ref, chosen in zip(refs, nearest):
@@ -160,11 +160,14 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
 
 def _processes(p: int, pays: bool) -> int:
     """p, at most one per CPU this process may run on, if p >= 2, the work
-    ``pays`` for the forks, on POSIX and with no other Python thread; else 1."""
+    ``pays`` for the forks, on POSIX and with no other thread; else 1."""
     if p < 2 or not pays or not hasattr(os, "fork") or _thread._count():
         return 1
     cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
-    return min(p, len(cpus(0)))
+    p = min(p, len(cpus(0)))
+    with suppress(OSError):  # Linux lists threads that _thread does not count
+        return 1 if p > 1 and len(os.listdir("/proc/self/task")) > 1 else p
+    return p
 
 
 def _map_shares(function: Callable[[list], Iterable], items: list, p: int) -> Iterable:

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import faulthandler
 import marshal
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from hetimpute import distances, evaluation, imputer
+from hetimpute import distances, evaluation, fixture, imputer
 from hetimpute.core import (
     CellRef,
     ColumnKind,
@@ -442,12 +443,34 @@ def test_tall_tables_full_of_ties_match_oracle_bit_for_bit(m, k):
     assert_matches_oracle(m, k)
 
 
+def counted_cells(counter: list):
+    """Subclasses of the three cell classes, by the class they extend, that
+    add 1 to ``counter[0]`` at each read of one field (``value``, ``lower`` or
+    ``a1``). A cell distance reads that field of each of its two cells once."""
+
+    def counted(cls, field):
+        slot = getattr(cls, field)
+
+        def read(cell):
+            counter[0] += 1
+            return slot.__get__(cell)
+
+        return type(cls.__name__, (cls,), {"__slots__": (), field: property(read, slot.__set__)})
+
+    return {Crisp: counted(Crisp, "value"), Interval: counted(Interval, "lower"),
+            FuzzyTFN: counted(FuzzyTFN, "a1")}
+
+
 def test_rows_that_cannot_be_nearest_are_cut_short(monkeypatch):
     # Selection must stop summing a row once it cannot be among the k
     # nearest, so it evaluates fewer cell distances than a full pass over
     # every candidate row's shared columns would.
-    m = seeded_table(200, 6, seed=19, gap_rate=0.15)
-    rows = m.cells
+    plain = seeded_table(200, 6, seed=19, gap_rate=0.15)
+    reads = [0]
+    classes = counted_cells(reads)
+    rows = [tuple(a if a is None else classes[type(a)](*components(a)) for a in row)
+            for row in plain.cells]
+    m = DataMatrix(plain.schema, rows)
     full = 0
     for i, row in enumerate(rows):
         gaps = [l for l, a in enumerate(row) if a is None]
@@ -455,21 +478,91 @@ def test_rows_that_cannot_be_nearest_are_cut_short(monkeypatch):
             if j != i and any(other[l] is not None for l in gaps):
                 full += sum(a is not None and b is not None for a, b in zip(row, other))
     evaluated = 0
+    nearest = imputer._nearest
 
-    def counted(distance):
-        def count(a, b):
-            nonlocal evaluated
-            evaluated += 1
-            return distance(a, b)
-        return count
+    def counting(matrix, i, *args):
+        # The target row's own fields are read once a call; every other
+        # read of the field is a donor's, one per evaluation.
+        nonlocal evaluated
+        before = reads[0]
+        result = nearest(matrix, i, *args)
+        evaluated += reads[0] - before - sum(a is not None for a in matrix.cells[i])
+        return result
 
-    for kind, distance in list(distances._CELL_DISTANCE.items()):
-        monkeypatch.setitem(distances._CELL_DISTANCE, kind, counted(distance))
+    monkeypatch.setattr(imputer, "_nearest", counting)
     # In one process, so that every evaluation is counted here.
     monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 10**9)
-    impute(m, 5)
+    assert impute(m, 5).trace == impute(plain, 5).trace
     # A pass with no cut evaluates all of ``full``; this one about 73%.
     assert 0 < evaluated < 0.8 * full
+
+
+# -- one selection kernel per schema -----------------------------------------
+
+
+@pytest.fixture
+def kernels():
+    """The kernel cache, empty while the test runs and restored after it."""
+    saved = dict(distances._KERNELS)
+    distances._KERNELS.clear()
+    yield distances._KERNELS
+    distances._KERNELS.clear()
+    distances._KERNELS.update(saved)
+
+
+def logged_builds(monkeypatch, log):
+    """Append the pid of each process that compiles a kernel to ``log``."""
+    compile_ = distances._compile
+
+    def logged(source):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()}\n")
+        return compile_(source)
+
+    monkeypatch.setattr(distances, "_compile", logged)
+
+
+def test_a_column_name_never_reaches_a_kernel(kernels, monkeypatch, no_fork):
+    sources = []
+    compile_ = distances._compile
+    monkeypatch.setattr(distances, "_compile", lambda text: sources.append(text) or compile_(text))
+    m = seeded_table(30, 3, seed=3, gap_rate=0.2)
+    hostile = DataMatrix(m.schema, m.cells, ["x\nimport os", '"""', "'''\nos.abort()"])
+    traces = []
+    for matrix in (m, hostile):
+        kernels.clear()
+        traces.append(impute(matrix, 3).trace)
+    assert len(sources) == 2
+    assert sources[1] == sources[0]
+    assert traces[1] == traces[0]
+    assert "import" not in sources[0] and "os." not in sources[0]
+
+
+def test_a_schema_gets_one_kernel_per_table_flag(kernels, monkeypatch, tmp_path, no_fork):
+    log = tmp_path / "builds"
+    logged_builds(monkeypatch, log)
+    complete = seeded_table(30, 4, seed=4, gap_rate=0.0)
+    narrow = seeded_table(30, 3, seed=4, gap_rate=0.2)
+    for _ in range(2):
+        impute(complete.with_cell(0, 1, None).with_cell(5, 2, None), 3)
+        impute(narrow, 3)
+        evaluation.benchmark(complete, [1, 2], [1, 2], 3, 0)  # with a table
+    assert set(kernels) == {(complete.schema, False), (complete.schema, True),
+                            (narrow.schema, False)}
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 3
+
+
+@pytest.mark.parametrize("call", ["impute", "benchmark"])
+def test_a_worker_builds_no_kernel(kernels, monkeypatch, tmp_path, forks, dense_matrix, call):
+    # The parent compiles the kernel before it forks, and each worker inherits it.
+    log = tmp_path / "builds"
+    logged_builds(monkeypatch, log)
+    if call == "impute":
+        impute(dense_matrix, 5)
+    else:  # every imputation keeps a table of the case's cell distances
+        evaluation.benchmark(fixture("case3"), range(1, 5), range(1, 6), 20, 3)
+    assert len(forks) == 1
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
 
 
 # -- selection split over forked workers -------------------------------------
@@ -542,6 +635,24 @@ def test_a_live_thread_keeps_selection_serial(dense_matrix, no_fork):
         done.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads listed on Linux only")
+def test_a_thread_outside_threading_keeps_selection_serial(dense_matrix, no_fork):
+    # faulthandler's watchdog is an OS thread that _thread does not count.
+    # Python 3.12 and 3.13 warn that a fork beside it may deadlock the child.
+    tasks = "/proc/self/task"
+    before = len(os.listdir(tasks))
+    faulthandler.dump_traceback_later(600)
+    try:
+        assert len(os.listdir(tasks)) == before + 1
+        assert impute(dense_matrix, 5) == serially(dense_matrix, 5)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    deadline = time.monotonic() + 10
+    while len(os.listdir(tasks)) > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(os.listdir(tasks)) == before
 
 
 def test_one_cpu_keeps_selection_serial(dense_matrix, no_fork, monkeypatch):
