@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import DataMatrix
-from .distances import cell_distance, row_distance
+from .distances import _shared_distances, row_distance
 from .evaluation import benchmark
 from .fixtures import FIXTURE_NAMES, fixture
 from .imputer import impute
@@ -227,12 +227,8 @@ def cmd_distance(args: argparse.Namespace) -> int:
     if rd is None:
         print("incomparable")
         return 0
-    for l, kind in enumerate(matrix.schema):
-        a = matrix.cells[left][l]
-        b = matrix.cells[right][l]
-        if a is None or b is None:
-            continue
-        print(f"column {l} ({matrix.column_names[l]}): {cell_distance(a, b, kind)!r}")
+    for l, d in _shared_distances(matrix, left, right):
+        print(f"column {l} ({matrix.column_names[l]}): {d!r}")
     print(f"shared features: {rd.shared_features}")
     print(f"row distance: {rd.value!r}")
     return 0

@@ -7,9 +7,10 @@ numbers of observed columns. All three per-cell distances stay within the
 same [0, 1]-ish magnitude for unit-range components, so no single column
 kind dominates the mix. Donor selection walks the candidate rows once per
 target row and stops summing a row once it cannot be among the k nearest.
-It runs one kernel per schema and table flag: source text with each column's
-formula inline, compiled on first use. The kernels and the cell-distance
-functions compile each kind's formula from one text.
+It runs one kernel per schema: source text with each column's formula
+inline, compiled on first use. The kernels and the cell-distance functions
+compile each kind's formula from one text, so their distances agree bit for
+bit with ``row_distance``, which folds ``_shared_distances``.
 """
 
 from __future__ import annotations
@@ -71,31 +72,10 @@ def cell_distance(a: CellValue, b: CellValue, kind: ColumnKind) -> float:
     return _CELL_DISTANCE[kind](a, b)
 
 
-class _CellTerms(dict):
-    """``terms[i][j]``: the m per-column cell distances between rows i and j
-    of a complete matrix (None for j == i), filled one row i at a time on
-    first use. The cell distances are symmetric bit for bit, so row i copies
-    the entries of the rows filled before it."""
-
-    def __init__(self, matrix: DataMatrix) -> None:
-        self.matrix = matrix
-
-    def __missing__(self, i: int) -> list:
-        cells = self.matrix.cells
-        functions = [_CELL_DISTANCE[kind] for kind in self.matrix.schema]
-        self[i] = row = [
-            None if j == i
-            else self[j][i] if j in self
-            else tuple([f(a, b) for f, a, b in zip(functions, cells[i], other)])
-            for j, other in enumerate(cells)
-        ]
-        return row
-
-
-# A kernel's text: ``{targets}`` names row i's cells, ``{hoist}`` reads their components or its
-# table, ``{pair}`` row j's terms of it, ``{columns}`` adds row j's cell distances in turn.
+# A kernel's text: ``{targets}`` names row i's cells, ``{hoist}`` reads their components, and
+# ``{columns}`` adds row j's cell distances in turn.
 _KERNEL = """\
-def nearest(cells, i, gaps, rows, k, terms):
+def nearest(cells, i, gaps, rows, k):
     {targets} = row = cells[i]
     c = sum([a is not None for a in row])
     {hoist}
@@ -106,7 +86,6 @@ def nearest(cells, i, gaps, rows, k, terms):
     limit = inf
     for j in rows:
         other = cells[j]
-        {pair}
         total = 0.0
         shared = 0
         {columns}
@@ -147,22 +126,19 @@ if a{l} is not None:
 
 
 class _Kernels(dict):
-    """``_KERNELS[schema, table]``: ``schema``'s kernel, with or without a table, compiled on
-    first use. Only column indices and kinds go into its text, never a name or a cell value."""
+    """``_KERNELS[schema]``: ``schema``'s kernel, compiled on first use. Only column
+    indices and kinds go into its text, never a name or a cell value."""
 
-    def __missing__(self, key: tuple) -> Callable:
-        schema, table = key
-        hoist, columns = ["table = terms[i]"] if table else [], []
+    def __missing__(self, schema: tuple) -> Callable:
+        hoist, columns = [], []
         for l, kind in enumerate(schema):
-            term = f"total += pair[{l}]"
-            if not table:
-                fields = (f"a{l}_{f} = a{l}.{f}" for f in _KIND_CLASS[kind].__slots__)
-                hoist.append(f"if a{l} is not None: " + "; ".join(fields))
-                term = _FORMULAS[kind][1].format(into="total +=", a=f"a{l}_")
+            fields = (f"a{l}_{f} = a{l}.{f}" for f in _KIND_CLASS[kind].__slots__)
+            hoist.append(f"if a{l} is not None: " + "; ".join(fields))
+            term = _FORMULAS[kind][1].format(into="total +=", a=f"a{l}_")
             columns.append(_COLUMN.format(l=l, term=_indent(term, 2)))
-        self[key] = kernel = _compile(_KERNEL.format(
+        self[schema] = kernel = _compile(_KERNEL.format(
             targets="".join(f"a{l}," for l in range(len(schema))), hoist="\n    ".join(hoist),
-            pair="pair = table[j]" if table else "", columns=_indent("\n".join(columns), 2),
+            columns=_indent("\n".join(columns), 2),
         ))["nearest"]
         return kernel
 
@@ -170,17 +146,22 @@ class _Kernels(dict):
 _KERNELS = _Kernels()
 
 
-def _nearest(matrix: DataMatrix, i: int, gaps: Sequence[int], rows: Iterable[int], k: int,
-             terms: _CellTerms | None) -> list[list[tuple[float, int]]]:
+def _nearest(matrix: DataMatrix, i: int, gaps: Sequence[int], rows: Iterable[int],
+             k: int) -> list[list[tuple[float, int]]]:
     """For each column of ``gaps``, the ``(distance, row)`` of the k rows of
     ``rows`` (ascending) nearest to row i that observe it, nearest first;
     ties break toward the lower row. The schema's kernel keeps a sorted list
     of at most k rows per gap and stops summing a row once it cannot enter
-    any. It reads each cell distance from ``terms`` when given (a table of a
-    matrix that differs from ``matrix`` only in cells that are gaps here), else
-    computes it, and adds them in schema order, so every bit matches a pairwise
-    evaluation. Rows sharing no observed column with row i are left out."""
-    return _KERNELS[matrix.schema, terms is not None](matrix.cells, i, gaps, rows, k, terms)
+    any. It adds the cell distances in schema order, so every bit matches
+    ``row_distance``. Rows sharing no observed column with row i are left out."""
+    return _KERNELS[matrix.schema](matrix.cells, i, gaps, rows, k)
+
+
+def _shared_distances(matrix: DataMatrix, i: int, j: int) -> list[tuple[int, float]]:
+    """``(column, cell distance)`` for each column rows i and j both observe, in schema order."""
+    cells = zip(matrix.cells[i], matrix.cells[j], matrix.schema)
+    return [(l, _CELL_DISTANCE[kind](a, b)) for l, (a, b, kind) in enumerate(cells)
+            if a is not None and b is not None]
 
 
 def row_distance(matrix: DataMatrix, i: int, j: int) -> Optional[RowDistance]:
@@ -195,10 +176,8 @@ def row_distance(matrix: DataMatrix, i: int, j: int) -> Optional[RowDistance]:
     n = matrix.n_rows
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"row pair ({i},{j}) out of range for {n} rows")
+    shared = _shared_distances(matrix, i, j)
     total = 0.0
-    shared = 0
-    for a, b, kind in zip(matrix.cells[i], matrix.cells[j], matrix.schema):
-        if a is not None and b is not None:
-            total += _CELL_DISTANCE[kind](a, b)
-            shared += 1
-    return RowDistance(math.sqrt(total / shared), shared) if shared else None
+    for _, d in shared:
+        total += d
+    return RowDistance(math.sqrt(total / len(shared)), len(shared)) if shared else None

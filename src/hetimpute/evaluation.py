@@ -6,9 +6,9 @@ result as the root of the summed squared per-cell distances between the
 original and the completed matrix, divided by the n*m cell count; unmasked
 cells contribute 0. Sweeping k and the number of masked cells over many
 seeded trials yields the per-trial errors and per-k box-plot statistics
-used for reporting. Every trial masks the same complete matrix, so one
-lazily filled table of its per-column cell distances serves all trials
-(filled up front for the rows they mask when they fork onto other CPUs).
+used for reporting. A trial's error depends only on k and its masked cells,
+so each distinct pair is imputed once, and with enough masked cells the
+distinct imputations are spread over forked workers on other CPUs.
 
 Every random choice flows from explicit integer seeds; per-trial seeds are
 derived by hashing (seed, k, count, trial), so any single trial can be
@@ -36,19 +36,15 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .core import CellRef, DataMatrix, _with_cells
-from .distances import _CELL_DISTANCE, _KERNELS, _CellTerms
+from .distances import _CELL_DISTANCE, _KERNELS
 from .imputer import _impute, _map_shares, _processes
-
-#: The most per-column cell distances (n*n*m) for which ``benchmark`` keeps
-#: a table; full, it takes about 19 bytes a term (about 5 MB at the cap).
-_MAX_TABLE_TERMS = 2**18
 
 #: ``benchmark`` forks only with this many masked cells per process, summed
 #: over its distinct imputations. Two processes against one (2-core Xeon VM,
-#: Python 3.11, median of 31 calls), masked cells on rows x columns: 135 on 3x3
-#: 0.80x, 288 on 3x3 1.07x; 142 on 5x3 0.89x, 237 on 5x3 1.00x, 468 on 5x3
-#: 1.21x; 150 on 30x4 0.99x, 200 on 30x4 1.16x; 100 on 60x8 0.89x, 150 on 60x8
-#: 1.08x, 500 on 60x8 1.28x; 90 on 200x6 0.99x, 195 on 200x6 1.08x.
+#: Python 3.11, median of 31 calls), masked cells on rows x columns: 145 on 3x3
+#: 0.76x, 288 0.94x, 401 1.04x; 149 on 5x3 0.74x, 261 0.89x, 372 1.10x; 150 on
+#: 30x4 0.94x, 210 1.03x; 60 on 60x8 0.94x, 90 1.19x, 150 1.31x; 60 on 200x6
+#: 1.13x, 90 1.38x, 210 1.56x: 3 to 5 rows pay from ~300 cells, 60 to 200 from ~90.
 _FORK_MIN_MASKED = 100
 
 
@@ -182,27 +178,22 @@ def benchmark(
     records with error None but excluded from the summaries. Per-k summaries
     aggregate the errors of all missing counts for that k. ``mask_random``'s
     checks run on every trial's cells before any work. Each distinct (k,
-    cells) is imputed once, from one table of ``matrix`` unless it would
-    hold over ``_MAX_TABLE_TERMS`` terms. With a table, enough masked cells
-    fork workers on other CPUs, and the table is filled up front for them.
+    cells) is imputed once. Enough masked cells fork workers that impute
+    shares of them on other CPUs; a trial's selection forks only when the
+    benchmark itself has not.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    n, m = matrix.n_rows, matrix.n_cols
     plan = [(k, [(c, t, _mask_cells(matrix, c, derive_trial_seed(seed, k, c, t)))
                  for c in missing_counts for t in range(trials)]) for k in k_values]
     keys = list(dict.fromkeys((k, refs) for k, cells in plan for *_, refs in cells))
-    terms = _CellTerms(matrix) if n * n * m <= _MAX_TABLE_TERMS else None
     masked = sum(len(refs) for _, refs in keys)
-    p = _processes(min(len(keys), masked // _FORK_MIN_MASKED), terms is not None)
-    if p > 1:  # a row of the table that a worker filled would be lost
-        for i in {ref.row for _, refs in keys for ref in refs}:
-            terms[i]
-        _KERNELS[matrix.schema, True]  # compiled once, not in each worker
+    p = _processes(min(len(keys), masked // _FORK_MIN_MASKED), True)
+    _KERNELS[matrix.schema]  # compiled once, not in each worker
 
     def score(keys: list) -> Iterator[Optional[float]]:
         for k, refs in keys:
-            result = _impute(_with_cells(matrix, dict.fromkeys(refs)), k, terms)
+            result = _impute(_with_cells(matrix, dict.fromkeys(refs)), k, p == 1)
             # Only the masked cells differ, so they carry the score.
             yield None if result.unimputable else _error(matrix, result.matrix, refs)
 

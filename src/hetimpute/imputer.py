@@ -20,7 +20,7 @@ from contextlib import suppress
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import CellRef, CellValue, DataMatrix, _with_cells, components, missing_cells
-from .distances import _KERNELS, _CellTerms, _nearest
+from .distances import _KERNELS, _nearest
 
 #: Distances below this are treated as exact matches when weighting.
 ZERO_DISTANCE_EPS = 1e-12
@@ -115,13 +115,11 @@ def impute(matrix: DataMatrix, k: int) -> ImputationResult:
     cell with no usable donors is reported in ``unimputable`` and left
     None. The input matrix is not touched.
     """
-    return _impute(matrix, k, None)
+    return _impute(matrix, k, True)
 
 
-def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationResult:
-    """``impute``, reading per-cell distances from ``terms`` when given.
-    Precondition: the table's matrix differs from ``matrix`` only in cells
-    that are gaps in ``matrix``, as when ``matrix`` is a masked copy of it."""
+def _impute(matrix: DataMatrix, k: int, fork: bool) -> ImputationResult:
+    """``impute``, whose selection may fork onto other CPUs only if ``fork``."""
     if k < 1:
         raise ValueError("k must be at least 1")
     filled: dict[CellRef, CellValue] = {}
@@ -135,12 +133,11 @@ def _impute(matrix: DataMatrix, k: int, terms: _CellTerms | None) -> ImputationR
         for i, refs in targets:
             excluded = set.intersection(*(missing[ref.col] for ref in refs))
             rows = [j for j in range(matrix.n_rows) if j not in excluded]
-            yield _nearest(matrix, i, [ref.col for ref in refs], rows, k, terms)
+            yield _nearest(matrix, i, [ref.col for ref in refs], rows, k)
 
-    # Not with ``terms``: a worker's rows would be lost, and a benchmark's workers use it.
-    p = _processes(len(gaps) // _FORK_MIN_TARGETS, terms is None
-                   and len(gaps) * matrix.n_rows * matrix.n_cols >= _FORK_MIN_CELLS)
-    _KERNELS[matrix.schema, terms is not None]  # compiled once, before any fork
+    p = _processes(len(gaps) // _FORK_MIN_TARGETS,
+                   fork and len(gaps) * matrix.n_rows * matrix.n_cols >= _FORK_MIN_CELLS)
+    _KERNELS[matrix.schema]  # compiled once, before any fork
     selected = _map_shares(select, list(gaps.items()), p)
     for refs, nearest in zip(gaps.values(), selected):
         for ref, chosen in zip(refs, nearest):

@@ -12,13 +12,14 @@ from hetimpute.core import (
     Interval,
 )
 from hetimpute.distances import (
+    _shared_distances,
     cell_distance,
     interval_distance,
     row_distance,
     tfn_distance,
 )
 
-from oracle import bf_row_distance
+from oracle import bf_cell_distance, bf_row_distance
 from strategies import cell_values, complete_matrices, grid_reals, matrices
 
 approx = pytest.approx
@@ -186,6 +187,26 @@ def test_row_distance_matches_bruteforce(m):
         rd = row_distance(m, 0, j)
         assert rd.value == approx(bf_row_distance(m, 0, j), rel=1e-9, abs=1e-12)
         assert rd.shared_features == m.n_cols
+
+
+@given(matrices(min_rows=2))
+def test_row_distance_folds_the_shared_distances(m):
+    # ``hetimpute distance`` prints these pairs as its per-column lines: they
+    # are the shared columns in order, and rebuild the row distance bit for
+    # bit when left-folded, divided by their count and square-rooted.
+    for j in range(1, m.n_rows):
+        shared = _shared_distances(m, 0, j)
+        pairs = zip(m.cells[0], m.cells[j])
+        assert [l for l, _ in shared] == [
+            l for l, (a, b) in enumerate(pairs) if a is not None and b is not None
+        ]
+        for l, d in shared:
+            assert d == approx(bf_cell_distance(m.cells[0][l], m.cells[j][l]), rel=1e-12)
+        total = 0.0
+        for _, d in shared:
+            total += d
+        expected = (math.sqrt(total / len(shared)), len(shared)) if shared else None
+        assert row_distance(m, 0, j) == expected
 
 
 @given(

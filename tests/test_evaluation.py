@@ -315,8 +315,8 @@ def _check_against_oracle(m, seed):
 @settings(max_examples=120, deadline=None)
 @given(complete_matrices(min_rows=2), st.integers(0, 2**32))
 def test_benchmark_matches_oracle_trial_by_trial(m, seed):
-    # Every trial reads its terms from one table of the complete matrix; each
-    # error must equal a brute-force recomputation on the masked matrix.
+    # Every trial imputes a masked copy of the complete matrix; each error
+    # must equal a brute-force recomputation on the masked matrix.
     _check_against_oracle(m, seed)
 
 
@@ -336,9 +336,9 @@ def _table_30x4():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_benchmark_fills_the_table_lazily(monkeypatch, seed):
-    # One trial masking one cell needs one target row of the table: the n-1
-    # pairs' m terms, plus the one scored cell.
+def test_a_trial_scores_only_its_masked_cells(monkeypatch, seed):
+    # Selection writes each cell distance inline, so the one call a trial
+    # masking one cell makes is the score of that cell.
     calls = []
     for kind, distance in list(distances._CELL_DISTANCE.items()):
         def counted(a, b, distance=distance):
@@ -347,28 +347,28 @@ def test_benchmark_fills_the_table_lazily(monkeypatch, seed):
         monkeypatch.setitem(distances._CELL_DISTANCE, kind, counted)
     m = _table_30x4()
     benchmark(m, [1], [1], trials=1, seed=seed)
-    assert 0 < len(calls) <= m.n_rows * m.n_cols
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
-def test_benchmark_without_a_table_gives_the_same_report(monkeypatch, name):
+def test_benchmark_without_a_table_gives_the_same_report(name):
+    # The benchmark computes every cell distance where it needs it, with no
+    # table of them: on each case, its report is the brute force's.
     m = fixture(name)
-    table = benchmark(m, [1, 2, 3], range(m.n_rows + 1), trials=6, seed=5)
-    monkeypatch.setattr(evaluation, "_MAX_TABLE_TERMS", 0)
-    assert benchmark(m, [1, 2, 3], range(m.n_rows + 1), trials=6, seed=5) == table
+    report = benchmark(m, [1, 2, 3], range(m.n_rows + 1), trials=6, seed=5)
+    for rec in report.trials:
+        trial_seed = derive_trial_seed(5, rec.k, rec.missing_count, rec.trial)
+        assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
 
 
-def test_benchmark_keeps_no_table_across_calls(monkeypatch):
-    # m2 differs from m1 in one cell; its report after m1's must equal one
-    # computed with no table at all, and the brute force.
+def test_benchmark_keeps_no_table_across_calls():
+    # m2 differs from m1 in one cell; its report after m1's must differ from
+    # m1's and match the brute force.
     m1 = _table_30x4()
     m2 = m1.with_cell(4, 0, Crisp(9.0))
     first = benchmark(m1, [1, 3], [1, 5, 30], trials=4, seed=2)
     after = benchmark(m2, [1, 3], [1, 5, 30], trials=4, seed=2)
-    monkeypatch.setattr(evaluation, "_MAX_TABLE_TERMS", 0)
-    fresh = benchmark(m2, [1, 3], [1, 5, 30], trials=4, seed=2)
-    assert first != fresh
-    assert after == fresh
+    assert first != after
     for rec in after.trials:
         trial_seed = derive_trial_seed(2, rec.k, rec.missing_count, rec.trial)
         assert rec.error == _bf_trial_error(m2, rec.k, rec.missing_count, trial_seed)
@@ -378,9 +378,24 @@ def test_benchmark_keeps_no_table_across_calls(monkeypatch):
 
 
 def serial_benchmark(*args):
+    """``benchmark`` on one CPU, so that neither it nor a trial forks."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluation, "_FORK_MIN_MASKED", 10**9)
+        mp.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
         return benchmark(*args)
+
+
+def logged_forks(mp, log):
+    """Give this process two CPUs, and append the pid of each process that
+    forks to ``log``, a file, so a worker's forks are seen too."""
+    fork = os.fork
+
+    def logged():
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()}\n")
+        return fork()
+
+    mp.setattr(os, "fork", logged)
+    mp.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
 
 
 def distinct_masks(m, ks, counts, trials, seed):
@@ -417,9 +432,9 @@ def test_each_distinct_mask_is_imputed_once(monkeypatch, no_fork, case1):
     calls = []
     impute_masked = evaluation._impute
 
-    def counted(masked, k, terms):
+    def counted(masked, k, fork):
         calls.append((k, tuple(missing_cells(masked))))
-        return impute_masked(masked, k, terms)
+        return impute_masked(masked, k, fork)
 
     monkeypatch.setattr(evaluation, "_impute", counted)
     monkeypatch.setattr(evaluation, "_FORK_MIN_MASKED", 10**9)  # count in this process
@@ -436,23 +451,6 @@ def test_a_benchmark_forks_from_100_masked_cells_per_process(forks, trials, fork
     assert sum(len(refs) for _, refs in distinct_masks(*args)) == 50 * trials
     benchmark(*args)
     assert len(forks) == forked
-
-
-def test_workers_read_the_rows_the_parent_filled(monkeypatch, tmp_path, forks):
-    # Every row of the table that a trial needs is filled before the fork:
-    # a row a worker filled would be lost to the parent and the other workers.
-    log, fill = tmp_path / "fills", distances._CellTerms.__missing__
-
-    def logged(terms, i):
-        with open(log, "a", encoding="utf-8") as out:
-            out.write(f"{os.getpid()}\n")
-        return fill(terms, i)
-
-    monkeypatch.setattr(distances._CellTerms, "__missing__", logged)
-    m = fixture("case3")
-    benchmark(m, range(1, 5), range(1, 6), 20, 3)
-    assert len(forks) == 1
-    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * m.n_rows
 
 
 @pytest.mark.parametrize("fault", ["fork refused", "pipe refused", "replies short"])
@@ -485,27 +483,37 @@ def test_a_failed_fork_or_reply_gives_the_serial_report(monkeypatch, fault):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("table_terms", [2**18, 0], ids=["table", "no table"])
-def test_a_benchmark_forks_only_from_its_own_process(monkeypatch, tmp_path, table_terms):
-    # Selection would fork for any trial of two masked cells. With a table,
-    # the benchmark's one worker imputes its share without forking again;
-    # without one, each distinct imputation forks its selection from here.
+@pytest.mark.parametrize("min_masked", [1, 10**9], ids=["benchmark forks", "trials fork"])
+def test_a_benchmark_forks_only_from_its_own_process(monkeypatch, tmp_path, min_masked):
+    # Selection would fork for any trial of two masked cells. When the
+    # benchmark forks, its one worker imputes its share without forking again;
+    # when it does not, each distinct imputation forks its selection from here.
     args = (fixture("case3"), [1, 2], [2, 3], 3, 5)
     expected = serial_benchmark(*args)
-    log, fork = tmp_path / "forks", os.fork
-
-    def logged():
-        with open(log, "a", encoding="utf-8") as out:
-            out.write(f"{os.getpid()}\n")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", logged)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
+    log = tmp_path / "forks"
+    logged_forks(monkeypatch, log)
     monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 1)
     monkeypatch.setattr(imputer, "_FORK_MIN_CELLS", 0)
-    monkeypatch.setattr(evaluation, "_FORK_MIN_MASKED", 1)
-    monkeypatch.setattr(evaluation, "_MAX_TABLE_TERMS", table_terms)
+    monkeypatch.setattr(evaluation, "_FORK_MIN_MASKED", min_masked)
     assert benchmark(*args) == expected
     pids = log.read_text(encoding="utf-8").split()
     assert set(pids) == {str(os.getpid())}
-    assert len(pids) == (1 if table_terms else len(distinct_masks(*args)))
+    assert len(pids) == (1 if min_masked == 1 else len(distinct_masks(*args)))
+
+
+def test_a_benchmark_of_a_200x8_table_forks_only_from_here(monkeypatch, tmp_path):
+    # 320000 cell distances between its rows. Each trial masks 100 cells,
+    # enough for its selection to fork, but the benchmark's two distinct
+    # imputations fork at its level, and no trial forks again.
+    m = seeded_table(200, 8, seed=5, gap_rate=0.0)
+    args = (m, [5], [100], 2, 7)
+    assert len(distinct_masks(*args)) == 2
+    expected = serial_benchmark(*args)
+    log = tmp_path / "forks"
+    logged_forks(monkeypatch, log)
+    report = benchmark(*args)
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
+    assert report == expected
+    rec = report.trials[1]
+    trial_seed = derive_trial_seed(7, rec.k, rec.missing_count, rec.trial)
+    assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)

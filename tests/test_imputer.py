@@ -538,7 +538,7 @@ def test_a_column_name_never_reaches_a_kernel(kernels, monkeypatch, no_fork):
     assert "import" not in sources[0] and "os." not in sources[0]
 
 
-def test_a_schema_gets_one_kernel_per_table_flag(kernels, monkeypatch, tmp_path, no_fork):
+def test_a_schema_gets_one_kernel(kernels, monkeypatch, tmp_path, no_fork):
     log = tmp_path / "builds"
     logged_builds(monkeypatch, log)
     complete = seeded_table(30, 4, seed=4, gap_rate=0.0)
@@ -546,10 +546,9 @@ def test_a_schema_gets_one_kernel_per_table_flag(kernels, monkeypatch, tmp_path,
     for _ in range(2):
         impute(complete.with_cell(0, 1, None).with_cell(5, 2, None), 3)
         impute(narrow, 3)
-        evaluation.benchmark(complete, [1, 2], [1, 2], 3, 0)  # with a table
-    assert set(kernels) == {(complete.schema, False), (complete.schema, True),
-                            (narrow.schema, False)}
-    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 3
+        evaluation.benchmark(complete, [1, 2], [1, 2], 3, 0)
+    assert set(kernels) == {complete.schema, narrow.schema}
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
 
 
 @pytest.mark.parametrize("call", ["impute", "benchmark"])
@@ -559,7 +558,7 @@ def test_a_worker_builds_no_kernel(kernels, monkeypatch, tmp_path, forks, dense_
     logged_builds(monkeypatch, log)
     if call == "impute":
         impute(dense_matrix, 5)
-    else:  # every imputation keeps a table of the case's cell distances
+    else:  # the benchmark forks, and no trial forks again
         evaluation.benchmark(fixture("case3"), range(1, 5), range(1, 6), 20, 3)
     assert len(forks) == 1
     assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
@@ -596,13 +595,11 @@ def test_few_target_rows_of_a_small_table_stay_serial(no_fork, rows, cols):
     assert len(impute(m, 5).trace) == 24
 
 
-@pytest.mark.parametrize("table_terms, forked", [(2**18, 1), (0, 0)], ids=["table", "no table"])
-def test_benchmark_sweep_trials_stay_serial(monkeypatch, forks, table_terms, forked):
+def test_benchmark_sweep_trials_stay_serial(forks):
     # The perfbench benchmark-sweep shape: 60 complete rows, k 1 to 5, 1 to 4
-    # gaps. No trial forks its selection; with a table, the benchmark forks one
-    # worker that imputes a share of the trials.
+    # gaps. No trial forks its selection; the benchmark forks one worker that
+    # imputes a share of the trials.
     m = seeded_table(60, 8, seed=60, gap_rate=0.0)
-    monkeypatch.setattr(evaluation, "_MAX_TABLE_TERMS", table_terms)
     args = (m, range(1, 6), range(1, 5), 10, 201)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "_FORK_MIN_MASKED", 10**9)
@@ -610,18 +607,16 @@ def test_benchmark_sweep_trials_stay_serial(monkeypatch, forks, table_terms, for
     assert forks == []
     report = evaluation.benchmark(*args)
     assert len(report.trials) == 200
-    assert len(forks) == forked
+    assert len(forks) == 1
     assert report == expected
 
 
-@pytest.mark.parametrize("table_terms, forked", [(2**18, 0), (0, 1)], ids=["table", "no table"])
-def test_a_trial_forks_only_without_a_table(monkeypatch, forks, table_terms, forked):
-    # A worker's rows of the trials' shared table would not come back to the
-    # parent, so a trial large enough to fork stays serial while it keeps one.
+def test_a_lone_large_trial_forks_its_selection(forks):
+    # One distinct imputation leaves the benchmark nothing to spread over the
+    # CPUs, so a trial large enough forks its own selection.
     m = seeded_table(200, 6, seed=7, gap_rate=0.0)
-    monkeypatch.setattr(evaluation, "_MAX_TABLE_TERMS", table_terms)
     report = evaluation.benchmark(m, [5], [60], trials=1, seed=1)
-    assert len(forks) == forked
+    assert len(forks) == 1
     assert report.trials[0].error is not None
 
 
