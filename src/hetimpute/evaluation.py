@@ -7,8 +7,8 @@ original and the completed matrix, divided by the n*m cell count; unmasked
 cells contribute 0. Sweeping k and the number of masked cells over many
 seeded trials yields the per-trial errors and per-k box-plot statistics
 used for reporting. A trial's error depends only on k and its masked cells,
-so each distinct pair is imputed once, and with enough masked cells the
-distinct imputations are spread over forked workers on other CPUs.
+so each distinct pair is imputed once, and ``imputer._map_shares`` spreads
+the distinct imputations over forked workers on other CPUs when that pays.
 
 Every random choice flows from explicit integer seeds; per-trial seeds are
 derived by hashing (seed, k, count, trial), so any single trial can be
@@ -36,16 +36,8 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .core import CellRef, DataMatrix, _with_cells
-from .distances import _CELL_DISTANCE, _KERNELS
-from .imputer import _impute, _map_shares, _processes
-
-#: ``benchmark`` forks only with this many masked cells per process, summed
-#: over its distinct imputations. Two processes against one (2-core Xeon VM,
-#: Python 3.11, median of 31 calls), masked cells on rows x columns: 145 on 3x3
-#: 0.76x, 288 0.94x, 401 1.04x; 149 on 5x3 0.74x, 261 0.89x, 372 1.10x; 150 on
-#: 30x4 0.94x, 210 1.03x; 60 on 60x8 0.94x, 90 1.19x, 150 1.31x; 60 on 200x6
-#: 1.13x, 90 1.38x, 210 1.56x: 3 to 5 rows pay from ~300 cells, 60 to 200 from ~90.
-_FORK_MIN_MASKED = 100
+from .distances import _CELL_DISTANCE
+from .imputer import _map_shares, impute
 
 
 class Summary(NamedTuple):
@@ -178,26 +170,24 @@ def benchmark(
     records with error None but excluded from the summaries. Per-k summaries
     aggregate the errors of all missing counts for that k. ``mask_random``'s
     checks run on every trial's cells before any work. Each distinct (k,
-    cells) is imputed once. Enough masked cells fork workers that impute
-    shares of them on other CPUs; a trial's selection forks only when the
-    benchmark itself has not.
+    cells) is imputed once, with one selection pass per masked cell (each in
+    its own row); ``_map_shares`` forks workers that impute shares of the
+    distinct imputations on other CPUs when those passes pay.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     plan = [(k, [(c, t, _mask_cells(matrix, c, derive_trial_seed(seed, k, c, t)))
                  for c in missing_counts for t in range(trials)]) for k in k_values]
     keys = list(dict.fromkeys((k, refs) for k, cells in plan for *_, refs in cells))
-    masked = sum(len(refs) for _, refs in keys)
-    p = _processes(min(len(keys), masked // _FORK_MIN_MASKED), True)
-    _KERNELS[matrix.schema]  # compiled once, not in each worker
 
     def score(keys: list) -> Iterator[Optional[float]]:
         for k, refs in keys:
-            result = _impute(_with_cells(matrix, dict.fromkeys(refs)), k, p == 1)
+            result = impute(_with_cells(matrix, dict.fromkeys(refs)), k)
             # Only the masked cells differ, so they carry the score.
             yield None if result.unimputable else _error(matrix, result.matrix, refs)
 
-    errors = dict(zip(keys, _map_shares(score, keys, p)))
+    passes = sum(len(refs) for _, refs in keys)
+    errors = dict(zip(keys, _map_shares(score, keys, matrix, passes)))
     k_summaries: dict[int, Summary] = {}
     records: list[TrialRecord] = []
     for k, cells in plan:

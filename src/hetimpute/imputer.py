@@ -25,14 +25,19 @@ from .distances import _KERNELS, _nearest
 #: Distances below this are treated as exact matches when weighting.
 ZERO_DISTANCE_EPS = 1e-12
 
-#: Selection forks only with this many target rows per process and this many
-#: cell visits (target rows times rows times columns) in all. Two processes
-#: against one (2-core Xeon VM, Python 3.11, k=5, median of 31 to 41 calls),
-#: target rows of rows of columns: 24x30x8 0.53x, 32x60x8 0.93x, 24x250x2
-#: 0.61x, 24x1000x2 0.89x, 48x500x2 1.07x, 24x250x8 1.3x, 12x250x16 1.25x;
-#: 4x12000x8 1.03x, 8x12000x8 1.37x.
+#: Selection passes over a table fork p = min(CPUs, items, passes //
+#: _FORK_MIN_TARGETS) processes if passes * (rows * columns + _PASS_COST), their
+#: cell visits plus each pass's own cost in visits, is at least _FORK_MIN_CELLS.
+#: Two processes against one (2-core Xeon VM, Python 3.11, medians of 31 to 41
+#: calls); impute, target rows of rows x columns: 24x30x8 0.53x, 64x250x2 0.87x,
+#: 96x250x2 1.03x, 12x1000x2 0.80x, 24x1000x2 1.03x, 4x12000x8 1.03x; benchmark,
+#: masked cells on rows x columns: 204 on 3x3 0.88x, 290 1.11x; 240 on 5x3 0.92x,
+#: 299 1.10x; 126 on 30x4 1.09x, 179 1.19x; 50 on 60x8 0.81x, 100 1.13x. A pass
+#: cost of 160 fits 106 such rows of three runs best (160 to 180 fit as well).
 _FORK_MIN_TARGETS = 4
 _FORK_MIN_CELLS = 48000
+_PASS_COST = 160
+_forked = False  # while a mapping has forked: in its parent and in every worker
 
 
 class Donor(NamedTuple):
@@ -115,11 +120,6 @@ def impute(matrix: DataMatrix, k: int) -> ImputationResult:
     cell with no usable donors is reported in ``unimputable`` and left
     None. The input matrix is not touched.
     """
-    return _impute(matrix, k, True)
-
-
-def _impute(matrix: DataMatrix, k: int, fork: bool) -> ImputationResult:
-    """``impute``, whose selection may fork onto other CPUs only if ``fork``."""
     if k < 1:
         raise ValueError("k must be at least 1")
     filled: dict[CellRef, CellValue] = {}
@@ -135,10 +135,7 @@ def _impute(matrix: DataMatrix, k: int, fork: bool) -> ImputationResult:
             rows = [j for j in range(matrix.n_rows) if j not in excluded]
             yield _nearest(matrix, i, [ref.col for ref in refs], rows, k)
 
-    p = _processes(len(gaps) // _FORK_MIN_TARGETS,
-                   fork and len(gaps) * matrix.n_rows * matrix.n_cols >= _FORK_MIN_CELLS)
-    _KERNELS[matrix.schema]  # compiled once, before any fork
-    selected = _map_shares(select, list(gaps.items()), p)
+    selected = _map_shares(select, list(gaps.items()), matrix, len(gaps))
     for refs, nearest in zip(gaps.values(), selected):
         for ref, chosen in zip(refs, nearest):
             if not chosen:
@@ -155,28 +152,30 @@ def _impute(matrix: DataMatrix, k: int, fork: bool) -> ImputationResult:
     return ImputationResult(completed, trace, tuple(missing_cells(completed)))
 
 
-def _processes(p: int, pays: bool) -> int:
-    """p, at most one per CPU this process may run on, if p >= 2, the work
-    ``pays`` for the forks, on POSIX and with no other thread; else 1."""
-    if p < 2 or not pays or not hasattr(os, "fork") or _thread._count():
-        return 1
-    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
-    p = min(p, len(cpus(0)))
-    with suppress(OSError):  # Linux lists threads that _thread does not count
-        return 1 if p > 1 and len(os.listdir("/proc/self/task")) > 1 else p
-    return p
-
-
-def _map_shares(function: Callable[[list], Iterable], items: list, p: int) -> Iterable:
-    """``function``, which maps a list item by item, over ``items``: with p < 2,
-    ``function(items)`` itself; else forked worker w of p maps ``items[w::p]``
+def _map_shares(function: Callable[[list], Iterable], items: list, matrix: DataMatrix,
+                passes: int) -> Iterable:
+    """``function``, which maps a list item by item, over ``items``, whose
+    selection makes ``passes`` passes over ``matrix``: ``function(items)``
+    itself unless the passes pay for forks, on POSIX, with no other thread and
+    outside a mapping that forked; else forked worker w of p maps ``items[w::p]``
     and replies by ``marshal``, which keeps float bits, and the parent maps the
     rest. A worker that replied has exited and is only reaped. One that has not
     gets SIGKILL if the parent raises; with SIGCHLD ignored, its pid may be reused."""
+    global _forked
+    p = min(len(items), passes // _FORK_MIN_TARGETS)
+    if (p < 2 or _forked or passes * (matrix.n_rows * matrix.n_cols + _PASS_COST) < _FORK_MIN_CELLS
+            or not hasattr(os, "fork") or _thread._count()):
+        return function(items)
+    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
+    p = min(p, len(cpus(0)))
+    with suppress(OSError):  # Linux lists threads that _thread does not count
+        p = 1 if p > 1 and len(os.listdir("/proc/self/task")) > 1 else p
     if p < 2:
         return function(items)
+    _KERNELS[matrix.schema]  # compiled once, not in each worker
     results: list = [None] * len(items)
     workers = {}  # share -> (pid, read end of its pipe) until it replies
+    _forked = True
     try:
         for w in range(1, p):
             fds = ()
@@ -206,6 +205,7 @@ def _map_shares(function: Callable[[list], Iterable], items: list, p: int) -> It
             except (EOFError, ValueError, TypeError):  # none, cut short or of another length
                 results[w::p] = function(items[w::p])
     finally:
+        _forked = False
         for pid, pipe in workers.values():  # only if the parent raised
             pipe.close()
             with suppress(ProcessLookupError, ChildProcessError):

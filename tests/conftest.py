@@ -78,6 +78,20 @@ def patch_forks(mp: pytest.MonkeyPatch) -> list:
     return pids
 
 
+def logged_forks(mp: pytest.MonkeyPatch, log) -> None:
+    """Give this process two CPUs, and append the pid of each process that
+    forks to ``log``, a file, so a worker's forks are seen too."""
+    fork = os.fork
+
+    def logged():
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()}\n")
+        return fork()
+
+    mp.setattr(os, "fork", logged)
+    mp.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The pids forked while the test runs, on two CPUs."""

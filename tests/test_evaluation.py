@@ -31,7 +31,7 @@ from hetimpute.distances import cell_distance
 from hetimpute.fixtures import fixture
 from hetimpute.imputer import impute
 
-from conftest import patch_forks, seeded_table
+from conftest import logged_forks, patch_forks, seeded_table
 from oracle import bf_candidate_distances, bf_cell_distance, bf_weights
 from strategies import complete_matrices, raw_reals
 
@@ -384,20 +384,6 @@ def serial_benchmark(*args):
         return benchmark(*args)
 
 
-def logged_forks(mp, log):
-    """Give this process two CPUs, and append the pid of each process that
-    forks to ``log``, a file, so a worker's forks are seen too."""
-    fork = os.fork
-
-    def logged():
-        with open(log, "a", encoding="utf-8") as out:
-            out.write(f"{os.getpid()}\n")
-        return fork()
-
-    mp.setattr(os, "fork", logged)
-    mp.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
-
-
 def distinct_masks(m, ks, counts, trials, seed):
     """The distinct (k, masked cells) of a benchmark's trials."""
     return {
@@ -409,18 +395,22 @@ def distinct_masks(m, ks, counts, trials, seed):
 @settings(max_examples=60, deadline=None)
 @given(complete_matrices(min_rows=2, max_rows=6), st.data())
 def test_a_benchmark_of_two_imputations_forks_and_matches_oracle(m, data):
-    # With one masked cell per process enough, any benchmark of two or more
-    # distinct imputations forks, and must give the one-process report bit
-    # for bit, trial by trial as the brute force does.
+    # With one pass per process enough, any benchmark of two or more distinct
+    # imputations forks once, and no trial forks again; one of a single
+    # imputation leaves that trial's selection to fork if it has two passes.
+    # Either must give the one-process report bit for bit, trial by trial as
+    # the brute force does.
     ks = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     counts = data.draw(st.lists(st.integers(1, m.n_rows), min_size=1, max_size=3))
     args = (m, ks, counts, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**32)))
     expected = serial_benchmark(*args)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluation, "_FORK_MIN_MASKED", 1)
+        mp.setattr(imputer, "_FORK_MIN_TARGETS", 1)
+        mp.setattr(imputer, "_FORK_MIN_CELLS", 0)
         forks = patch_forks(mp)
         report = benchmark(*args)
-    assert len(forks) == (len(distinct_masks(*args)) >= 2)
+    masks = distinct_masks(*args)
+    assert len(forks) == (len(masks) >= 2 or len(next(iter(masks))[1]) >= 2)
     assert report == expected
     for rec in report.trials:
         trial_seed = derive_trial_seed(args[4], rec.k, rec.missing_count, rec.trial)
@@ -430,25 +420,29 @@ def test_a_benchmark_of_two_imputations_forks_and_matches_oracle(m, data):
 def test_each_distinct_mask_is_imputed_once(monkeypatch, no_fork, case1):
     # case1's 3000 trials at 500 per (k, count) hold 126 distinct masks.
     calls = []
-    impute_masked = evaluation._impute
+    impute_masked = evaluation.impute
 
-    def counted(masked, k, fork):
+    def counted(masked, k):
         calls.append((k, tuple(missing_cells(masked))))
-        return impute_masked(masked, k, fork)
+        return impute_masked(masked, k)
 
-    monkeypatch.setattr(evaluation, "_impute", counted)
-    monkeypatch.setattr(evaluation, "_FORK_MIN_MASKED", 10**9)  # count in this process
+    monkeypatch.setattr(evaluation, "impute", counted)
+    monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 10**9)  # count in this process
     report = benchmark(case1, [1, 2], [1, 2, 3], 500, 0)
     assert len(report.trials) == 3000
     assert len(calls) == len(set(calls)) == 126
     assert set(calls) == distinct_masks(case1, [1, 2], [1, 2, 3], 500, 0)
 
 
-@pytest.mark.parametrize("trials, forked", [(3, 0), (4, 1)])
-def test_a_benchmark_forks_from_100_masked_cells_per_process(forks, trials, forked):
-    # The perfbench benchmark-sweep shape masks 50 distinct cells a trial.
+@pytest.mark.parametrize("trials, forked", [(1, 0), (2, 1)])
+def test_a_benchmark_forks_once_its_passes_pay(forks, trials, forked):
+    # The perfbench benchmark-sweep shape masks 50 distinct cells a trial,
+    # each one selection pass over 60 x 8 cells: 50 passes stay in one
+    # process, 100 fork.
     args = (seeded_table(60, 8, seed=60, gap_rate=0.0), range(1, 6), range(1, 5), trials, 1)
-    assert sum(len(refs) for _, refs in distinct_masks(*args)) == 50 * trials
+    passes = sum(len(refs) for _, refs in distinct_masks(*args))
+    assert passes == 50 * trials
+    assert (passes * (480 + imputer._PASS_COST) >= imputer._FORK_MIN_CELLS) == forked
     benchmark(*args)
     assert len(forks) == forked
 
@@ -461,14 +455,14 @@ def test_a_failed_fork_or_reply_gives_the_serial_report(monkeypatch, fault):
     expected = serial_benchmark(*args)
     forks = patch_forks(monkeypatch)
     if fault == "replies short":
-        parent, impute_masked = os.getpid(), evaluation._impute
+        parent, impute_masked = os.getpid(), evaluation.impute
 
         def short(*a):
             if os.getpid() != parent:
                 marshal.dumps = lambda obj: b"[\x02"
             return impute_masked(*a)
 
-        monkeypatch.setattr(evaluation, "_impute", short)
+        monkeypatch.setattr(evaluation, "impute", short)
     else:
         call, error = {"fork refused": ("fork", errno.EAGAIN),
                        "pipe refused": ("pipe", errno.EMFILE)}[fault]
@@ -483,22 +477,24 @@ def test_a_failed_fork_or_reply_gives_the_serial_report(monkeypatch, fault):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("min_masked", [1, 10**9], ids=["benchmark forks", "trials fork"])
-def test_a_benchmark_forks_only_from_its_own_process(monkeypatch, tmp_path, min_masked):
-    # Selection would fork for any trial of two masked cells. When the
-    # benchmark forks, its one worker imputes its share without forking again;
-    # when it does not, each distinct imputation forks its selection from here.
-    args = (fixture("case3"), [1, 2], [2, 3], 3, 5)
+@pytest.mark.parametrize(
+    "ks, counts, trials", [([1, 2], [2, 3], 3), ([2], [3], 1)],
+    ids=["benchmark forks", "trials fork"],
+)
+def test_a_benchmark_forks_only_from_its_own_process(monkeypatch, tmp_path, ks, counts, trials):
+    # Any mapping of two passes would fork. When the benchmark forks, its one
+    # worker imputes its share without forking again; a benchmark of one
+    # distinct imputation does not fork, and that trial forks its selection
+    # from here.
+    args = (fixture("case3"), ks, counts, trials, 5)
     expected = serial_benchmark(*args)
     log = tmp_path / "forks"
     logged_forks(monkeypatch, log)
     monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 1)
     monkeypatch.setattr(imputer, "_FORK_MIN_CELLS", 0)
-    monkeypatch.setattr(evaluation, "_FORK_MIN_MASKED", min_masked)
+    assert (len(distinct_masks(*args)) == 1) == (trials == 1)
     assert benchmark(*args) == expected
-    pids = log.read_text(encoding="utf-8").split()
-    assert set(pids) == {str(os.getpid())}
-    assert len(pids) == (1 if min_masked == 1 else len(distinct_masks(*args)))
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
 
 
 def test_a_benchmark_of_a_200x8_table_forks_only_from_here(monkeypatch, tmp_path):

@@ -31,7 +31,7 @@ from hetimpute.imputer import (
 )
 from hetimpute.typed_csv import parse, serialize
 
-from conftest import patch_forks, seeded_table
+from conftest import logged_forks, patch_forks, seeded_table
 from oracle import bf_candidate_distances, bf_weights
 from strategies import cell_values, matrices, raw_reals
 
@@ -597,12 +597,13 @@ def test_few_target_rows_of_a_small_table_stay_serial(no_fork, rows, cols):
 
 def test_benchmark_sweep_trials_stay_serial(forks):
     # The perfbench benchmark-sweep shape: 60 complete rows, k 1 to 5, 1 to 4
-    # gaps. No trial forks its selection; the benchmark forks one worker that
+    # gaps. No trial forks its selection, even with the benchmark's own
+    # mapping kept in this process; the benchmark forks one worker that
     # imputes a share of the trials.
     m = seeded_table(60, 8, seed=60, gap_rate=0.0)
     args = (m, range(1, 6), range(1, 5), 10, 201)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluation, "_FORK_MIN_MASKED", 10**9)
+        mp.setattr(evaluation, "_map_shares", lambda function, items, *_: function(items))
         expected = evaluation.benchmark(*args)
     assert forks == []
     report = evaluation.benchmark(*args)
@@ -618,6 +619,52 @@ def test_a_lone_large_trial_forks_its_selection(forks):
     report = evaluation.benchmark(m, [5], [60], trials=1, seed=1)
     assert len(forks) == 1
     assert report.trials[0].error is not None
+
+
+def test_a_mapping_inside_a_forked_mapping_runs_serially(dense_matrix, monkeypatch, tmp_path):
+    # Each inner mapping would fork on its own; inside the outer one, in the
+    # parent's share and in the worker's, it runs without forking.
+    log = tmp_path / "forks"
+    logged_forks(monkeypatch, log)
+    items = list(range(100))
+
+    def outer(shares):
+        for _ in shares:
+            yield sum(imputer._map_shares(iter, items, dense_matrix, len(items)))
+
+    assert list(imputer._map_shares(outer, [0, 1, 2, 3], dense_matrix, 100)) == [sum(items)] * 4
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
+    assert sum(imputer._map_shares(iter, items, dense_matrix, len(items))) == sum(items)
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
+
+
+def test_a_mapping_that_raised_lets_the_next_one_fork(dense_matrix, forks):
+    def failing(shares):
+        raise RuntimeError("share failed")
+
+    with pytest.raises(RuntimeError, match="share failed"):
+        imputer._map_shares(failing, list(range(100)), dense_matrix, 100)
+    assert len(forks) == 1
+    assert impute(dense_matrix, 5) == serially(dense_matrix, 5)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("passes", [79, 80])
+def test_impute_and_benchmark_fork_at_one_boundary(forks, passes):
+    # 80 passes over 110 x 4 cells, at 160 visits more each, are exactly 48000.
+    m = seeded_table(110, 4, seed=8, gap_rate=0.0)
+    pays = passes * (m.n_rows * m.n_cols + imputer._PASS_COST) >= imputer._FORK_MIN_CELLS
+    assert pays == (passes == 80)
+    gapped = m
+    for i in range(passes):  # one gap in each of ``passes`` rows
+        gapped = gapped.with_cell(i, i % 4, None)
+    impute(gapped, 5)
+    assert len(forks) == pays
+    half = passes // 2 - 1  # two distinct imputations of ``passes`` masked cells in all
+    evaluation.benchmark(m, [3], [half, passes - half], 1, 0)
+    assert len(forks) == 2 * pays
 
 
 def test_a_live_thread_keeps_selection_serial(dense_matrix, no_fork):
