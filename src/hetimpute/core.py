@@ -255,21 +255,25 @@ def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMa
     """A copy of ``matrix`` with the cells in ``changes`` replaced.
 
     The new cells are not checked: each caller passes gaps or cells that it
-    built of their column's kind. Only the rows named in ``changes`` are
-    copied; every other row tuple is immutable and shared with ``matrix``.
-    The gap record is ``matrix``'s, less the changed cells, plus those
-    changed to None.
+    built of their column's kind. The gap record is ``matrix``'s, less the
+    changed cells, plus those changed to None.
     """
-    rows = list(matrix.cells)
-    for (i, l), value in changes.items():
-        row = list(rows[i])
-        row[l] = value
-        rows[i] = tuple(row)
     gaps = [g for g in matrix._gaps if g not in changes]
     gaps += [g for g, v in changes.items() if v is None]
     # object.__new__ skips DataMatrix.__init__'s whole-grid pass.
     out = object.__new__(DataMatrix)
-    return out._fill(matrix.schema, tuple(rows), matrix.column_names, gaps)
+    return out._fill(matrix.schema, _replaced(matrix.cells, changes), matrix.column_names, gaps)
+
+
+def _replaced(cells: tuple, changes: dict[CellRef, CellValue]) -> tuple:
+    """The grid ``cells`` with the cells in ``changes`` replaced. Only the rows
+    named in ``changes`` are copied; every other row tuple is immutable and shared."""
+    rows = list(cells)
+    for (i, l), value in changes.items():
+        row = list(rows[i])
+        row[l] = value
+        rows[i] = tuple(row)
+    return tuple(rows)
 
 
 def missing_cells(matrix: DataMatrix) -> list[CellRef]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from .core import _KIND_CLASS, CellValue, ColumnKind, DataMatrix, matches_kind
 
@@ -127,7 +127,14 @@ if a{l} is not None:
 
 class _Kernels(dict):
     """``_KERNELS[schema]``: ``schema``'s kernel, compiled on first use. Only column
-    indices and kinds go into its text, never a name or a cell value."""
+    indices and kinds go into its text, never a name or a cell value.
+
+    ``kernel(cells, i, gaps, rows, k)`` gives, for each column of ``gaps``, the
+    ``(distance, row)`` of the k rows of ``rows`` (ascending) nearest to row i that
+    observe it, nearest first; ties break toward the lower row. It keeps a sorted
+    list of at most k rows per gap and stops summing a row once it cannot enter
+    any. It adds the cell distances in schema order, so every bit matches
+    ``row_distance``. Rows sharing no observed column with row i are left out."""
 
     def __missing__(self, schema: tuple) -> Callable:
         hoist, columns = [], []
@@ -144,17 +151,6 @@ class _Kernels(dict):
 
 
 _KERNELS = _Kernels()
-
-
-def _nearest(matrix: DataMatrix, i: int, gaps: Sequence[int], rows: Iterable[int],
-             k: int) -> list[list[tuple[float, int]]]:
-    """For each column of ``gaps``, the ``(distance, row)`` of the k rows of
-    ``rows`` (ascending) nearest to row i that observe it, nearest first;
-    ties break toward the lower row. The schema's kernel keeps a sorted list
-    of at most k rows per gap and stops summing a row once it cannot enter
-    any. It adds the cell distances in schema order, so every bit matches
-    ``row_distance``. Rows sharing no observed column with row i are left out."""
-    return _KERNELS[matrix.schema](matrix.cells, i, gaps, rows, k)
 
 
 def _shared_distances(matrix: DataMatrix, i: int, j: int) -> list[tuple[int, float]]:

@@ -1,19 +1,17 @@
 """Masking benchmark: remove known values at random, impute, measure error.
 
 The protocol masks up to one cell per row (so every row keeps enough
-context to be a donor elsewhere), imputes with a given k, and scores the
-result as the root of the summed squared per-cell distances between the
-original and the completed matrix, divided by the n*m cell count; unmasked
-cells contribute 0. Sweeping k and the number of masked cells over many
-seeded trials yields the per-trial errors and per-k box-plot statistics
-used for reporting. A trial's error depends only on k and its masked cells,
-so each distinct pair is imputed once, and ``imputer._map_shares`` spreads
-the distinct imputations over forked workers on other CPUs when that pays.
-
-Every random choice flows from explicit integer seeds; per-trial seeds are
-derived by hashing (seed, k, count, trial), so any single trial can be
-reproduced in isolation and the full report is a pure function of its
-arguments.
+context to be a donor elsewhere), fills the masked cells with ``impute``'s
+own fill step for a given k, and scores them as the root of their summed
+squared distances to the truth, divided by the n*m cell count: the other
+cells are at distance 0, and no completed matrix is built. Sweeping k and
+the number of masked cells over many seeded trials yields the per-trial
+errors and per-k box-plot statistics used for reporting. A trial's error
+depends only on k and its masked cells, so each distinct pair is filled
+once, and ``imputer._map_shares`` spreads them over forked workers on other
+CPUs when that pays. Per-trial seeds are derived by hashing (seed, k, count,
+trial), so any single trial can be reproduced in isolation and the full
+report is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -35,9 +33,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from .core import CellRef, DataMatrix, _with_cells
-from .distances import _CELL_DISTANCE
-from .imputer import _map_shares, impute
+from .core import CellRef, DataMatrix, _replaced, _with_cells
+from .distances import _CELL_DISTANCE, _KERNELS
+from .imputer import _fill, _map_shares
 
 
 class Summary(NamedTuple):
@@ -66,30 +64,32 @@ class BenchmarkReport(NamedTuple):
     trials: tuple[TrialRecord, ...]
 
 
-def mask_random(
-    matrix: DataMatrix, count: int, seed: int
-) -> tuple[DataMatrix, tuple[CellRef, ...]]:
+def mask_random(matrix: DataMatrix, count: int,
+                seed: int) -> tuple[DataMatrix, tuple[CellRef, ...]]:
     """Replace ``count`` cells of a complete matrix by gaps, seeded.
 
     Picks ``count`` distinct rows uniformly and one column uniformly within
     each, so no row loses more than one value. Returns the masked matrix and
     the masked cells in row-major order. Same arguments, same pattern.
     """
+    _check_count(matrix, count)
     refs = _mask_cells(matrix, count, seed)
     return _with_cells(matrix, dict.fromkeys(refs)), refs
 
 
-def _mask_cells(matrix: DataMatrix, count: int, seed: int) -> tuple[CellRef, ...]:
-    """The cells ``mask_random`` masks, with its checks."""
+def _check_count(matrix: DataMatrix, count: int) -> None:
+    """``mask_random``'s checks of its arguments."""
     if count > matrix.n_rows:
-        raise ValueError(
-            f"cannot mask {count} cells with at most one per row "
-            f"in a {matrix.n_rows}-row matrix"
-        )
+        raise ValueError(f"cannot mask {count} cells with at most one per row "
+                         f"in a {matrix.n_rows}-row matrix")
     if count < 0:
         raise ValueError("count must be nonnegative")
     if not matrix.is_complete():
         raise ValueError("masking expects a complete matrix")
+
+
+def _mask_cells(matrix: DataMatrix, count: int, seed: int) -> tuple[CellRef, ...]:
+    """The cells ``mask_random`` masks, once ``_check_count`` passed."""
     rng = random.Random(seed)
     rows = rng.sample(range(matrix.n_rows), count)
     return tuple(sorted(CellRef(r, rng.randrange(matrix.n_cols)) for r in rows))
@@ -108,21 +108,19 @@ def matrix_error(original: DataMatrix, imputed: DataMatrix) -> float:
     if not (original.is_complete() and imputed.is_complete()):
         raise ValueError("matrix_error expects two complete matrices")
     cells = itertools.product(range(original.n_rows), range(original.n_cols))
-    return _error(original, imputed, cells)
+    return _error(original, zip(cells, itertools.chain.from_iterable(imputed.cells)))
 
 
-def _error(
-    original: DataMatrix, imputed: DataMatrix, cells: Iterable[tuple[int, int]]
-) -> float:
-    """matrix_error summed over ``cells`` alone, in the order given.
-
-    Given in row-major order and leaving out only cells at distance 0 (the
-    unmasked cells of a finite table), it keeps the bits of the full sum.
-    """
+def _error(original: DataMatrix, imputed: Iterable[tuple]) -> Optional[float]:
+    """matrix_error summed over the ``((row, col), cell)`` of ``imputed`` alone, in the order
+    given, or None if a cell is None. Given in row-major order and leaving out only cells at
+    distance 0 (the unmasked cells of a finite table), it keeps the bits of the full sum."""
     functions = [_CELL_DISTANCE[kind] for kind in original.schema]
     total = 0.0
-    for i, l in cells:
-        d = functions[l](original.cells[i][l], imputed.cells[i][l])
+    for (i, l), cell in imputed:
+        if cell is None:
+            return None
+        d = functions[l](original.cells[i][l], cell)
         total += d * d
     return math.sqrt(total) / (original.n_rows * original.n_cols)
 
@@ -156,37 +154,33 @@ def derive_trial_seed(seed: int, k: int, count: int, trial: int) -> int:
     return int.from_bytes(_sha256(key).digest()[:8], "big")
 
 
-def benchmark(
-    matrix: DataMatrix,
-    k_values: Sequence[int],
-    missing_counts: Sequence[int],
-    trials: int,
-    seed: int,
-    dataset_name: str = "",
-) -> BenchmarkReport:
+def benchmark(matrix: DataMatrix, k_values: Sequence[int], missing_counts: Sequence[int],
+              trials: int, seed: int, dataset_name: str = "") -> BenchmarkReport:
     """Mask/impute/score ``trials`` times for every (k, missing_count) pair.
 
     Trials where some cell could not be imputed are kept in the per-trial
     records with error None but excluded from the summaries. Per-k summaries
     aggregate the errors of all missing counts for that k. ``mask_random``'s
-    checks run on every trial's cells before any work. Each distinct (k,
-    cells) is imputed once, with one selection pass per masked cell (each in
-    its own row); ``_map_shares`` forks workers that impute shares of the
-    distinct imputations on other CPUs when those passes pay.
+    checks run once per count before any work, if there is a trial. Each
+    distinct (k, cells) is filled once, with one selection pass per masked
+    cell (each in its own row), and scored from its filled cells alone;
+    ``_map_shares`` forks workers that fill shares of them when the passes pay.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    for c in dict.fromkeys(missing_counts) if k_values else ():
+        _check_count(matrix, c)
     plan = [(k, [(c, t, _mask_cells(matrix, c, derive_trial_seed(seed, k, c, t)))
                  for c in missing_counts for t in range(trials)]) for k in k_values]
     keys = list(dict.fromkeys((k, refs) for k, cells in plan for *_, refs in cells))
 
     def score(keys: list) -> Iterator[Optional[float]]:
         for k, refs in keys:
-            result = impute(_with_cells(matrix, dict.fromkeys(refs)), k)
-            # Only the masked cells differ, so they carry the score.
-            yield None if result.unimputable else _error(matrix, result.matrix, refs)
+            masked = _replaced(matrix.cells, dict.fromkeys(refs))
+            yield _error(matrix, ((ref, cell) for ref, *_, cell in _fill(matrix, masked, refs, k)))
 
     passes = sum(len(refs) for _, refs in keys)
+    _KERNELS[matrix.schema]  # compiled once, not in each worker
     errors = dict(zip(keys, _map_shares(score, keys, matrix, passes)))
     k_summaries: dict[int, Summary] = {}
     records: list[TrialRecord] = []

@@ -4,10 +4,12 @@ For every missing cell: keep the k rows nearest by row distance among those
 that observe its column, selected in one pass per target row that cuts
 farther rows short, weight them by inverse distance, and fill the cell with
 the component-wise convex combination of their values. The donor pool is
-the matrix as passed in, frozen for the whole pass, so cells never see each
-other's freshly imputed values and the result is independent of evaluation
-order. On POSIX, ``impute`` may fork workers that select donors on other CPUs
-and reaps them before it returns; it selects a share itself if no whole reply came.
+frozen for the whole pass, so cells never see each other's freshly imputed
+values and the result is independent of evaluation order. One fill step
+serves ``impute``, which builds the completed matrix and trace, and the
+masking benchmark, which scores the filled cells alone. On POSIX, it may fork
+workers that select donors on other CPUs and reaps them before it returns; it
+selects a share itself if no whole reply came.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import marshal
 import math
 import os
 from contextlib import suppress
+from itertools import chain, filterfalse
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import CellRef, CellValue, DataMatrix, _with_cells, components, missing_cells
-from .distances import _KERNELS, _nearest
+from .core import CellRef, CellValue, DataMatrix, _with_cells, components
+from .distances import _KERNELS
 
 #: Distances below this are treated as exact matches when weighting.
 ZERO_DISTANCE_EPS = 1e-12
@@ -47,9 +50,8 @@ class Donor(NamedTuple):
 
 
 class ImputationResult(NamedTuple):
-    """A completed matrix plus, per filled cell, the donors that built it,
-    nearest first. A cell whose column no comparable row observes gets no
-    trace entry and is listed in ``unimputable`` instead."""
+    """A completed matrix plus, per filled cell, the donors that built it, nearest first. A
+    cell whose column no comparable row observes is listed in ``unimputable`` instead."""
 
     matrix: DataMatrix
     trace: dict[CellRef, tuple[Donor, ...]]
@@ -120,47 +122,49 @@ def impute(matrix: DataMatrix, k: int) -> ImputationResult:
     cell with no usable donors is reported in ``unimputable`` and left
     None. The input matrix is not touched.
     """
+    fills = list(_fill(matrix, matrix.cells, matrix._gaps, k))
+    trace = {ref: tuple(Donor(j, d, w) for (d, j), w in zip(chosen, weights))
+             for ref, chosen, weights, _ in fills if chosen}
+    # The cells left None are exactly those without donors.
+    completed = _with_cells(matrix, {ref: cell for ref, *_, cell in fills})
+    return ImputationResult(completed, trace, completed._gaps)
+
+
+def _fill(matrix: DataMatrix, cells: Sequence[tuple], gaps: Sequence[tuple[int, int]],
+          k: int) -> Iterator[tuple]:
+    """``(ref, chosen, weights, cell)`` per ``(row, col)`` of ``gaps``, the row-major gaps of
+    ``cells`` (``matrix``'s shape and schema): the ``(distance, row)`` of the k rows nearest to
+    ``row`` observing ``col``, nearest first, their weights and cell, both None if no row does."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    filled: dict[CellRef, CellValue] = {}
-    trace: dict[CellRef, tuple[Donor, ...]] = {}
-    gaps: dict[int, list[CellRef]] = {}
-    missing: list[set[int]] = [set() for _ in matrix.schema]
-    for ref in missing_cells(matrix):
-        gaps.setdefault(ref.row, []).append(ref)
-        missing[ref.col].add(ref.row)
-    def select(targets: list) -> Iterator[list]:  # over the rows that observe a gap
-        for i, refs in targets:
-            excluded = set.intersection(*(missing[ref.col] for ref in refs))
-            rows = [j for j in range(matrix.n_rows) if j not in excluded]
-            yield _nearest(matrix, i, [ref.col for ref in refs], rows, k)
+    nearest, n = _KERNELS[matrix.schema], matrix.n_rows  # compiled here, before any fork
+    targets, missing = {}, [set() for _ in matrix.schema]  # row -> gap columns, column -> rows
+    for i, l in gaps:
+        targets.setdefault(i, []).append(l)
+        missing[l].add(i)
 
-    selected = _map_shares(select, list(gaps.items()), matrix, len(gaps))
-    for refs, nearest in zip(gaps.values(), selected):
-        for ref, chosen in zip(refs, nearest):
-            if not chosen:
-                continue
+    def select(targets: list) -> Iterator[list]:  # a pass per row, over rows observing a gap
+        for i, columns in targets:
+            excluded = set.intersection(*(missing[l] for l in columns))
+            yield nearest(cells, i, columns, filterfalse(excluded.__contains__, range(n)), k)
+
+    selected = _map_shares(select, list(targets.items()), matrix, len(targets))
+    for ref, chosen in zip(gaps, chain.from_iterable(selected)):
+        weights = cell = None  # if no comparable row observes the column
+        if chosen:
             weights = neighbor_weights([d for d, _ in chosen])
-            donors = tuple(
-                Donor(row=j, distance=d, weight=w) for (d, j), w in zip(chosen, weights)
-            )
-            cells = [(matrix.cells[d.row][ref.col], d.weight) for d in donors]
-            filled[ref] = combine_cells(cells)
-            trace[ref] = donors
-    # The cells left None are exactly those without donors.
-    completed = _with_cells(matrix, filled)
-    return ImputationResult(completed, trace, tuple(missing_cells(completed)))
+            cell = combine_cells([(cells[j][ref[1]], w) for (_, j), w in zip(chosen, weights)])
+        yield ref, chosen, weights, cell
 
 
 def _map_shares(function: Callable[[list], Iterable], items: list, matrix: DataMatrix,
                 passes: int) -> Iterable:
-    """``function``, which maps a list item by item, over ``items``, whose
-    selection makes ``passes`` passes over ``matrix``: ``function(items)``
-    itself unless the passes pay for forks, on POSIX, with no other thread and
-    outside a mapping that forked; else forked worker w of p maps ``items[w::p]``
-    and replies by ``marshal``, which keeps float bits, and the parent maps the
-    rest. A worker that replied has exited and is only reaped. One that has not
-    gets SIGKILL if the parent raises; with SIGCHLD ignored, its pid may be reused."""
+    """``function``, which maps a list item by item, over ``items``, whose selection makes
+    ``passes`` passes over ``matrix``: ``function(items)`` itself unless the passes pay for
+    forks, on POSIX, with no other thread and outside a mapping that forked; else forked worker
+    w of p maps ``items[w::p]`` and replies in full by ``marshal``, which keeps float bits, and
+    the parent maps the rest. A worker that replied has exited and is only reaped. One that
+    has not gets SIGKILL if the parent raises; with SIGCHLD ignored, its pid may be reused."""
     global _forked
     p = min(len(items), passes // _FORK_MIN_TARGETS)
     if (p < 2 or _forked or passes * (matrix.n_rows * matrix.n_cols + _PASS_COST) < _FORK_MIN_CELLS
@@ -172,7 +176,6 @@ def _map_shares(function: Callable[[list], Iterable], items: list, matrix: DataM
         p = 1 if p > 1 and len(os.listdir("/proc/self/task")) > 1 else p
     if p < 2:
         return function(items)
-    _KERNELS[matrix.schema]  # compiled once, not in each worker
     results: list = [None] * len(items)
     workers = {}  # share -> (pid, read end of its pipe) until it replies
     _forked = True
@@ -188,7 +191,9 @@ def _map_shares(function: Callable[[list], Iterable], items: list, matrix: DataM
                 continue
             if pid == 0:  # the worker: it replies and leaves, whatever happens
                 try:
-                    os.write(out, marshal.dumps(list(function(items[w::p]))))
+                    reply = memoryview(marshal.dumps(list(function(items[w::p]))))
+                    while reply:  # a signal may cut a write short
+                        reply = reply[os.write(out, reply):]
                 finally:
                     os._exit(0)
             os.close(out)

@@ -18,7 +18,6 @@ from hetimpute.core import (
     Interval,
     Missing,
     components,
-    missing_cells,
 )
 from hetimpute.evaluation import (
     benchmark,
@@ -244,6 +243,46 @@ class TestBenchmark:
         with pytest.raises(ValueError):
             benchmark(case1_masked, [1], [1], trials=1, seed=0)
 
+    def test_each_count_is_checked_once(self, case1, monkeypatch):
+        checked, check = [], evaluation._check_count
+        monkeypatch.setattr(evaluation, "_check_count",
+                            lambda m, count: checked.append(count) or check(m, count))
+        assert len(benchmark(case1, [1, 2], [2, 1, 2, 0], trials=5, seed=0).trials) == 40
+        assert checked == [2, 1, 0]
+
+    @pytest.mark.parametrize("masked, ks, counts, trials, error", [
+        (False, [1], [4], 1, "cannot mask 4 cells with at most one per row in a 3-row matrix"),
+        (False, [1], [-1], 1, "count must be nonnegative"),
+        (True, [1], [1], 1, "masking expects a complete matrix"),
+        (True, [1], [4], 1, "cannot mask 4 cells with at most one per row in a 3-row matrix"),
+        (True, [1], [-1], 1, "count must be nonnegative"),
+        (False, [1, 2], [1, 5, -1], 2, "cannot mask 5 cells with at most one per row in a 3-row matrix"),
+        (False, [1], [-1, 5], 1, "count must be nonnegative"),
+        (False, [2, 1], [0, -2], 1, "count must be nonnegative"),
+        (False, [], [99], 1, None),
+        (False, [], [-1], 1, None),
+        (True, [], [1], 1, None),
+        (True, [1], [], 1, None),
+        (False, [1], [9], 0, "trials must be at least 1"),
+        (False, [], [9], 0, "trials must be at least 1"),
+        (False, [0], [1], 1, "k must be at least 1"),
+        (False, [0], [9], 1, "cannot mask 9 cells with at most one per row in a 3-row matrix"),
+        (False, [0], [], 1, None),
+        (False, [1, 0], [0], 1, "k must be at least 1"),
+    ])
+    def test_bad_arguments_raise_what_the_trials_checks_raised(self, case1, case1_masked, masked,
+                                                               ks, counts, trials, error):
+        # The count checks run once per distinct count, in the order given,
+        # and only when there is a trial to plan; the first failing check is
+        # the one each trial's own checks met first.
+        m = case1_masked if masked else case1
+        if error is None:
+            assert benchmark(m, ks, counts, trials, 0) == ("", {}, ())
+        else:
+            with pytest.raises(ValueError) as raised:
+                benchmark(m, ks, counts, trials, 0)
+            assert str(raised.value) == error
+
 
 def test_trial_seed_derivation_is_stable():
     assert derive_trial_seed(0, 1, 1, 0) == derive_trial_seed(0, 1, 1, 0)
@@ -417,16 +456,45 @@ def test_a_benchmark_of_two_imputations_forks_and_matches_oracle(m, data):
         assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(complete_matrices(min_rows=2, max_rows=6), st.integers(0, 2**32), st.booleans())
+def test_scoring_builds_no_imputation_result(m, seed, forked):
+    # The score reads the filled cells: with impute and every matrix copy
+    # refused, forked or in one process, each trial still matches the oracle.
+    def refused(*args):
+        raise AssertionError("scoring built a matrix")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in [(imputer, "impute"), (imputer, "_with_cells"),
+                             (evaluation, "_with_cells")]:
+            mp.setattr(module, name, refused)
+        if forked:
+            mp.setattr(imputer, "_FORK_MIN_TARGETS", 1)
+            mp.setattr(imputer, "_FORK_MIN_CELLS", 0)
+            forks = patch_forks(mp)
+        else:
+            mp.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
+        report = benchmark(m, range(1, 4), range(1, m.n_rows + 1), trials=2, seed=seed)
+    if forked:
+        assert len(forks) == 1
+    for rec in report.trials:
+        trial_seed = derive_trial_seed(seed, rec.k, rec.missing_count, rec.trial)
+        assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
+
+
 def test_each_distinct_mask_is_imputed_once(monkeypatch, no_fork, case1):
     # case1's 3000 trials at 500 per (k, count) hold 126 distinct masks.
     calls = []
-    impute_masked = evaluation.impute
+    fill = evaluation._fill
 
-    def counted(masked, k):
-        calls.append((k, tuple(missing_cells(masked))))
-        return impute_masked(masked, k)
+    def counted(matrix, cells, gaps, k):
+        # The gaps are exactly the masked grid's, in row-major order.
+        assert [(i, l) for i, row in enumerate(cells) for l, c in enumerate(row)
+                if c is None] == list(gaps)
+        calls.append((k, tuple(gaps)))
+        return fill(matrix, cells, gaps, k)
 
-    monkeypatch.setattr(evaluation, "impute", counted)
+    monkeypatch.setattr(evaluation, "_fill", counted)
     monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 10**9)  # count in this process
     report = benchmark(case1, [1, 2], [1, 2, 3], 500, 0)
     assert len(report.trials) == 3000
@@ -455,14 +523,14 @@ def test_a_failed_fork_or_reply_gives_the_serial_report(monkeypatch, fault):
     expected = serial_benchmark(*args)
     forks = patch_forks(monkeypatch)
     if fault == "replies short":
-        parent, impute_masked = os.getpid(), evaluation.impute
+        parent, fill = os.getpid(), evaluation._fill
 
         def short(*a):
             if os.getpid() != parent:
                 marshal.dumps = lambda obj: b"[\x02"
-            return impute_masked(*a)
+            return fill(*a)
 
-        monkeypatch.setattr(evaluation, "impute", short)
+        monkeypatch.setattr(evaluation, "_fill", short)
     else:
         call, error = {"fork refused": ("fork", errno.EAGAIN),
                        "pipe refused": ("pipe", errno.EMFILE)}[fault]

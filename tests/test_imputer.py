@@ -478,23 +478,36 @@ def test_rows_that_cannot_be_nearest_are_cut_short(monkeypatch):
             if j != i and any(other[l] is not None for l in gaps):
                 full += sum(a is not None and b is not None for a, b in zip(row, other))
     evaluated = 0
-    nearest = imputer._nearest
 
-    def counting(matrix, i, *args):
-        # The target row's own fields are read once a call; every other
-        # read of the field is a donor's, one per evaluation.
-        nonlocal evaluated
-        before = reads[0]
-        result = nearest(matrix, i, *args)
-        evaluated += reads[0] - before - sum(a is not None for a in matrix.cells[i])
-        return result
+    def counting(nearest):
+        def pass_(cells, i, *args):
+            # The target row's own fields are read once a pass; every other
+            # read of the field is a donor's, one per evaluation.
+            nonlocal evaluated
+            before = reads[0]
+            result = nearest(cells, i, *args)
+            evaluated += reads[0] - before - sum(a is not None for a in cells[i])
+            return result
 
-    monkeypatch.setattr(imputer, "_nearest", counting)
+        return pass_
+
+    wrap_kernels(monkeypatch, counting)
     # In one process, so that every evaluation is counted here.
     monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 10**9)
     assert impute(m, 5).trace == impute(plain, 5).trace
     # A pass with no cut evaluates all of ``full``; this one about 73%.
     assert 0 < evaluated < 0.8 * full
+
+
+def wrap_kernels(monkeypatch, wrap):
+    """Make the fill step run ``wrap(kernel)`` in place of each schema's kernel."""
+
+    class Wrapped(dict):
+        def __missing__(self, schema):
+            self[schema] = wrapped = wrap(distances._KERNELS[schema])
+            return wrapped
+
+    monkeypatch.setattr(imputer, "_KERNELS", Wrapped())
 
 
 # -- one selection kernel per schema -----------------------------------------
@@ -562,6 +575,25 @@ def test_a_worker_builds_no_kernel(kernels, monkeypatch, tmp_path, forks, dense_
         evaluation.benchmark(fixture("case3"), range(1, 5), range(1, 6), 20, 3)
     assert len(forks) == 1
     assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+def test_impute_reads_the_kernel_cache_once_per_call(dense_matrix, monkeypatch, forked):
+    # Not once per target row: a read hashes the schema through Enum.__hash__.
+    expected, reads = serially(dense_matrix, 5), []
+
+    class Counted(type(distances._KERNELS)):
+        def __getitem__(self, schema):
+            reads.append(schema)
+            return super().__getitem__(schema)
+
+    monkeypatch.setattr(imputer, "_KERNELS", Counted(distances._KERNELS))
+    forks = patch_forks(monkeypatch)
+    if not forked:
+        monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 10**9)
+    assert impute(dense_matrix, 5) == expected
+    assert len(forks) == forked
+    assert reads == [dense_matrix.schema]
 
 
 # -- selection split over forked workers -------------------------------------
@@ -705,15 +737,17 @@ def test_one_cpu_keeps_selection_serial(dense_matrix, no_fork, monkeypatch):
 
 
 def in_worker(parent_pid, act):
-    """Wrap ``imputer._nearest`` so that ``act()`` runs first in a worker."""
-    nearest = imputer._nearest
+    """Wrap a kernel so that ``act()`` runs first in a worker."""
 
-    def wrapped(*args):
-        if os.getpid() != parent_pid:
-            act()
-        return nearest(*args)
+    def wrap(nearest):
+        def wrapped(*args):
+            if os.getpid() != parent_pid:
+                act()
+            return nearest(*args)
 
-    return wrapped
+        return wrapped
+
+    return wrap
 
 
 @pytest.mark.parametrize(
@@ -727,7 +761,7 @@ def in_worker(parent_pid, act):
 )
 def test_a_failed_worker_gives_the_serial_result(dense_matrix, forks, monkeypatch, fault):
     expected = serially(dense_matrix, 5)
-    monkeypatch.setattr(imputer, "_nearest", in_worker(os.getpid(), fault))
+    wrap_kernels(monkeypatch, in_worker(os.getpid(), fault))
     assert impute(dense_matrix, 5) == expected
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
@@ -753,6 +787,30 @@ def test_a_fork_that_fails_gives_the_serial_result(dense_matrix, monkeypatch, ca
         assert sorted(os.listdir(fd_dir)) == before
 
 
+def test_a_reply_in_short_writes_is_sent_in_full(dense_matrix, forks, monkeypatch):
+    # A pipe write may take fewer bytes than it was given. The worker writes
+    # the rest, so the parent selects its own share alone.
+    expected = serially(dense_matrix, 5)
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:512]))
+    parent, selected = os.getpid(), []
+
+    def logged(nearest):
+        def pass_(cells, i, *args):
+            if os.getpid() == parent:
+                selected.append(i)
+            return nearest(cells, i, *args)
+
+        return pass_
+
+    wrap_kernels(monkeypatch, logged)
+    assert impute(dense_matrix, 5) == expected
+    assert len(forks) == 1
+    rows = sorted({ref.row for ref in missing_cells(dense_matrix)})
+    # The parent's share alone: the worker's reply, several kB, came in 512-byte writes.
+    assert selected == rows[0::2]
+
+
 def test_a_worker_that_replied_is_not_signalled(dense_matrix, forks, monkeypatch):
     # It has exited, so it is only reaped: with SIGCHLD ignored its pid may
     # already belong to another process.
@@ -768,17 +826,19 @@ def test_a_worker_that_replied_is_not_signalled(dense_matrix, forks, monkeypatch
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_a_parent_exception_kills_and_reaps_the_workers(dense_matrix, forks, monkeypatch, error):
     parent = os.getpid()
-    nearest = imputer._nearest
 
-    def stuck(*args):
-        if os.getpid() != parent:  # a worker that would take 30 s
-            time.sleep(30)
-            os._exit(1)
-        if forks:  # the parent's first target row, after the fork
-            raise error("stop")
-        return nearest(*args)
+    def stuck(nearest):
+        def pass_(*args):
+            if os.getpid() != parent:  # a worker that would take 30 s
+                time.sleep(30)
+                os._exit(1)
+            if forks:  # the parent's first target row, after the fork
+                raise error("stop")
+            return nearest(*args)
 
-    monkeypatch.setattr(imputer, "_nearest", stuck)
+        return pass_
+
+    wrap_kernels(monkeypatch, stuck)
     start = time.monotonic()
     with pytest.raises(error):
         impute(dense_matrix, 5)
