@@ -23,10 +23,12 @@ def main() -> None:
     print(serialize(masked))
 
     for donor_row in (0, 1):
-        rd = row_distance(masked, 2, donor_row)
+        distance = row_distance(masked, 2, donor_row)
+        shared = sum(a is not None and b is not None
+                     for a, b in zip(masked.cells[2], masked.cells[donor_row]))
         print(
-            f"distance from row 2 to row {donor_row}: {rd.value:.4f} "
-            f"(over {rd.shared_features} shared columns)"
+            f"distance from row 2 to row {donor_row}: {distance:.4f} "
+            f"(over {shared} shared columns)"
         )
 
     result = impute(masked, k=2)

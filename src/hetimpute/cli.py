@@ -223,14 +223,14 @@ def cmd_distance(args: argparse.Namespace) -> int:
         return _usage_error(
             f"row indices must be in 0..{matrix.n_rows - 1} (zero-based)"
         )
-    rd = row_distance(matrix, left, right)
-    if rd is None:
+    shared = _shared_distances(matrix, left, right)
+    if not shared:
         print("incomparable")
         return 0
-    for l, d in _shared_distances(matrix, left, right):
+    for l, d in shared:
         print(f"column {l} ({matrix.column_names[l]}): {d!r}")
-    print(f"shared features: {rd.shared_features}")
-    print(f"row distance: {rd.value!r}")
+    print(f"shared features: {len(shared)}")
+    print(f"row distance: {row_distance(matrix, left, right)!r}")
     return 0
 
 

@@ -17,16 +17,9 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .core import _KIND_CLASS, CellValue, ColumnKind, DataMatrix, matches_kind
-
-
-class RowDistance(NamedTuple):
-    """A defined row distance plus how many columns both rows shared."""
-
-    value: float
-    shared_features: int
 
 
 #: Each kind's cell distance: its name, and the text of its distance from a target cell ``a``
@@ -58,8 +51,6 @@ _CELL_DISTANCE = {
     kind: _compile(f"def {name}(a, b):\n    {_indent(text.format(into='return', a='a.'), 1)}")[name]
     for kind, (name, text) in _FORMULAS.items()
 }
-interval_distance = _CELL_DISTANCE[ColumnKind.INTERVAL]
-tfn_distance = _CELL_DISTANCE[ColumnKind.FUZZY]
 
 
 def cell_distance(a: CellValue, b: CellValue, kind: ColumnKind) -> float:
@@ -160,7 +151,7 @@ def _shared_distances(matrix: DataMatrix, i: int, j: int) -> list[tuple[int, flo
             if a is not None and b is not None]
 
 
-def row_distance(matrix: DataMatrix, i: int, j: int) -> Optional[RowDistance]:
+def row_distance(matrix: DataMatrix, i: int, j: int) -> Optional[float]:
     """Distance between rows i and j over their mutually observed columns.
 
     Returns None (incomparable) when the rows share no observed column:
@@ -176,4 +167,4 @@ def row_distance(matrix: DataMatrix, i: int, j: int) -> Optional[RowDistance]:
     total = 0.0
     for _, d in shared:
         total += d
-    return RowDistance(math.sqrt(total / len(shared)), len(shared)) if shared else None
+    return math.sqrt(total / len(shared)) if shared else None

@@ -154,7 +154,7 @@ def derive_trial_seed(seed: int, k: int, count: int, trial: int) -> int:
     return int.from_bytes(_sha256(key).digest()[:8], "big")
 
 
-def benchmark(matrix: DataMatrix, k_values: Sequence[int], missing_counts: Sequence[int],
+def benchmark(matrix: DataMatrix, k_values: Iterable[int], missing_counts: Iterable[int],
               trials: int, seed: int, dataset_name: str = "") -> BenchmarkReport:
     """Mask/impute/score ``trials`` times for every (k, missing_count) pair.
 
@@ -166,6 +166,7 @@ def benchmark(matrix: DataMatrix, k_values: Sequence[int], missing_counts: Seque
     cell (each in its own row), and scored from its filled cells alone;
     ``_map_shares`` forks workers that fill shares of them when the passes pay.
     """
+    k_values, missing_counts = tuple(k_values), tuple(missing_counts)  # read more than once
     if trials < 1:
         raise ValueError("trials must be at least 1")
     for c in dict.fromkeys(missing_counts) if k_values else ():

@@ -84,6 +84,28 @@ def bf_weights(distances: list[float]) -> list[float]:
     return [inv / total for inv in inverses]
 
 
+def bf_combine(cells: list, weights: list[float]) -> CellValue:
+    """The donors' common value when all ``cells`` are equal; else each component
+    summed as ``weights`` times the donors' components in donor order, and a sum
+    past the largest double clamped into the donors' range."""
+    value = cells[0]
+    if all(c == value for c in cells):
+        return value
+    if isinstance(value, Crisp):
+        columns = [[c.value for c in cells]]
+    elif isinstance(value, Interval):
+        columns = [[c.lower for c in cells], [c.upper for c in cells]]
+    else:
+        columns = [[c.a1 for c in cells], [c.a2 for c in cells], [c.a3 for c in cells]]
+    parts = []
+    for column in columns:
+        x = 0.0
+        for p, w in zip(column, weights):
+            x += p * w
+        parts.append(x if math.isfinite(x) else min(max(x, min(column)), max(column)))
+    return type(value)(*parts)
+
+
 def bf_parse_number(token: str, line: int, column: int, what: str) -> float:
     # float() reads every decimal literal, and also '_' separators, 'inf',
     # 'nan' and literals that overflow to inf, which a finite cell refuses.

@@ -96,8 +96,8 @@ def test_criterion_1_worked_example_chain(case1, case1_masked):
         started = time.perf_counter()
         to_first = row_distance(case1_masked, 2, 0)
         to_second = row_distance(case1_masked, 2, 1)
-        assert to_first.value == approx(0.2661, abs=5e-4)
-        assert to_second.value == approx(0.0945, abs=5e-4)
+        assert to_first == approx(0.2661, abs=5e-4)
+        assert to_second == approx(0.0945, abs=5e-4)
         result = impute(case1_masked, k=2)
         by_row = {d.row: d for d in result.trace[CellRef(2, 2)]}
         assert by_row[0].weight == approx(0.2620, abs=1e-3)

@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import io
+import itertools
 import os
 import stat
 import subprocess
@@ -18,6 +19,8 @@ from hetimpute import fixture, parse, serialize
 from hetimpute import cli
 from hetimpute.cli import main
 
+from conftest import seeded_table
+from oracle import bf_cell_distance, bf_row_distance
 from strategies import matrices, raw_reals
 
 approx = pytest.approx
@@ -478,6 +481,63 @@ class TestImputeCommand:
                 assert written == (tmp_path / f"{name}.normal{suffix}").read_bytes()
 
 
+# Runs the CLI module, or the script its second argument names, with the
+# arguments after it: in this CPU set, pinned to one CPU, or with SIGCHLD
+# ignored, as its first argument says. Its forks go to stderr as it ends.
+IN_MODE = "\n".join([
+    "import os, runpy, signal, sys",
+    "mode, target = sys.argv.pop(1), sys.argv.pop(1)",
+    "if mode == 'one-cpu':",
+    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+    "elif mode == 'sigchld-ignored':",
+    "    signal.signal(signal.SIGCHLD, signal.SIG_IGN)",
+    "forks, fork = [], os.fork",
+    "os.fork = lambda: forks.append(1) or fork()",
+    "try:",
+    "    if target == 'cli':",
+    "        runpy.run_module('hetimpute.cli', run_name='__main__', alter_sys=True)",
+    "    else:",
+    "        runpy.run_path(target, run_name='__main__')",
+    "finally:",
+    "    print(len(forks), file=sys.stderr)",
+])
+
+SCRIPTS = Path(__file__).parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("job", ["impute", "benchmark", "case-studies"])
+def test_forked_one_cpu_and_ignored_sigchld_write_the_same_bytes(tmp_path, job):
+    # Each job forks where this process has two CPUs or more; pinned to one
+    # CPU it forks nothing, and every output file and stdout stay the same.
+    table = tmp_path / "table.csv"
+    table.write_text(serialize(seeded_table(200, 8, seed=5, gap_rate=0.2 * (job == "impute"))),
+                     encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
+    runs = {}
+    for mode in ("as-usual", "one-cpu", "sigchld-ignored"):
+        out = tmp_path / mode
+        out.mkdir()
+        args = {
+            "impute": ["cli", "impute", "--input", str(table), "--k", "5", "--output",
+                       str(out / "out.csv"), "--trace", str(out / "trace.csv")],
+            "benchmark": ["cli", "benchmark", "--input", str(table), "--k-min", "3", "--k-max",
+                          "5", "--nan-min", "100", "--nan-max", "101", "--trials", "1",
+                          "--output", str(out / "b.csv")],
+            "case-studies": [str(SCRIPTS / "run_case_studies.py"), "--trials", "50",
+                             "--outdir", str(out)],
+        }[job]
+        run = subprocess.run([sys.executable, "-c", IN_MODE, mode, *args],
+                             capture_output=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        runs[mode] = int(run.stderr), run.stdout, files
+    forked = len(os.sched_getaffinity(0)) > 1
+    assert [forks > 0 for forks, *_ in runs.values()] == [forked, False, forked]
+    assert len(runs["as-usual"][2]) == {"impute": 2, "benchmark": 2, "case-studies": 6}[job]
+    assert runs["one-cpu"][1:] == runs["as-usual"][1:]
+    assert runs["sigchld-ignored"][1:] == runs["as-usual"][1:]
+
+
 class TestBenchmarkCommand:
     def test_deterministic_outputs(self, tmp_path, capsys):
         args = ["benchmark", "--fixture", "case3", "--k-min", "1", "--k-max", "2",
@@ -609,6 +669,25 @@ class TestDistanceCommand:
         src.write_text("x:crisp,y:crisp\n1.0,\n,2.0\n", encoding="utf-8")
         assert main(["distance", "--input", str(src), "--rows", "0,1"]) == 0
         assert capsys.readouterr().out.strip() == "incomparable"
+
+    def test_every_pair_prints_what_the_oracle_computes(self, tmp_path, capsys):
+        # Per shared column its cell distance, then the shared count and the
+        # row distance, each by repr, bit for bit as tests/oracle.py has them.
+        tables = [fixture(name) for name in ("case1", "case2", "case3")]
+        tables.append(parse("x:crisp,y:interval\n1.0,\n,[0.0;1.0]\n"))  # incomparable
+        for m in tables:
+            src = tmp_path / "in.csv"
+            src.write_text(serialize(m), encoding="utf-8")
+            for i, j in itertools.permutations(range(m.n_rows), 2):
+                pairs = enumerate(zip(m.cells[i], m.cells[j]))
+                shared = [l for l, (a, b) in pairs if a is not None and b is not None]
+                lines = [f"column {l} ({m.column_names[l]}): "
+                         f"{bf_cell_distance(m.cells[i][l], m.cells[j][l])!r}" for l in shared]
+                lines += ([f"shared features: {len(shared)}",
+                           f"row distance: {bf_row_distance(m, i, j)!r}"]
+                          if shared else ["incomparable"])
+                assert main(["distance", "--input", str(src), "--rows", f"{i},{j}"]) == 0
+                assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
     def test_bad_row_arguments(self, tmp_path):
         src = tmp_path / "in.csv"

@@ -17,7 +17,6 @@ from hetimpute.core import (
     FuzzyTFN,
     Interval,
     Missing,
-    components,
 )
 from hetimpute.evaluation import (
     benchmark,
@@ -31,7 +30,7 @@ from hetimpute.fixtures import fixture
 from hetimpute.imputer import impute
 
 from conftest import logged_forks, patch_forks, seeded_table
-from oracle import bf_candidate_distances, bf_cell_distance, bf_weights
+from oracle import bf_candidate_distances, bf_cell_distance, bf_combine, bf_weights
 from strategies import complete_matrices, raw_reals
 
 approx = pytest.approx
@@ -250,6 +249,15 @@ class TestBenchmark:
         assert len(benchmark(case1, [1, 2], [2, 1, 2, 0], trials=5, seed=0).trials) == 40
         assert checked == [2, 1, 0]
 
+    def test_iterators_give_the_report_of_equal_lists(self, case1):
+        # The checks and the plan both read the counts; a one-shot iterator
+        # must not be drained by the first, nor an empty one of k run them.
+        expected = benchmark(case1, [1, 2], [2, 1, 3], trials=2, seed=0)
+        assert len(expected.trials) == 12
+        got = benchmark(case1, iter([1, 2]), iter([2, 1, 3]), trials=2, seed=0)
+        assert got == expected
+        assert benchmark(case1, (k for k in []), iter([9]), 1, 0) == ("", {}, ())
+
     @pytest.mark.parametrize("masked, ks, counts, trials, error", [
         (False, [1], [4], 1, "cannot mask 4 cells with at most one per row in a 3-row matrix"),
         (False, [1], [-1], 1, "count must be nonnegative"),
@@ -317,9 +325,7 @@ def test_benchmark_over_the_full_float_range(m, seed):
 def _bf_trial_error(matrix, k, count, trial_seed):
     """One trial by brute force: the error, or None if a cell is unimputable.
 
-    Each masked cell takes the convex combination of its k nearest donors,
-    summed in donor order (the donors' common value when they agree; a sum
-    past the largest double clamped into the donors' range), and the
+    Each masked cell takes ``bf_combine`` of its k nearest donors, and the
     squared cell errors are added in row-major order.
     """
     masked, refs = mask_random(matrix, count, trial_seed)
@@ -329,16 +335,7 @@ def _bf_trial_error(matrix, k, count, trial_seed):
         if not donors:
             return None
         weights = bf_weights([d for d, _ in donors])
-        cells = [masked.cells[j][ref.col] for _, j in donors]
-        value = cells[0]
-        if any(c != value for c in cells):
-            parts = []
-            for column in zip(*map(components, cells)):
-                x = 0.0
-                for p, w in zip(column, weights):
-                    x += p * w
-                parts.append(x if math.isfinite(x) else min(max(x, min(column)), max(column)))
-            value = type(value)(*parts)
+        value = bf_combine([masked.cells[j][ref.col] for _, j in donors], weights)
         d = bf_cell_distance(matrix.cells[ref.row][ref.col], value)
         total += d * d
     return math.sqrt(total) / (matrix.n_rows * matrix.n_cols)

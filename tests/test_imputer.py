@@ -32,7 +32,7 @@ from hetimpute.imputer import (
 from hetimpute.typed_csv import parse, serialize
 
 from conftest import logged_forks, patch_forks, seeded_table
-from oracle import bf_candidate_distances, bf_weights
+from oracle import bf_candidate_distances, bf_combine, bf_weights
 from strategies import cell_values, matrices, raw_reals
 
 approx = pytest.approx
@@ -383,14 +383,21 @@ def forking():
 def assert_matches_oracle(m, k):
     # One selection pass per target row, shared by the row's gaps and
     # cutting rows short, must select exactly what a per-cell brute force
-    # selects, to the last bit, in one process or split over two.
+    # selects, and fill the cell with its value, to the last bit (float.hex,
+    # since a cell's == takes -0.0 for 0.0), in one process or split over two.
     result = impute(m, k)
     for ref in missing_cells(m):
         ranked = bf_candidate_distances(m, ref.row, ref.col)[:k]
         if ranked:
             donors = result.trace[ref]
+            weights = bf_weights([d for d, _ in ranked])
             assert [(d.distance, d.row) for d in donors] == ranked
-            assert [d.weight for d in donors] == bf_weights([d for d, _ in ranked])
+            assert [d.weight for d in donors] == weights
+            filled = result.matrix.cells[ref.row][ref.col]
+            expected = bf_combine([m.cells[j][ref.col] for _, j in ranked], weights)
+            assert type(filled) is type(expected)
+            assert [*map(float.hex, components(filled))] == [
+                *map(float.hex, components(expected))]
         else:
             assert ref not in result.trace
             assert ref in result.unimputable
