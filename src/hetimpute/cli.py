@@ -165,8 +165,8 @@ def cmd_impute(args: argparse.Namespace) -> int:
     result = impute(matrix, args.k)
     outputs = [_records(result.matrix)]
     if args.trace is not None:
-        trace = result.trace
-        rows = ((*ref, *d) for ref in sorted(trace) for d in trace[ref])
+        rows = ((ref.row, ref.col, d.row, d.distance, d.weight)
+                for ref, donors in result.trace.items() for d in donors)
         outputs.append(_table("row,col,donor_row,distance,weight", rows))
     _write(args.targets, *outputs)
     if result.unimputable:
@@ -202,8 +202,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    trials = ((*t, int(t.error is not None)) for t in report.trials)
-    per_k = ((k, *s) for k, s in report.k_summaries.items())
+    trials = ((t.k, t.missing_count, t.trial, t.error, int(t.error is not None))
+              for t in report.trials)
+    per_k = ((k, s.min, s.q1, s.median, s.q3, s.max, s.mean)
+             for k, s in report.k_summaries.items())
     summary = list(_table("k,min,q1,median,q3,max,mean", per_k))
     raw = _table("k,missing_count,trial,error,imputable", trials)
     _write(args.targets, raw, summary)

@@ -4,7 +4,7 @@ A cell is one of four things: a crisp real, a closed interval, a triangular
 fuzzy number, or ``None`` for a gap. A cell checks its own components when
 it is built: they are finite and, for an interval or a fuzzy number, in
 order. Columns carry one declared kind; a cell matches its column's kind
-or is None, which DataMatrix and its ``with_cell`` check on the way in.
+or is None, which the DataMatrix constructor checks on the way in.
 Everything here is an immutable value, so matrices can be shared freely
 between threads and reused as the frozen donor pool during imputation.
 """
@@ -118,6 +118,7 @@ class ColumnKind(Enum):
     CRISP = "crisp"
     INTERVAL = "interval"
     FUZZY = "fuzzy"
+    __hash__ = object.__hash__  # members are singletons: hash in C, not by name
 
 
 _KIND_CLASS = {
@@ -157,20 +158,22 @@ class DataMatrix(_Value):
     observed cell of a DataMatrix is finite and ordered.
 
     A DataMatrix is a read-only value like its cells: it equals a matrix
-    with the same schema, cells and column names. The gaps are recorded
-    once, as the row-major tuple ``_gaps`` of their CellRefs. The record is
-    derived from the cells, never carried: pickle and copy rebuild it, and
-    ``==``, ``hash`` and ``repr`` do not read it.
+    with the same schema, cells and column names. The constructor is
+    ``__new__``, so ``m.__init__(...)`` leaves a built matrix as it is, and
+    ``with_cell`` builds its copy through it, with the same checks. The gaps
+    are recorded once, as the row-major tuple ``_gaps`` of their CellRefs.
+    The record is derived from the cells, never carried: pickle and copy
+    rebuild it, and ``==``, ``hash`` and ``repr`` do not read it.
     """
 
     __slots__ = ("schema", "cells", "column_names", "_gaps")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         schema: Iterable[ColumnKind],
         cells: Iterable[Iterable[CellValue]],
         column_names: Iterable[str] = (),
-    ) -> None:
+    ) -> DataMatrix:
         schema = tuple(schema)
         cells = tuple(tuple(row) for row in cells)
         names = tuple(column_names)
@@ -181,16 +184,12 @@ class DataMatrix(_Value):
         if len(cells) == 0:
             raise ValueError("matrix needs at least one row")
         if len(names) != len(schema):
-            raise ValueError(
-                f"{len(names)} column names for {len(schema)} columns"
-            )
+            raise ValueError(f"{len(names)} column names for {len(schema)} columns")
         for i, row in enumerate(cells):
             if len(row) != len(schema):
-                raise ValueError(
-                    f"row {i} has {len(row)} cells, expected {len(schema)}"
-                )
+                raise ValueError(f"row {i} has {len(row)} cells, expected {len(schema)}")
         # A column passes when each of its classes is a gap's or subclasses its
-        # kind's class; _check_cells names the first cell of a column that fails.
+        # kind's class; the loop below names the first cell of a column that fails.
         failed = []
         gaps = []
         for l, (kind, name, column) in enumerate(zip(schema, names, zip(*cells))):
@@ -203,10 +202,12 @@ class DataMatrix(_Value):
                 failed.append(l)
             if Missing in classes:
                 gaps += [CellRef(i, l) for i, c in enumerate(column) if c is None]
-        _check_cells(
-            schema, [(i, l, row[l]) for i, row in enumerate(cells) for l in failed]
-        )
-        self._fill(schema, cells, names, gaps)
+        for i, row in enumerate(cells):
+            for l in failed:
+                if row[l] is not None and not matches_kind(row[l], schema[l]):
+                    raise ValueError(f"cell ({i},{l}): {type(row[l]).__name__} does not "
+                                     f"match column kind {schema[l].value}")
+        return object.__new__(cls)._fill(schema, cells, names, gaps)
 
     def _fill(self, schema, cells, names, gaps: Iterable[CellRef]) -> DataMatrix:
         _set(self, "schema", schema)
@@ -227,28 +228,15 @@ class DataMatrix(_Value):
         return len(self.schema)
 
     def with_cell(self, row: int, col: int, value: CellValue) -> DataMatrix:
-        """A copy of this matrix with one cell replaced."""
+        """A copy of this matrix with one cell replaced, checked by the constructor."""
         if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
             raise IndexError(f"cell ({row},{col}) out of bounds")
-        _check_cells(self.schema, [(row, col, value)])
-        return _with_cells(self, {CellRef(row, col): value})
+        cells = _replaced(self.cells, {(row, col): value})
+        return DataMatrix(self.schema, cells, self.column_names)
 
     def is_complete(self) -> bool:
         """True when no cell is a gap."""
         return not self._gaps
-
-
-def _check_cells(
-    schema: tuple[ColumnKind, ...], cells: Iterable[tuple[int, int, CellValue]]
-) -> None:
-    """Raise ValueError naming the first ``(row, col, cell)`` of ``cells``
-    that is neither None nor of its column's kind."""
-    for i, l, cell in cells:
-        if cell is not None and not matches_kind(cell, schema[l]):
-            raise ValueError(
-                f"cell ({i},{l}): {type(cell).__name__} does not match "
-                f"column kind {schema[l].value}"
-            )
 
 
 def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMatrix:
@@ -260,7 +248,7 @@ def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMa
     """
     gaps = [g for g in matrix._gaps if g not in changes]
     gaps += [g for g, v in changes.items() if v is None]
-    # object.__new__ skips DataMatrix.__init__'s whole-grid pass.
+    # object.__new__ skips the constructor's whole-grid pass.
     out = object.__new__(DataMatrix)
     return out._fill(matrix.schema, _replaced(matrix.cells, changes), matrix.column_names, gaps)
 

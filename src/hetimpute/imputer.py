@@ -50,8 +50,8 @@ class Donor(NamedTuple):
 
 
 class ImputationResult(NamedTuple):
-    """A completed matrix plus, per filled cell, the donors that built it, nearest first. A
-    cell whose column no comparable row observes is listed in ``unimputable`` instead."""
+    """A completed matrix plus, per filled cell in row-major order, the donors that built it,
+    nearest first. A cell whose column no comparable row observes is in ``unimputable`` instead."""
 
     matrix: DataMatrix
     trace: dict[CellRef, tuple[Donor, ...]]

@@ -1,11 +1,13 @@
 import copy
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetimpute import fixture
 from hetimpute.core import (
     CellRef,
     ColumnKind,
@@ -180,10 +182,18 @@ def test_gap_record_follows_every_derived_matrix(data):
                 value = data.draw(cell_values(m.schema[col]))
                 complete = complete.with_cell(row, col, value)
     count = data.draw(st.integers(0, m.n_rows))
+    observed = data.draw(cell_values(m.schema[l]))
+    # with_cell builds what the constructor builds from the edited grid.
+    for value in (None, observed):
+        edited = [list(row) for row in m.cells]
+        edited[i][l] = value
+        built, changed = DataMatrix(m.schema, edited, m.column_names), m.with_cell(i, l, value)
+        assert changed == built
+        assert changed._gaps == built._gaps
     derived = [
         m,
         m.with_cell(i, l, None),
-        m.with_cell(i, l, data.draw(cell_values(m.schema[l]))),
+        m.with_cell(i, l, observed),
         complete,
         mask_random(complete, count, data.draw(st.integers(0, 2**32)))[0],
         impute(m, data.draw(st.integers(1, 4))).matrix,
@@ -323,6 +333,24 @@ def test_with_cell_returns_modified_copy(case1):
     assert case1.with_cell(0, 0, Missing()).cells[0][0] is None
 
 
+@pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+def test_with_cell_refuses_a_cell_of_another_kind(name):
+    m = fixture(name)
+    samples = {ColumnKind.CRISP: Crisp(0.5), ColumnKind.INTERVAL: Interval(0.1, 0.2),
+               ColumnKind.FUZZY: FuzzyTFN(0.1, 0.2, 0.3)}
+    for i in range(m.n_rows):
+        for l, kind in enumerate(m.schema):
+            assert m.with_cell(i, l, samples[kind]).cells[i][l] is samples[kind]
+            for cell in [*(c for k, c in samples.items() if k is not kind), 1.0]:
+                message = (f"cell ({i},{l}): {type(cell).__name__} does not match "
+                           f"column kind {kind.value}")
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    m.with_cell(i, l, cell)
+    for i, l in [(m.n_rows, 0), (0, m.n_cols), (-1, 0), (0, -1)]:
+        with pytest.raises(IndexError):
+            m.with_cell(i, l, None)
+
+
 def test_is_complete(case1, case1_masked):
     assert case1.is_complete()
     assert not case1_masked.is_complete()
@@ -397,6 +425,19 @@ def test_matrix_is_an_immutable_value(case1_masked):
         with pytest.raises(TypeError):
             use(m)
     assert not hasattr(m, "_replace")
+
+
+def test_init_leaves_a_built_matrix_as_it_is(case1_masked):
+    # The constructor is __new__: __init__ on a built matrix, even on the
+    # fixture that every caller shares, rebinds nothing.
+    other = fixture("case2").with_cell(0, 1, None)
+    for m in (case1_masked, fixture("case1")):
+        before = DataMatrix(m.schema, m.cells, m.column_names)
+        m.__init__(other.schema, other.cells, other.column_names)
+        m.__init__(other.schema, other.cells)
+        assert m == before
+        assert m._gaps == before._gaps
+    assert fixture("case1").is_complete()
 
 
 def test_cells_equal_only_cells_of_their_own_kind():

@@ -337,6 +337,8 @@ class TestImpute:
 @given(matrices(min_rows=2, max_rows=8), st.integers(1, 5))
 def test_find_neighbors_agrees_with_bruteforce(m, k):
     result = impute(m, k)
+    # `impute --trace` writes the trace in its own order, which is row-major.
+    assert list(result.trace) == sorted(result.trace)
     for ref in missing_cells(m):
         ranked = bf_candidate_distances(m, ref.row, ref.col)
         if ref not in result.trace:
@@ -601,6 +603,24 @@ def test_impute_reads_the_kernel_cache_once_per_call(dense_matrix, monkeypatch, 
     assert impute(dense_matrix, 5) == expected
     assert len(forks) == forked
     assert reads == [dense_matrix.schema]
+
+
+def test_a_warm_kernel_lookup_makes_no_python_call():
+    # ColumnKind hashes in C, so looking a schema up runs no Enum.__hash__.
+    schema = fixture("case2").schema
+    distances._KERNELS[schema]
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        distances._KERNELS[schema]
+    finally:
+        sys.setprofile(None)
+    assert calls == []
 
 
 # -- selection split over forked workers -------------------------------------
