@@ -8,6 +8,7 @@ files, unimputable cells), 2 usage error. All randomness is controlled by
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import stat
 import sys
@@ -335,12 +336,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "benchmark":  # the per-k summary lands beside --output
         out = paths[0]
         paths.append(out.with_name(out.stem + ".summary" + out.suffix))
+    # A command makes no reference cycles: a collection would only walk parse()'s cells.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args.targets = _targets(paths)
         return args.func(args)
     except _DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -164,7 +164,8 @@ def _map_shares(function: Callable[[list], Iterable], items: list, matrix: DataM
     forks, on POSIX, with no other thread and outside a mapping that forked; else forked worker
     w of p maps ``items[w::p]`` and replies in full by ``marshal``, which keeps float bits, and
     the parent maps the rest. A worker that replied has exited and is only reaped. One that
-    has not gets SIGKILL if the parent raises; with SIGCHLD ignored, its pid may be reused."""
+    has not gets SIGKILL if the parent raises, by the pidfd opened at its fork where there is
+    one: with SIGCHLD ignored, the worker may be gone and its pid reused."""
     global _forked
     p = min(len(items), passes // _FORK_MIN_TARGETS)
     if (p < 2 or _forked or passes * (matrix.n_rows * matrix.n_cols + _PASS_COST) < _FORK_MIN_CELLS
@@ -178,6 +179,7 @@ def _map_shares(function: Callable[[list], Iterable], items: list, matrix: DataM
         return function(items)
     results: list = [None] * len(items)
     workers = {}  # share -> (pid, read end of its pipe) until it replies
+    pidfds = {}  # share -> its worker's pidfd, where the system gives one
     _forked = True
     try:
         for w in range(1, p):
@@ -196,6 +198,8 @@ def _map_shares(function: Callable[[list], Iterable], items: list, matrix: DataM
                         reply = reply[os.write(out, reply):]
                 finally:
                     os._exit(0)
+            with suppress(AttributeError, OSError):  # none before Linux 5.3, or off Linux
+                pidfds[w] = os.pidfd_open(pid)
             os.close(out)
             workers[w] = pid, open(r, "rb")
         for w in range(p):
@@ -211,9 +215,15 @@ def _map_shares(function: Callable[[list], Iterable], items: list, matrix: DataM
                 results[w::p] = function(items[w::p])
     finally:
         _forked = False
-        for pid, pipe in workers.values():  # only if the parent raised
+        for w, (pid, pipe) in workers.items():  # only if the parent raised
             pipe.close()
-            with suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, 9)  # SIGKILL
+            import signal  # only on this path, so a run that does not raise never loads it
+            with suppress(ProcessLookupError, ChildProcessError):  # gone: then not by its pid
+                try:
+                    signal.pidfd_send_signal(pidfds[w], signal.SIGKILL)
+                except (KeyError, AttributeError):  # no pidfd to signal through
+                    os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        for fd in pidfds.values():  # each worker is reaped by now
+            os.close(fd)
     return results

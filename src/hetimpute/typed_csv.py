@@ -15,11 +15,13 @@ field, every real printed with the shortest digits that parse back to the
 identical double, records joined by single newlines with one trailing
 newline. parse(serialize(m)) reproduces m bit-exactly.
 
-Both directions work column by column: each column's cell reader and writer
-is picked once, from the header. The readers are the one cell grammar, and
-a cell's constructor checks that its components are finite and in order.
-Each data line is read once: its field count first, then its fields left
-to right, and the ParseError names the first that is wrong.
+Both directions work a row at a time, each through code compiled for the
+schema on its first use: the row reader reads an empty field as a gap and
+builds every other cell inline from float() of its components; the row writer
+is one f-string. A line the row reader refuses (padding, NaN, any fault) is
+read again field by field, through the whole cell grammar, which names the
+first wrong field: the field count first, then fields left to right. A
+cell's constructor checks that its components are finite and in order.
 
 Neither direction holds a second copy of the table. parse() draws its lines
 from the text one at a time, so it holds the text and the matrix it builds;
@@ -30,7 +32,7 @@ them to a file, and serialize() joins them.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import CellValue, ColumnKind, Crisp, DataMatrix, FuzzyTFN, Interval
 
@@ -69,19 +71,13 @@ def _number(token: str, what: str) -> float:
     raise ValueError(_NOT_A_NUMBER.format(what, token))
 
 
-# One reader per column kind: it takes a raw field and returns its cell, or
-# raises ValueError with the message that parse() reports. The accept path
-# calls float() once per component. Only when that or the cell's constructor
-# fails does a reader work out the message: _gap tells a gap from a bad
-# field, _number names a bad component, and the constructor the order.
+# One reader per column kind: a raw field's cell, or ValueError with the message parse()
+# reports. _gap tells a gap from a bad field, _number names a bad component.
 def _read_crisp(field: str) -> CellValue:
     token = field.strip()
-    try:
-        if "_" not in token:
-            return Crisp(float(token))
-    except ValueError:
-        pass
-    return _gap(token, _NOT_A_NUMBER.format("expected crisp cell", token))
+    if token == "" or token.lower() == "nan":
+        return None
+    return Crisp(_number(token, "expected crisp cell"))
 
 
 def _read_interval(field: str) -> CellValue:
@@ -89,18 +85,10 @@ def _read_interval(field: str) -> CellValue:
     if token[:1] != "[" or token[-1:] != "]":
         return _gap(token, f"expected interval cell '[lower;upper]', found {token!r}")
     parts = token[1:-1].split(";")
-    try:
-        lower, upper = parts
-        if "_" not in token:
-            return Interval(float(lower), float(upper))
-    except ValueError:
-        pass
     if len(parts) != 2:
         raise ValueError(f"expected interval cell with 2 components, found {len(parts)}")
-    return Interval(
-        _number(parts[0].strip(), "interval lower bound"),
-        _number(parts[1].strip(), "interval upper bound"),
-    )
+    return Interval(_number(parts[0].strip(), "interval lower bound"),
+                    _number(parts[1].strip(), "interval upper bound"))
 
 
 def _read_fuzzy(field: str) -> CellValue:
@@ -108,12 +96,6 @@ def _read_fuzzy(field: str) -> CellValue:
     if token[:1] != "(" or token[-1:] != ")":
         return _gap(token, f"expected fuzzy cell '(a1;a2;a3)', found {token!r}")
     parts = token[1:-1].split(";")
-    try:
-        a1, a2, a3 = parts
-        if "_" not in token:
-            return FuzzyTFN(float(a1), float(a2), float(a3))
-    except ValueError:
-        pass
     if len(parts) != 3:
         raise ValueError(f"expected fuzzy cell with 3 components, found {len(parts)}")
     return FuzzyTFN(*[_number(part.strip(), "fuzzy component") for part in parts])
@@ -124,6 +106,50 @@ _READERS = {
     ColumnKind.INTERVAL: _read_interval,
     ColumnKind.FUZZY: _read_fuzzy,
 }
+
+# Each kind's text in the row reader, which makes c{l}, the observed field of column {l},
+# its cell, and in the row writer, where c{l} is the cell.
+_READ = {
+    ColumnKind.CRISP: "c{l} = Crisp(float(c{l}))",
+    ColumnKind.INTERVAL: """if c{l}[0] != "[" or c{l}[-1] != "]":
+    raise ValueError
+x, y = c{l}[1:-1].split(";")
+c{l} = Interval(float(x), float(y))""",
+    ColumnKind.FUZZY: """if c{l}[0] != "(" or c{l}[-1] != ")":
+    raise ValueError
+x, y, z = c{l}[1:-1].split(";")
+c{l} = FuzzyTFN(float(x), float(y), float(z))""",
+}
+_WRITE = {
+    ColumnKind.CRISP: "{{c{l}.value!r}}",
+    ColumnKind.INTERVAL: "[{{c{l}.lower!r}};{{c{l}.upper!r}}]",
+    ColumnKind.FUZZY: "({{c{l}.a1!r}};{{c{l}.a2!r}};{{c{l}.a3!r}})",
+}
+
+
+class _Codecs(dict):
+    """``_CODECS[schema]``: ``(read, write)``, compiled on first use from the column kinds
+    alone. ``read(line)`` gives the row of a line of gaps and unpadded cells with no '_', else
+    raises ValueError; ``write(row)`` its canonical record, repr() giving the shortest digits."""
+
+    def __missing__(self, schema: tuple) -> tuple[Callable, Callable]:
+        cells = "".join(f"c{l}, " for l in range(len(schema)))
+        source = [f"def read(line):\n    {cells}= line.split(',')",
+                  "    if '_' in line:\n        raise ValueError"]
+        for l, kind in enumerate(schema):
+            read = _READ[kind].format(l=l).replace("\n", "\n        ")
+            source.append(f"    if c{l}:\n        {read}\n    else:\n        c{l} = None")
+        writes = ",".join(f"{{'' if c{l} is None else f'{_WRITE[kind].format(l=l)}'}}"
+                          for l, kind in enumerate(schema))
+        source += [f"    return ({cells})", f"def write(row):\n    {cells}= row",
+                   f'    return f"{writes}\\n"\n']
+        namespace = {"Crisp": Crisp, "Interval": Interval, "FuzzyTFN": FuzzyTFN}
+        exec("\n".join(source), namespace)
+        self[schema] = codec = namespace["read"], namespace["write"]
+        return codec
+
+
+_CODECS = _Codecs()
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -157,42 +183,30 @@ def parse(text: str) -> DataMatrix:
         cell = raw.strip()
         name, sep, tag = cell.rpartition(":")
         if not sep or tag not in _KIND_TAGS:
-            raise ParseError(
-                1,
-                col,
-                f"header cell must be 'name:kind' with kind one of "
-                f"{', '.join(_KIND_TAGS)}, found {cell!r}",
-            )
+            raise ParseError(1, col, f"header cell must be 'name:kind' with kind one of "
+                                     f"{', '.join(_KIND_TAGS)}, found {cell!r}")
         names.append(name)
         schema.append(_KIND_TAGS[tag])
-    arity = len(schema)
-    readers = [_READERS[kind] for kind in schema]
+    read = _CODECS[tuple(schema)][0]
     rows: list[tuple[CellValue, ...]] = []
-    for lineno, raw_line in enumerate(lines, start=2):
-        fields = raw_line.split(",")
-        if len(fields) != arity:
-            raise ParseError(
-                lineno, 1, f"expected {arity} fields, found {len(fields)}"
-            )
+    for lineno, line in enumerate(lines, start=2):
+        try:
+            rows.append(read(line))
+            continue
+        except ValueError:  # read the line again, field by field
+            fields = line.split(",")
+        if len(fields) != len(schema):
+            raise ParseError(lineno, 1, f"expected {len(schema)} fields, found {len(fields)}")
         row: list[CellValue] = []
         try:
-            for read, field in zip(readers, fields):
-                row.append(read(field))
+            for kind, field in zip(schema, fields):
+                row.append(_READERS[kind](field))
         except ValueError as exc:
             raise ParseError(lineno, len(row) + 1, str(exc)) from None
         rows.append(tuple(row))
     if not rows:
         raise ParseError(1, 1, "document has a header but no data rows")
     return DataMatrix(tuple(schema), tuple(rows), tuple(names))
-
-
-# One writer per column kind; repr() of a float is the shortest string that
-# round-trips exactly.
-_WRITERS = {
-    ColumnKind.CRISP: lambda cell: f"{cell.value!r}",
-    ColumnKind.INTERVAL: lambda cell: f"[{cell.lower!r};{cell.upper!r}]",
-    ColumnKind.FUZZY: lambda cell: f"({cell.a1!r};{cell.a2!r};{cell.a3!r})",
-}
 
 
 def _records(matrix: DataMatrix) -> Iterator[str]:
@@ -207,13 +221,8 @@ def _records(matrix: DataMatrix) -> Iterator[str]:
         f"{name}:{kind.value}"
         for name, kind in zip(matrix.column_names, matrix.schema)
     )
-    writers = [_WRITERS[kind] for kind in matrix.schema]
-    records = (
-        ",".join(["" if c is None else write(c) for write, c in zip(writers, row)])
-        + "\n"
-        for row in matrix.cells
-    )
-    return itertools.chain([header + "\n"], records)
+    write = _CODECS[matrix.schema][1]
+    return itertools.chain([header + "\n"], map(write, matrix.cells))
 
 
 def serialize(matrix: DataMatrix) -> str:

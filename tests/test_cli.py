@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import io
 import itertools
 import os
@@ -76,6 +77,38 @@ def test_import_loads_only_what_runs():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n17714616561403392311\n[]\n1 []\n2 []\n"
+
+
+def test_signal_is_loaded_only_to_kill_a_worker():
+    # _map_shares imports signal on its exception path alone: a forked impute
+    # that returns loads none, and one whose parent raises kills by pidfd.
+    code = "\n".join([
+        "import hetimpute.cli, os, sys",
+        "from hetimpute import ColumnKind, Crisp, DataMatrix, impute, imputer",
+        "rows = [(None if i % 5 else Crisp(i * 37 % 101 / 101), Crisp(i * 53 % 97 / 97))",
+        "        for i in range(200)]",
+        "m = DataMatrix((ColumnKind.CRISP,) * 2, rows)",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "impute(m, 3)",
+        "print('signal' in sys.modules)",
+        "parent = os.getpid()",
+        "def stuck(*args):",
+        "    if os.getpid() != parent:",
+        "        os.kill(os.getpid(), 19)  # SIGSTOP: a worker that never replies",
+        "    raise RuntimeError",
+        "imputer._KERNELS = {m.schema: stuck}",
+        "try:",
+        "    impute(m, 3)",
+        "except RuntimeError:",
+        "    print('signal' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\nTrue\n"
 
 
 def assert_one_line_data_error(run: subprocess.CompletedProcess) -> None:
@@ -779,6 +812,72 @@ class TestWrite:
             cli._write(targets, ["whole\n"], failing())
         assert sorted(tmp_path.iterdir()) == before
         assert old.read_text(encoding="utf-8") == "kept\n"
+
+
+class TestCyclicGC:
+    """main runs its command with the cyclic GC off. That pays because a command
+    makes no reference cycles: nothing would be collected but argparse's own."""
+
+    @staticmethod
+    def garbage_left(argv: list[str]) -> int:
+        """How many objects ``main(argv)`` leaves in reference cycles."""
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            main(argv)
+            gc.collect()
+            return len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+    @pytest.mark.parametrize("command", ["impute", "benchmark", "validate", "fixtures"])
+    def test_no_cycles_grow_with_the_table(self, tmp_path, command, capsys):
+        left = []
+        for rows in (40, 40, 400):  # the first run warms up what runs once
+            table = tmp_path / f"{rows}.csv"
+            gap_rate = 0.0 if command == "benchmark" else 0.1
+            table.write_text(serialize(seeded_table(rows, 8, seed=3, gap_rate=gap_rate)),
+                             encoding="utf-8")
+            argv = {
+                "impute": ["impute", "--k", "3", "--input", str(table),
+                           "--output", str(tmp_path / "o.csv"), "--trace", str(tmp_path / "t.csv")],
+                "benchmark": ["benchmark", "--input", str(table), "--k-min", "1", "--k-max", "2",
+                              "--nan-min", "1", "--nan-max", "3", "--trials", "3",
+                              "--output", str(tmp_path / "b.csv")],
+                "validate": ["validate", "--input", str(table)],
+                "fixtures": ["fixtures", "--dest", str(tmp_path / f"fx{len(left)}")],
+            }[command]
+            left.append(self.garbage_left(argv))
+        assert left[1] == left[2]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["validate", "--input", "{case1}"], 0),
+            (["validate", "--input", "{missing}"], 1),
+            (["benchmark", "--fixture", "case1", "--k-min", "2", "--k-max", "1",
+              "--nan-min", "1", "--nan-max", "1", "--output", "{out}"], 2),
+            (["validate"], 2),
+        ],
+        ids=["exit-0", "exit-1", "exit-2", "exit-2-argparse"],
+    )
+    def test_main_leaves_the_gc_as_it_found_it(self, tmp_path, monkeypatch, enabled, argv,
+                                               code, capsys):
+        (tmp_path / "case1.csv").write_text(serialize(fixture("case1")), encoding="utf-8")
+        paths = {"case1": tmp_path / "case1.csv", "missing": tmp_path / "none.csv",
+                 "out": tmp_path / "b.csv"}
+        seen, parse_ = [], cli.parse
+        monkeypatch.setattr(cli, "parse", lambda text: seen.append(gc.isenabled()) or parse_(text))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main([a.format(**paths) for a in argv]) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == ([False] if "{case1}" in argv else [])  # parse() ran with it off
 
 
 class TestUsageErrors:

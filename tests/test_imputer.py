@@ -850,8 +850,9 @@ def test_a_worker_that_replied_is_not_signalled(dense_matrix, forks, monkeypatch
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_a_parent_exception_kills_and_reaps_the_workers(dense_matrix, forks, monkeypatch, error):
+def stuck_workers(monkeypatch, forks: list, error: type) -> None:
+    """Make a forked worker hang, and the parent raise ``error`` on its first target
+    row after the fork."""
     parent = os.getpid()
 
     def stuck(nearest):
@@ -866,11 +867,76 @@ def test_a_parent_exception_kills_and_reaps_the_workers(dense_matrix, forks, mon
         return pass_
 
     wrap_kernels(monkeypatch, stuck)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_parent_exception_kills_and_reaps_the_workers(dense_matrix, forks, monkeypatch, error):
+    stuck_workers(monkeypatch, forks, error)
     start = time.monotonic()
     with pytest.raises(error):
         impute(dense_matrix, 5)
     assert time.monotonic() - start < 10
     assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def logged_pidfds(monkeypatch, pidfd: str) -> tuple[dict, list, list, list]:
+    """Log, as ``(opened, sent, killed, closed)``, the pidfd opened for each pid, the
+    signals sent through a pidfd, those sent by pid, and the file descriptors closed.
+    ``pidfd`` is "opened", "refused" (pidfd_open raises) or "absent" (no pidfd_open)."""
+    import signal
+
+    if pidfd == "opened" and not hasattr(os, "pidfd_open"):
+        pytest.skip("no pidfd on this system")
+    opened, sent, killed, closed = {}, [], [], []
+    pidfd_open, send, kill, close = (getattr(os, "pidfd_open", None),
+                                     getattr(signal, "pidfd_send_signal", None), os.kill, os.close)
+
+    def logged_open(pid):
+        opened[pid] = None
+        if pidfd == "refused":
+            raise OSError(errno.ENOSYS, "no pidfd")
+        opened[pid] = pidfd_open(pid)
+        return opened[pid]
+
+    if pidfd == "absent":
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+    else:
+        monkeypatch.setattr(os, "pidfd_open", logged_open, raising=False)
+    monkeypatch.setattr(signal, "pidfd_send_signal", lambda *a: sent.append(a) or send(*a),
+                        raising=False)
+    monkeypatch.setattr(os, "kill", lambda *a: killed.append(a) or kill(*a))
+    monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or close(fd))
+    return opened, sent, killed, closed
+
+
+def test_a_replied_workers_pidfd_is_closed_and_never_signalled(dense_matrix, forks,
+                                                               monkeypatch):
+    opened, sent, killed, closed = logged_pidfds(monkeypatch, "opened")
+    assert impute(dense_matrix, 5) == serially(dense_matrix, 5)
+    assert list(opened) == forks and len(forks) == 1
+    assert sent == killed == []
+    assert opened[forks[0]] in closed
+
+
+@pytest.mark.parametrize("pidfd", ["opened", "refused", "absent"])
+def test_the_exception_path_signals_through_the_pidfd(dense_matrix, forks, monkeypatch, pidfd):
+    # With SIGCHLD ignored, a worker may be gone and its pid another process's:
+    # a pidfd names the worker itself. Where none opens, the worker is killed by pid.
+    import signal
+
+    opened, sent, killed, closed = logged_pidfds(monkeypatch, pidfd)
+    stuck_workers(monkeypatch, forks, RuntimeError)
+    with pytest.raises(RuntimeError):
+        impute(dense_matrix, 5)
+    assert len(forks) == 1
+    assert list(opened) == ([] if pidfd == "absent" else forks)
+    if pidfd == "opened":
+        assert sent == [(opened[forks[0]], signal.SIGKILL)] and killed == []
+        assert opened[forks[0]] in closed  # once the worker is reaped
+    else:
+        assert sent == [] and killed == [(forks[0], signal.SIGKILL)]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

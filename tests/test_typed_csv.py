@@ -13,8 +13,10 @@ from hetimpute.core import (
     Missing,
 )
 from hetimpute.fixtures import FIXTURE_NAMES, fixture
+from hetimpute import typed_csv
 from hetimpute.typed_csv import ParseError, _lines, _records, parse, serialize
 
+from conftest import seeded_table
 from oracle import bf_parse_cell
 from strategies import column_kinds, grid_reals, matrices, raw_reals
 
@@ -193,6 +195,32 @@ class TestLines:
         assert matrix.n_rows == 3000
         assert peak - held < 0.75 * len(tall_text)
 
+    @pytest.mark.parametrize("name", [*FIXTURE_NAMES, "gaps"])
+    def test_crlf_lines_read_as_lf_lines(self, name):
+        # The "\r" ends each line's last field, so the compiled row reader refuses
+        # a bracketed last cell and the field-by-field reader strips it.
+        m = seeded_table(40, 6, seed=7, gap_rate=0.2) if name == "gaps" else fixture(name)
+        if name == "gaps":
+            assert any(row[-1] is None for row in m.cells)  # a last field of just "\r"
+        lf = serialize(m)
+        crlf = lf.replace("\n", "\r\n")
+        assert crlf.count("\r\n") == m.n_rows + 1
+        assert parse(crlf) == parse(lf) == m
+        assert repr(parse(crlf)) == repr(m)
+
+
+def test_only_indices_and_kinds_reach_a_codec(monkeypatch):
+    # A schema's row reader and writer are compiled source: no column name or
+    # cell value may reach it. One compile serves a schema's parse and serialize.
+    sources = []
+    monkeypatch.setattr(typed_csv, "_CODECS", typed_csv._Codecs())
+    monkeypatch.setattr(typed_csv, "exec", lambda text, ns: sources.append(text) or exec(text, ns),
+                        raising=False)
+    text = "zq'{0}:crisp,zq\\\":fuzzy\n0.123456789,(0.25;0.375;0.4375)\n"
+    assert serialize(parse(text)) == text
+    assert len(sources) == 1
+    assert not any(s in sources[0] for s in ("zq", "0.123456789", "0.375"))
+
 
 class TestSerialize:
     def test_canonical_shortest_digits(self):
@@ -205,6 +233,37 @@ class TestSerialize:
     def test_missing_as_empty_field(self):
         m = parse("x:crisp,y:fuzzy\nNaN,\n")
         assert serialize(m) == "x:crisp,y:fuzzy\n,\n"
+
+    @pytest.mark.parametrize(
+        "schema, cells, expected",
+        [
+            ("x:crisp,y:interval,z:fuzzy",
+             (Crisp(0.1), Interval(0.25, 0.5), FuzzyTFN(-1.0, -0.0, 1e300)),
+             ["x:crisp,y:interval,z:fuzzy",
+              "0.1,[0.25;0.5],(-1.0;-0.0;1e+300)",
+              ",[0.25;0.5],(-1.0;-0.0;1e+300)",
+              "0.1,,(-1.0;-0.0;1e+300)",
+              "0.1,[0.25;0.5],",
+              ",,"]),
+            ("x:fuzzy,y:interval,z:crisp",
+             (FuzzyTFN(5e-324, 0.5, 2.0), Interval(-2.5, 1.7976931348623157e308), Crisp(-3.0)),
+             ["x:fuzzy,y:interval,z:crisp",
+              "(5e-324;0.5;2.0),[-2.5;1.7976931348623157e+308],-3.0",
+              ",[-2.5;1.7976931348623157e+308],-3.0",
+              "(5e-324;0.5;2.0),,-3.0",
+              "(5e-324;0.5;2.0),[-2.5;1.7976931348623157e+308],",
+              ",,"]),
+        ],
+        ids=["crisp-interval-fuzzy", "fuzzy-interval-crisp"],
+    )
+    def test_a_gap_in_every_column_is_the_empty_field(self, schema, cells, expected):
+        # The row with no gap, then one gap in each column in turn, then all gaps.
+        rows = [cells] + [cells[:l] + (None,) + cells[l + 1:] for l in range(3)]
+        rows.append((None, None, None))
+        kinds = [ColumnKind(column.split(":")[1]) for column in schema.split(",")]
+        m = DataMatrix(kinds, rows, "xyz")
+        assert serialize(m) == "\n".join(expected) + "\n"
+        assert parse(serialize(m)) == m
 
     def test_single_missing_cell_document(self):
         m = parse("x:crisp\n\n")
@@ -315,7 +374,7 @@ _INSERTS = [
     "_", "inf", "1e400", "nan", "nAn", ";", "[", "]", "(", ")",
     "\xa0", "\x1c", "0", "-", "e", ".",
 ]
-_PADDING = ["\xa0", "\x1c", " ", "\t"]
+_PADDING = ["\xa0", "\x1c", " ", "\t", "\r"]
 
 
 @st.composite
