@@ -21,7 +21,7 @@ from .distances import _shared_distances, row_distance
 from .evaluation import benchmark
 from .fixtures import FIXTURE_NAMES, fixture
 from .imputer import impute
-from .typed_csv import ParseError, _records, parse
+from .typed_csv import ParseError, _decoded, _lines, _parse, _records
 
 
 class _DataError(Exception):
@@ -55,13 +55,16 @@ def _usage_error(message: str) -> int:
 
 def _read_matrix(path: str) -> DataMatrix:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as file:
+            lines = _lines(_decoded(file))
+            try:
+                return _parse(lines)
+            except ParseError as exc:
+                for _ in lines:  # a file that is not UTF-8 is refused as such
+                    pass
+                raise _DataError(f"{path}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise _DataError(f"cannot read {path}: {exc}") from None
-    try:
-        return parse(text)
-    except ParseError as exc:
-        raise _DataError(f"{path}: {exc}") from None
 
 
 #: An output path and the (file, mode) its text replaces, or None to write in place.
@@ -238,8 +241,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    # parse() builds every cell through its constructor, which refuses
-    # non-finite or unordered components.
+    # parse() refuses a cell whose components are non-finite or unordered.
     _read_matrix(args.input)
     return 0
 

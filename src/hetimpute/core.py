@@ -12,20 +12,28 @@ between threads and reused as the frozen donor pool during imputation.
 from __future__ import annotations
 
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Union
 
-# Values refuse assignment, so their constructors set their slots through
-# object's own __setattr__.
-_set = object.__setattr__
 _INF = float("inf")
+
+
+def _made(cls: type, **fields: object) -> _Value:
+    """A new ``cls`` value with ``fields``, unchecked. Values refuse assignment,
+    so it sets each field through object's own __setattr__."""
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        object.__setattr__(value, name, field)
+    return value
 
 
 class _Value:
     """Base of the read-only values, the cells and the matrix. A value keeps
     its fields in ``__slots__`` and returns the public ones, in that order,
     from ``_components``, and it equals a value of its class with equal
-    components. Its constructor checks it and raises ValueError, and pickle
-    and copy rebuild it through its constructor. Cells are no tuples: the
+    components. Its constructor is ``__new__``, which checks it and raises
+    ValueError, so ``__init__`` on a built value rebinds nothing; pickle and
+    copy rebuild it through its constructor. Cells are no tuples: the
     distance kernel reads their fields, and a slot reads faster than a
     named-tuple field.
     """
@@ -60,10 +68,10 @@ class Crisp(_Value):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: float) -> None:
+    def __new__(cls, value: float) -> Crisp:
         if not -_INF < value < _INF:
             raise ValueError("non-finite component")
-        _set(self, "value", value)
+        return _made(cls, value=value)
 
     def _components(self) -> tuple[float, ...]:
         return (self.value,)
@@ -74,11 +82,10 @@ class Interval(_Value):
 
     __slots__ = ("lower", "upper")
 
-    def __init__(self, lower: float, upper: float) -> None:
+    def __new__(cls, lower: float, upper: float) -> Interval:
         if not -_INF < lower <= upper < _INF:
             raise _refused("lower > upper", lower, upper)
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
+        return _made(cls, lower=lower, upper=upper)
 
     def _components(self) -> tuple[float, ...]:
         return (self.lower, self.upper)
@@ -89,12 +96,10 @@ class FuzzyTFN(_Value):
 
     __slots__ = ("a1", "a2", "a3")
 
-    def __init__(self, a1: float, a2: float, a3: float) -> None:
+    def __new__(cls, a1: float, a2: float, a3: float) -> FuzzyTFN:
         if not -_INF < a1 <= a2 <= a3 < _INF:
             raise _refused("fuzzy components out of order", a1, a2, a3)
-        _set(self, "a1", a1)
-        _set(self, "a2", a2)
-        _set(self, "a3", a3)
+        return _made(cls, a1=a1, a2=a2, a3=a3)
 
     def _components(self) -> tuple[float, ...]:
         return (self.a1, self.a2, self.a3)
@@ -158,9 +163,8 @@ class DataMatrix(_Value):
     observed cell of a DataMatrix is finite and ordered.
 
     A DataMatrix is a read-only value like its cells: it equals a matrix
-    with the same schema, cells and column names. The constructor is
-    ``__new__``, so ``m.__init__(...)`` leaves a built matrix as it is, and
-    ``with_cell`` builds its copy through it, with the same checks. The gaps
+    with the same schema, cells and column names, and ``with_cell`` builds
+    its copy through the constructor, with the same checks. The gaps
     are recorded once, as the row-major tuple ``_gaps`` of their CellRefs.
     The record is derived from the cells, never carried: pickle and copy
     rebuild it, and ``==``, ``hash`` and ``repr`` do not read it.
@@ -188,33 +192,27 @@ class DataMatrix(_Value):
         for i, row in enumerate(cells):
             if len(row) != len(schema):
                 raise ValueError(f"row {i} has {len(row)} cells, expected {len(schema)}")
-        # A column passes when each of its classes is a gap's or subclasses its
-        # kind's class; the loop below names the first cell of a column that fails.
+        # A column, read in place, passes when each of its classes is a gap's or subclasses
+        # its kind's class; the loop below names the first cell of a column that fails.
         failed = []
         gaps = []
-        for l, (kind, name, column) in enumerate(zip(schema, names, zip(*cells))):
+        for l, (kind, name) in enumerate(zip(schema, names)):
             if not isinstance(kind, ColumnKind):
                 raise ValueError(f"column {l} has kind {kind!r}, not a ColumnKind")
             if not isinstance(name, str):
                 raise ValueError(f"column {l} has name {name!r}, not a str")
-            classes = set(map(type, column))
+            column = itemgetter(l)
+            classes = set(map(type, map(column, cells)))
             if not all(issubclass(c, (_KIND_CLASS[kind], Missing)) for c in classes):
                 failed.append(l)
             if Missing in classes:
-                gaps += [CellRef(i, l) for i, c in enumerate(column) if c is None]
+                gaps += [CellRef(i, l) for i, c in enumerate(map(column, cells)) if c is None]
         for i, row in enumerate(cells):
             for l in failed:
                 if row[l] is not None and not matches_kind(row[l], schema[l]):
                     raise ValueError(f"cell ({i},{l}): {type(row[l]).__name__} does not "
                                      f"match column kind {schema[l].value}")
-        return object.__new__(cls)._fill(schema, cells, names, gaps)
-
-    def _fill(self, schema, cells, names, gaps: Iterable[CellRef]) -> DataMatrix:
-        _set(self, "schema", schema)
-        _set(self, "cells", cells)
-        _set(self, "column_names", names)
-        _set(self, "_gaps", tuple(sorted(gaps)))
-        return self
+        return _made(cls, schema=schema, cells=cells, column_names=names, _gaps=tuple(sorted(gaps)))
 
     def _components(self) -> tuple:
         return (self.schema, self.cells, self.column_names)
@@ -248,9 +246,9 @@ def _with_cells(matrix: DataMatrix, changes: dict[CellRef, CellValue]) -> DataMa
     """
     gaps = [g for g in matrix._gaps if g not in changes]
     gaps += [g for g, v in changes.items() if v is None]
-    # object.__new__ skips the constructor's whole-grid pass.
-    out = object.__new__(DataMatrix)
-    return out._fill(matrix.schema, _replaced(matrix.cells, changes), matrix.column_names, gaps)
+    # _made skips the constructor's whole-grid pass.
+    return _made(DataMatrix, schema=matrix.schema, cells=_replaced(matrix.cells, changes),
+                 column_names=matrix.column_names, _gaps=tuple(sorted(gaps)))
 
 
 def _replaced(cells: tuple, changes: dict[CellRef, CellValue]) -> tuple:

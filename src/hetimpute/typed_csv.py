@@ -17,26 +17,29 @@ newline. parse(serialize(m)) reproduces m bit-exactly.
 
 Both directions work a row at a time, each through code compiled for the
 schema on its first use: the row reader reads an empty field as a gap and
-builds every other cell inline from float() of its components; the row writer
-is one f-string. A line the row reader refuses (padding, NaN, any fault) is
-read again field by field, through the whole cell grammar, which names the
-first wrong field: the field count first, then fields left to right. A
-cell's constructor checks that its components are finite and in order.
+builds every other cell inline from float() of its components, after the test
+of its constructor (finite, in order); the row writer is one f-string. A line
+the row reader refuses (padding, NaN, any fault) is read again field by field,
+through the whole cell grammar and the cells' constructors, which name the
+first wrong field: the field count first, then fields left to right.
 
-Neither direction holds a second copy of the table. parse() draws its lines
-from the text one at a time, so it holds the text and the matrix it builds;
-_records() yields the canonical lines one at a time, so a writer can stream
-them to a file, and serialize() joins them.
+Neither direction holds a second copy of the table. One parser draws its
+lines one at a time: parse() from a text, the CLI from a file that _decoded()
+reads a chunk at a time, so a file goes straight into its matrix. _records()
+yields the canonical lines one at a time, and serialize() joins them.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import itertools
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .core import CellValue, ColumnKind, Crisp, DataMatrix, FuzzyTFN, Interval
+from .core import _KIND_CLASS, CellValue, ColumnKind, Crisp, DataMatrix, FuzzyTFN, Interval
 
 _KIND_TAGS = {kind.value: kind for kind in ColumnKind}
+_CHUNK = io.DEFAULT_BUFFER_SIZE  # characters or bytes read at a time
 
 
 class ParseError(ValueError):
@@ -49,16 +52,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-def _gap(token: str, error: str) -> None:
-    """None for a gap's spelling; ValueError(error) for any other token."""
-    if token == "" or token.lower() == "nan":
-        return None
-    raise ValueError(error)
-
-
-_NOT_A_NUMBER = "{}: {!r} is not a finite decimal number"
-
-
 def _number(token: str, what: str) -> float:
     """The value of a decimal literal that a Crisp accepts; ValueError naming
     ``token`` otherwise. float() also reads '_' separators, which the grammar
@@ -68,58 +61,51 @@ def _number(token: str, what: str) -> float:
             return Crisp(float(token)).value
     except ValueError:
         pass
-    raise ValueError(_NOT_A_NUMBER.format(what, token))
+    raise ValueError(f"{what}: {token!r} is not a finite decimal number")
 
 
-# One reader per column kind: a raw field's cell, or ValueError with the message parse()
-# reports. _gap tells a gap from a bad field, _number names a bad component.
-def _read_crisp(field: str) -> CellValue:
+# Each kind's brackets, and what a message of _read calls each of its components.
+_SHAPES = {
+    ColumnKind.CRISP: ("", ["expected crisp cell"]),
+    ColumnKind.INTERVAL: ("[]", ["interval lower bound", "interval upper bound"]),
+    ColumnKind.FUZZY: ("()", ["fuzzy component"] * 3),
+}
+
+
+def _read(field: str, kind: ColumnKind) -> CellValue:
+    """A raw field's cell, or ValueError with the message parse() reports: the
+    first of a missing bracket, a wrong component count and a bad component."""
     token = field.strip()
     if token == "" or token.lower() == "nan":
         return None
-    return Crisp(_number(token, "expected crisp cell"))
+    cls, (brackets, names) = _KIND_CLASS[kind], _SHAPES[kind]
+    parts = [token]
+    if brackets:
+        if token[:1] != brackets[0] or token[-1:] != brackets[1]:
+            shape = f"{brackets[0]}{';'.join(cls.__slots__)}{brackets[1]}"
+            raise ValueError(f"expected {kind.value} cell '{shape}', found {token!r}")
+        parts = token[1:-1].split(";")
+        if len(parts) != len(names):
+            raise ValueError(f"expected {kind.value} cell with {len(names)} components, "
+                             f"found {len(parts)}")
+    return cls(*[_number(part.strip(), name) for part, name in zip(parts, names)])
 
 
-def _read_interval(field: str) -> CellValue:
-    token = field.strip()
-    if token[:1] != "[" or token[-1:] != "]":
-        return _gap(token, f"expected interval cell '[lower;upper]', found {token!r}")
-    parts = token[1:-1].split(";")
-    if len(parts) != 2:
-        raise ValueError(f"expected interval cell with 2 components, found {len(parts)}")
-    return Interval(_number(parts[0].strip(), "interval lower bound"),
-                    _number(parts[1].strip(), "interval upper bound"))
-
-
-def _read_fuzzy(field: str) -> CellValue:
-    token = field.strip()
-    if token[:1] != "(" or token[-1:] != ")":
-        return _gap(token, f"expected fuzzy cell '(a1;a2;a3)', found {token!r}")
-    parts = token[1:-1].split(";")
-    if len(parts) != 3:
-        raise ValueError(f"expected fuzzy cell with 3 components, found {len(parts)}")
-    return FuzzyTFN(*[_number(part.strip(), "fuzzy component") for part in parts])
-
-
-_READERS = {
-    ColumnKind.CRISP: _read_crisp,
-    ColumnKind.INTERVAL: _read_interval,
-    ColumnKind.FUZZY: _read_fuzzy,
-}
-
-# Each kind's text in the row reader, which makes c{l}, the observed field of column {l},
-# its cell, and in the row writer, where c{l} is the cell.
+# Each kind's text in the row reader, which splits c{l}, the observed field of column {l},
+# into its components x, y, z; and in the row writer, where c{l} is the cell.
 _READ = {
-    ColumnKind.CRISP: "c{l} = Crisp(float(c{l}))",
+    ColumnKind.CRISP: "x = c{l}",
     ColumnKind.INTERVAL: """if c{l}[0] != "[" or c{l}[-1] != "]":
     raise ValueError
-x, y = c{l}[1:-1].split(";")
-c{l} = Interval(float(x), float(y))""",
+x, y = c{l}[1:-1].split(";")""",
     ColumnKind.FUZZY: """if c{l}[0] != "(" or c{l}[-1] != ")":
     raise ValueError
-x, y, z = c{l}[1:-1].split(";")
-c{l} = FuzzyTFN(float(x), float(y), float(z))""",
+x, y, z = c{l}[1:-1].split(";")""",
 }
+# The row reader's names: the cell classes, and a setter for each of their slots.
+_NAMES = {"new": object.__new__, "inf": float("inf"), "Crisp": Crisp, "Interval": Interval,
+          "FuzzyTFN": FuzzyTFN, **{f"set_{slot}": getattr(cls, slot).__set__
+                                   for cls in _KIND_CLASS.values() for slot in cls.__slots__}}
 _WRITE = {
     ColumnKind.CRISP: "{{c{l}.value!r}}",
     ColumnKind.INTERVAL: "[{{c{l}.lower!r}};{{c{l}.upper!r}}]",
@@ -137,13 +123,21 @@ class _Codecs(dict):
         source = [f"def read(line):\n    {cells}= line.split(',')",
                   "    if '_' in line:\n        raise ValueError"]
         for l, kind in enumerate(schema):
-            read = _READ[kind].format(l=l).replace("\n", "\n        ")
+            # The test of the cell's constructor, then the cell with its slots set
+            # through their descriptors, which costs less than a constructor call.
+            cls = _KIND_CLASS[kind]
+            xs = "xyz"[:len(cls.__slots__)]
+            read = [_READ[kind].format(l=l), *(f"{x} = float({x})" for x in xs),
+                    f"if not -inf < {' <= '.join(xs)} < inf:\n    raise ValueError",
+                    f"c{l} = new({cls.__name__})"]
+            read += [f"set_{slot}(c{l}, {x})" for slot, x in zip(cls.__slots__, xs)]
+            read = "\n".join(read).replace("\n", "\n        ")
             source.append(f"    if c{l}:\n        {read}\n    else:\n        c{l} = None")
         writes = ",".join(f"{{'' if c{l} is None else f'{_WRITE[kind].format(l=l)}'}}"
                           for l, kind in enumerate(schema))
         source += [f"    return ({cells})", f"def write(row):\n    {cells}= row",
                    f'    return f"{writes}\\n"\n']
-        namespace = {"Crisp": Crisp, "Interval": Interval, "FuzzyTFN": FuzzyTFN}
+        namespace = dict(_NAMES)
         exec("\n".join(source), namespace)
         self[schema] = codec = namespace["read"], namespace["write"]
         return codec
@@ -152,18 +146,39 @@ class _Codecs(dict):
 _CODECS = _Codecs()
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text`` one at a time: those of ``text.split("\n")``,
-    less the last when it is empty, so a final newline ends the last line
-    and "" has no line. No list of lines is built."""
-    start = 0
-    end = text.find("\n")
-    while end >= 0:
-        yield text[start:end]
-        start = end + 1
-        end = text.find("\n", start)
-    if start < len(text):
-        yield text[start:]
+def _lines(chunks: Iterable[str]) -> Iterator[str]:
+    """The lines of the text that ``chunks`` make up, one at a time: those of
+    ``text.split("\n")``, less the last when it is empty, so a final newline
+    ends the last line and "" has no line. No list of every line is built."""
+    head = []  # the pieces of a line that no chunk has ended yet
+    for chunk in chunks:
+        *lines, last = chunk.split("\n")
+        if lines:
+            lines[0] = "".join(head) + lines[0]
+            head.clear()
+            yield from lines
+        head.append(last)
+    last = "".join(head)
+    if last:
+        yield last
+
+
+def _decoded(file: BinaryIO) -> Iterator[str]:
+    """The text of a binary file, a chunk at a time, decoded as UTF-8 with universal
+    newlines as ``open(path, encoding="utf-8").read()`` decodes it. A byte that is
+    not UTF-8 raises UnicodeDecodeError with its position in the whole file."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+    chunk, done = None, 0  # done: bytes read
+    while chunk != b"":
+        chunk = file.read(_CHUNK)
+        start = done - len(decoder.getstate()[0])  # where the bytes decoded next start
+        done += len(chunk)
+        try:
+            yield decoder.decode(chunk, not chunk)
+        except UnicodeDecodeError as exc:
+            exc.object = bytes(start) + exc.object
+            exc.start, exc.end = exc.start + start, exc.end + start
+            raise
 
 
 def parse(text: str) -> DataMatrix:
@@ -173,7 +188,11 @@ def parse(text: str) -> DataMatrix:
     malformed cells, kind or arity mismatches, ragged rows, and cells that
     would violate a matrix invariant.
     """
-    lines = _lines(text)
+    return _parse(_lines(text[i:i + _CHUNK] for i in range(0, len(text), _CHUNK)))
+
+
+def _parse(lines: Iterator[str]) -> DataMatrix:
+    """parse() of the document whose lines ``lines`` yields, drawn one at a time."""
     header = next(lines, None)
     if header is None:
         raise ParseError(1, 1, "empty document")
@@ -200,13 +219,13 @@ def parse(text: str) -> DataMatrix:
         row: list[CellValue] = []
         try:
             for kind, field in zip(schema, fields):
-                row.append(_READERS[kind](field))
+                row.append(_read(field, kind))
         except ValueError as exc:
             raise ParseError(lineno, len(row) + 1, str(exc)) from None
         rows.append(tuple(row))
     if not rows:
         raise ParseError(1, 1, "document has a header but no data rows")
-    return DataMatrix(tuple(schema), tuple(rows), tuple(names))
+    return DataMatrix(schema, rows, names)
 
 
 def _records(matrix: DataMatrix) -> Iterator[str]:

@@ -122,6 +122,15 @@ BENCH_ARGS = ["--k-min", "1", "--k-max", "1", "--nan-min", "1", "--nan-max", "1"
               "--trials", "1"]
 
 
+# The commands that read a typed-CSV file given by --input.
+READERS = {
+    "impute": ["impute", "--k", "1", "--output", "{out}"],
+    "benchmark": ["benchmark", *BENCH_ARGS, "--output", "{out}"],
+    "distance": ["distance", "--rows", "0,1"],
+    "validate": ["validate"],
+}
+
+
 class TestBadFilesEndInOneLine:
     @pytest.mark.parametrize(
         "command",
@@ -138,6 +147,43 @@ class TestBadFilesEndInOneLine:
         src.write_bytes(b"a:crisp\n\xff\n")
         args = [a.replace("{out}", str(tmp_path / "o.csv")) for a in command]
         assert_one_line_data_error(run_cli(*args, "--input", str(src)))
+
+    @pytest.mark.parametrize("command", list(READERS))
+    @pytest.mark.parametrize("case", ["bad-byte-past-8-kb", "bad-byte-after-a-bad-line",
+                                      "directory", "missing"])
+    def test_unreadable_input_as_a_whole_read_refuses_it(self, tmp_path, capsys, command, case):
+        # The file is read a chunk at a time, but refused as reading it whole
+        # refuses it: a bad byte's position counts from the start of the file,
+        # and a file that is not UTF-8 is refused as such after any bad line.
+        src = tmp_path / "in.csv"
+        if case == "bad-byte-past-8-kb":
+            body = serialize(seeded_table(200, 4, seed=2, gap_rate=0.0)).encode()
+            src.write_bytes(body[:9000] + b"\xe2\x28" + body[9000:])
+        elif case == "bad-byte-after-a-bad-line":
+            src.write_bytes(b"a:crisp\n1\nzz\n" + b"1\n" * 9000 + b"\xff\n")
+        elif case == "directory":
+            src.mkdir()
+        with pytest.raises((OSError, UnicodeDecodeError)) as whole:
+            src.read_text(encoding="utf-8")
+        if case == "bad-byte-past-8-kb":
+            assert "position 9000:" in str(whole.value)
+        args = [a.replace("{out}", str(tmp_path / "o.csv")) for a in READERS[command]]
+        assert main([*args, "--input", str(src)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot read {src}: {whole.value}\n")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", list(READERS))
+    def test_a_pipe_is_read_once(self, tmp_path, command):
+        # A pipe cannot be read twice: a valid table passes through one read, and
+        # a bad byte is named by its position in all that came through the pipe.
+        body = serialize(seeded_table(200, 4, seed=2, gap_rate=0.0)).encode()
+        args = [a.replace("{out}", str(tmp_path / "o.csv")) for a in READERS[command]]
+        env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
+        for data, code, err in [(body, 0, ""), (body + b"\xff", 1, f"position {len(body)}:")]:
+            run = subprocess.run([sys.executable, "-m", "hetimpute.cli", *args, "--input",
+                                  "/dev/stdin"], input=data, capture_output=True, env=env, timeout=60)
+            assert run.returncode == code, run.stderr
+            assert err in run.stderr.decode() and run.stderr.count(b"\n") == code
 
     @pytest.mark.parametrize(
         "command",
@@ -798,6 +844,21 @@ class TestWrite:
         assert out.read_text(encoding="utf-8") == tall_text
         assert peak - held < 0.25 * out.stat().st_size
 
+    def test_the_input_is_read_straight_into_the_matrix(self, tmp_path, tall_text):
+        # _read_matrix holds a chunk of the file at a time beside the matrix it
+        # builds: no copy of the file's bytes or text.
+        src = tmp_path / "in.csv"
+        src.write_text(tall_text, encoding="utf-8")
+        cli._read_matrix(str(src))  # compiles the schema's codec, which is kept
+        tracemalloc.start()
+        try:
+            matrix = cli._read_matrix(str(src))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix == parse(tall_text)
+        assert peak - held < 0.25 * src.stat().st_size
+
     def test_an_output_that_fails_midway_leaves_none(self, tmp_path):
         old = tmp_path / "old.csv"
         old.write_text("kept\n", encoding="utf-8")
@@ -868,8 +929,8 @@ class TestCyclicGC:
         (tmp_path / "case1.csv").write_text(serialize(fixture("case1")), encoding="utf-8")
         paths = {"case1": tmp_path / "case1.csv", "missing": tmp_path / "none.csv",
                  "out": tmp_path / "b.csv"}
-        seen, parse_ = [], cli.parse
-        monkeypatch.setattr(cli, "parse", lambda text: seen.append(gc.isenabled()) or parse_(text))
+        seen, parse_ = [], cli._parse
+        monkeypatch.setattr(cli, "_parse", lambda ls: seen.append(gc.isenabled()) or parse_(ls))
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:

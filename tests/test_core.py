@@ -2,6 +2,8 @@ import copy
 import math
 import pickle
 import re
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from hetimpute.core import (
 from hetimpute.evaluation import Summary, TrialRecord, mask_random
 from hetimpute.imputer import Donor, impute
 
+from conftest import seeded_table
 from strategies import cell_values, column_kinds, matrices
 
 
@@ -438,6 +441,38 @@ def test_init_leaves_a_built_matrix_as_it_is(case1_masked):
         assert m == before
         assert m._gaps == before._gaps
     assert fixture("case1").is_complete()
+
+
+@pytest.mark.parametrize(
+    "cell, other",
+    [(Crisp(1.0), (2.0,)), (Interval(0.0, 1.0), (2.0, 3.0)), (FuzzyTFN(0.0, 0.5, 1.0), (2.0, 3.0, 4.0))],
+    ids=["crisp", "interval", "fuzzy"],
+)
+def test_init_leaves_a_built_cell_as_it_is(cell, other):
+    # A cell's constructor is __new__ too: __init__ on a built cell rebinds
+    # nothing, with components in order, out of order or by keyword.
+    before = repr(cell)
+    cell.__init__(*other)
+    cell.__init__(*reversed(other))
+    cell.__init__(**dict(zip(type(cell).__slots__, other)))
+    assert repr(cell) == before
+    assert cell == type(cell)(*components(cell))
+
+
+def test_constructor_copies_no_column_out_of_the_rows():
+    # The constructor checks each column in place: what it allocates beside the
+    # matrix it keeps is less than one column tuple for each column. A transpose
+    # of the grid (zip(*cells)) allocates more than that.
+    m = seeded_table(3000, 8, seed=5, gap_rate=0.1)
+    column = sys.getsizeof(tuple(range(m.n_rows)))
+    tracemalloc.start()
+    try:
+        built = DataMatrix(m.schema, m.cells, m.column_names)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built == m and built._gaps == m._gaps
+    assert peak - held < m.n_cols * column
 
 
 def test_cells_equal_only_cells_of_their_own_kind():

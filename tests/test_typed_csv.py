@@ -1,4 +1,8 @@
+import io
+import os
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +17,8 @@ from hetimpute.core import (
     Missing,
 )
 from hetimpute.fixtures import FIXTURE_NAMES, fixture
-from hetimpute import typed_csv
-from hetimpute.typed_csv import ParseError, _lines, _records, parse, serialize
+from hetimpute import cli, typed_csv
+from hetimpute.typed_csv import ParseError, _decoded, _lines, _records, parse, serialize
 
 from conftest import seeded_table
 from oracle import bf_parse_cell
@@ -147,13 +151,31 @@ class TestParse:
 
 class TestLines:
     @settings(max_examples=300)
-    @given(st.text(alphabet="x,\n\r", max_size=12))
-    def test_same_lines_as_split(self, text):
-        # A final newline ends the last line; "" has no line.
+    @given(st.text(alphabet="x,\n\r", max_size=12), st.integers(1, 13))
+    def test_same_lines_as_split(self, text, size):
+        # A final newline ends the last line; "" has no line; a line may span chunks.
         lines = text.split("\n")
         if lines[-1] == "":
             lines.pop()
-        assert list(_lines(text)) == lines
+        assert list(_lines(text[i:i + size] for i in range(0, len(text), size))) == lines
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from([b"a", b",", b"\n", b"\r", b"\xc3\xa9", b"\xe2\x82\xac",
+                                     b"\xf0\x9f\x98\x80", b"\xc3", b"\xe2\x82", b"\xff", b"\x80"]),
+                    max_size=16).map(b"".join), st.integers(1, 5))
+    def test_a_file_decodes_as_a_whole_read_decodes_it(self, data, size):
+        # Text mode reads the file at once: universal newlines, and a bad byte's
+        # position counted from the start of the file, whatever the chunk it falls in.
+        try:
+            expected = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        except UnicodeDecodeError as exc:
+            expected = exc
+        with mock.patch.object(typed_csv, "_CHUNK", size):
+            try:
+                got = "".join(_decoded(io.BytesIO(data)))
+            except UnicodeDecodeError as exc:
+                got = exc
+        assert type(got) is type(expected) and str(got) == str(expected)
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -441,6 +463,45 @@ class TestParseMatchesCellByCellReference:
             got = parse(text)
             assert got == expected
             assert repr(got) == repr(expected)  # tells -0.0 from 0.0
+
+
+@st.composite
+def file_bytes(draw):
+    """The bytes of a typed-CSV file: a mutated document, or an empty or a
+    header-only one, with LF, CRLF or lone-CR line ends, whitespace after some
+    lines, and a final line end or none."""
+    shape = draw(st.sampled_from(["mutated", "empty", "header-only"]))
+    text = {"mutated": lambda: draw(mutated_documents())[1], "empty": lambda: "",
+            "header-only": lambda: "a:crisp,b:interval,c:fuzzy"}[shape]()
+    lines = [line + draw(st.sampled_from(["", "", " ", "\t", " \t "])) for line in text.split("\n")]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines).rstrip("\r\n") + draw(st.sampled_from(["", end]))
+    return text.encode("utf-8")
+
+
+class TestFileParsesAsItsText:
+    @settings(max_examples=500, deadline=None)
+    @given(file_bytes(), st.sampled_from([1, 2, 3, 7, 64, 8192]))
+    def test_same_matrix_or_same_error(self, data, size):
+        # The CLI reads a file a chunk at a time; parse() of the file's text, as
+        # a text-mode read gives it, is the reference: same matrix or same error.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "wb") as f:
+                f.write(data)
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            try:
+                expected = parse(text)
+            except ParseError as exc:
+                expected = f"{path}: {exc}"  # line, column and message
+            with mock.patch.object(typed_csv, "_CHUNK", size):
+                try:
+                    got = cli._read_matrix(path)
+                except cli._DataError as exc:
+                    got = str(exc)
+        assert got == expected
+        assert repr(got) == repr(expected)  # tells -0.0 from 0.0
 
 
 class TestFixtures:
