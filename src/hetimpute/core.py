@@ -11,9 +11,12 @@ between threads and reused as the frozen donor pool during imputation.
 
 from __future__ import annotations
 
+import functools
+from bisect import insort
 from enum import Enum
+from math import sqrt
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Union
+from typing import Callable, Hashable, Iterable, NamedTuple, Union
 
 _INF = float("inf")
 
@@ -131,6 +134,26 @@ _KIND_CLASS = {
     ColumnKind.INTERVAL: Interval,
     ColumnKind.FUZZY: FuzzyTFN,
 }
+
+
+#: The names compiled source reads: the cell classes, their slots' setters, and what formulas call.
+_NAMES = {"inf": _INF, "sqrt": sqrt, "insort": insort, "new": object.__new__,
+          **{cls.__name__: cls for cls in _KIND_CLASS.values()},
+          **{f"set_{s}": getattr(c, s).__set__ for c in _KIND_CLASS.values() for s in c.__slots__}}
+
+
+@functools.cache
+def _compiled(write: Callable[[Hashable], str], key: Hashable) -> Callable:
+    """The function that the source ``write(key)`` defines, compiled on first use and kept
+    per ``(write, key)``. The source runs in a copy of ``_NAMES``. A key holds column kinds,
+    never a name or a cell value, so none reaches the source."""
+    namespace = dict(_NAMES)
+    exec(write(key), namespace)
+    return namespace.popitem()[1]  # the name bound last: the function the source defines
+
+
+def _indent(text: str, level: int) -> str:
+    return text.replace("\n", "\n" + "    " * level)
 
 
 def matches_kind(cell: CellValue, kind: ColumnKind) -> bool:

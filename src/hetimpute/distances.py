@@ -8,22 +8,23 @@ same [0, 1]-ish magnitude for unit-range components, so no single column
 kind dominates the mix. Donor selection walks the candidate rows once per
 target row and stops summing a row once it cannot be among the k nearest.
 It runs one kernel per schema: source text with each column's formula
-inline, compiled on first use. The kernels and the cell-distance functions
-compile each kind's formula from one text, so their distances agree bit for
-bit with ``row_distance``, which folds ``_shared_distances``.
+inline, which ``core._compiled``, the one helper that compiles every
+per-schema function, compiles on first use. The kernels and the
+cell-distance functions are written from each kind's one formula text, so
+their distances agree bit for bit with ``row_distance``, which folds
+``_shared_distances``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
-from typing import Callable, Optional
+from typing import Optional
 
-from .core import _KIND_CLASS, CellValue, ColumnKind, DataMatrix, matches_kind
+from .core import _KIND_CLASS, CellValue, ColumnKind, DataMatrix, _compiled, _indent, matches_kind
 
 
 #: Each kind's cell distance: its name, and the text of its distance from a target cell ``a``
-#: to a donor cell ``b`` that ``_CELL_DISTANCE`` and every kernel compile, so the two agree bit
+#: to a donor cell ``b`` that ``_cell_distance`` and every kernel write, so the two agree bit
 #: for bit. ``{into}`` takes the distance, and ``{a}`` leads to a component of ``a``.
 _FORMULAS = {
     ColumnKind.CRISP: ("crisp_distance", "{into} abs({a}value - b.value)"),
@@ -36,21 +37,13 @@ except OverflowError:
 }
 
 
-def _compile(source: str) -> dict:
-    """The names that ``source`` defines, run with the names its formulas use."""
-    namespace = {"__name__": __name__, "inf": math.inf, "insort": insort, "sqrt": math.sqrt}
-    exec(source, namespace)
-    return namespace
+def _cell_distance(kind: ColumnKind) -> str:
+    """The source of ``kind``'s cell distance from ``a`` to ``b``."""
+    name, text = _FORMULAS[kind]
+    return f"def {name}(a, b):\n    {_indent(text.format(into='return', a='a.'), 1)}"
 
 
-def _indent(text: str, level: int) -> str:
-    return text.replace("\n", "\n" + "    " * level)
-
-
-_CELL_DISTANCE = {
-    kind: _compile(f"def {name}(a, b):\n    {_indent(text.format(into='return', a='a.'), 1)}")[name]
-    for kind, (name, text) in _FORMULAS.items()
-}
+_CELL_DISTANCE = {kind: _compiled(_cell_distance, kind) for kind in ColumnKind}
 
 
 def cell_distance(a: CellValue, b: CellValue, kind: ColumnKind) -> float:
@@ -116,32 +109,21 @@ if a{l} is not None:
             continue"""
 
 
-class _Kernels(dict):
-    """``_KERNELS[schema]``: ``schema``'s kernel, compiled on first use. Only column
-    indices and kinds go into its text, never a name or a cell value.
-
-    ``kernel(cells, i, gaps, rows, k)`` gives, for each column of ``gaps``, the
-    ``(distance, row)`` of the k rows of ``rows`` (ascending) nearest to row i that
-    observe it, nearest first; ties break toward the lower row. It keeps a sorted
-    list of at most k rows per gap and stops summing a row once it cannot enter
-    any. It adds the cell distances in schema order, so every bit matches
+def _kernel(schema: tuple) -> str:
+    """The source of ``schema``'s kernel. ``_compiled(_kernel, schema)(cells, i, gaps, rows, k)``
+    gives, for each column of ``gaps``, the ``(distance, row)`` of the k rows of ``rows``
+    (ascending) nearest to row i that observe it, nearest first; ties break toward the lower
+    row. It keeps a sorted list of at most k rows per gap and stops summing a row once it
+    cannot enter any. It adds the cell distances in schema order, so every bit matches
     ``row_distance``. Rows sharing no observed column with row i are left out."""
-
-    def __missing__(self, schema: tuple) -> Callable:
-        hoist, columns = [], []
-        for l, kind in enumerate(schema):
-            fields = (f"a{l}_{f} = a{l}.{f}" for f in _KIND_CLASS[kind].__slots__)
-            hoist.append(f"if a{l} is not None: " + "; ".join(fields))
-            term = _FORMULAS[kind][1].format(into="total +=", a=f"a{l}_")
-            columns.append(_COLUMN.format(l=l, term=_indent(term, 2)))
-        self[schema] = kernel = _compile(_KERNEL.format(
-            targets="".join(f"a{l}," for l in range(len(schema))), hoist="\n    ".join(hoist),
-            columns=_indent("\n".join(columns), 2),
-        ))["nearest"]
-        return kernel
-
-
-_KERNELS = _Kernels()
+    hoist, columns = [], []
+    for l, kind in enumerate(schema):
+        fields = (f"a{l}_{f} = a{l}.{f}" for f in _KIND_CLASS[kind].__slots__)
+        hoist.append(f"if a{l} is not None: " + "; ".join(fields))
+        term = _FORMULAS[kind][1].format(into="total +=", a=f"a{l}_")
+        columns.append(_COLUMN.format(l=l, term=_indent(term, 2)))
+    return _KERNEL.format(targets="".join(f"a{l}," for l in range(len(schema))),
+                          hoist="\n    ".join(hoist), columns=_indent("\n".join(columns), 2))
 
 
 def _shared_distances(matrix: DataMatrix, i: int, j: int) -> list[tuple[int, float]]:

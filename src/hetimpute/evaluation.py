@@ -33,8 +33,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from .core import CellRef, DataMatrix, _replaced, _with_cells
-from .distances import _CELL_DISTANCE, _KERNELS
+from .core import CellRef, DataMatrix, _compiled, _replaced, _with_cells
+from .distances import _CELL_DISTANCE, _kernel
 from .imputer import _fill, _map_shares
 
 
@@ -181,7 +181,7 @@ def benchmark(matrix: DataMatrix, k_values: Iterable[int], missing_counts: Itera
             yield _error(matrix, ((ref, cell) for ref, *_, cell in _fill(matrix, masked, refs, k)))
 
     passes = sum(len(refs) for _, refs in keys)
-    _KERNELS[matrix.schema]  # compiled once, not in each worker
+    _compiled(_kernel, matrix.schema)  # compiled once, not in each worker
     errors = dict(zip(keys, _map_shares(score, keys, matrix, passes)))
     k_summaries: dict[int, Summary] = {}
     records: list[TrialRecord] = []

@@ -22,8 +22,8 @@ from contextlib import suppress
 from itertools import chain, filterfalse
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import CellRef, CellValue, DataMatrix, _with_cells, components
-from .distances import _KERNELS
+from .core import CellRef, CellValue, DataMatrix, _compiled, _with_cells, components
+from .distances import _kernel
 
 #: Distances below this are treated as exact matches when weighting.
 ZERO_DISTANCE_EPS = 1e-12
@@ -137,7 +137,7 @@ def _fill(matrix: DataMatrix, cells: Sequence[tuple], gaps: Sequence[tuple[int, 
     ``row`` observing ``col``, nearest first, their weights and cell, both None if no row does."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    nearest, n = _KERNELS[matrix.schema], matrix.n_rows  # compiled here, before any fork
+    nearest, n = _compiled(_kernel, matrix.schema), matrix.n_rows  # compiled here, before any fork
     targets, missing = {}, [set() for _ in matrix.schema]  # row -> gap columns, column -> rows
     for i, l in gaps:
         targets.setdefault(i, []).append(l)

@@ -15,13 +15,14 @@ field, every real printed with the shortest digits that parse back to the
 identical double, records joined by single newlines with one trailing
 newline. parse(serialize(m)) reproduces m bit-exactly.
 
-Both directions work a row at a time, each through code compiled for the
-schema on its first use: the row reader reads an empty field as a gap and
-builds every other cell inline from float() of its components, after the test
-of its constructor (finite, in order); the row writer is one f-string. A line
-the row reader refuses (padding, NaN, any fault) is read again field by field,
-through the whole cell grammar and the cells' constructors, which name the
-first wrong field: the field count first, then fields left to right.
+Both directions work a row at a time, each through code that core._compiled
+compiles for the schema on its first use, so only a command that writes
+compiles a row writer. The row reader reads an empty field as a gap and builds
+every other cell inline from float() of its components, after the test of its
+constructor (finite, in order); the row writer is one f-string. A line the row
+reader refuses (padding, NaN, any fault) is read again field by field, through
+the whole cell grammar and the cells' constructors, which name the first wrong
+field: the field count first, then fields left to right.
 
 Neither direction holds a second copy of the table. One parser draws its
 lines one at a time: parse() from a text, the CLI from a file that _decoded()
@@ -34,9 +35,9 @@ from __future__ import annotations
 import codecs
 import io
 import itertools
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
-from .core import _KIND_CLASS, CellValue, ColumnKind, Crisp, DataMatrix, FuzzyTFN, Interval
+from .core import _KIND_CLASS, CellValue, ColumnKind, Crisp, DataMatrix, _compiled, _indent
 
 _KIND_TAGS = {kind.value: kind for kind in ColumnKind}
 _CHUNK = io.DEFAULT_BUFFER_SIZE  # characters or bytes read at a time
@@ -102,10 +103,6 @@ x, y = c{l}[1:-1].split(";")""",
     raise ValueError
 x, y, z = c{l}[1:-1].split(";")""",
 }
-# The row reader's names: the cell classes, and a setter for each of their slots.
-_NAMES = {"new": object.__new__, "inf": float("inf"), "Crisp": Crisp, "Interval": Interval,
-          "FuzzyTFN": FuzzyTFN, **{f"set_{slot}": getattr(cls, slot).__set__
-                                   for cls in _KIND_CLASS.values() for slot in cls.__slots__}}
 _WRITE = {
     ColumnKind.CRISP: "{{c{l}.value!r}}",
     ColumnKind.INTERVAL: "[{{c{l}.lower!r}};{{c{l}.upper!r}}]",
@@ -113,37 +110,33 @@ _WRITE = {
 }
 
 
-class _Codecs(dict):
-    """``_CODECS[schema]``: ``(read, write)``, compiled on first use from the column kinds
-    alone. ``read(line)`` gives the row of a line of gaps and unpadded cells with no '_', else
-    raises ValueError; ``write(row)`` its canonical record, repr() giving the shortest digits."""
-
-    def __missing__(self, schema: tuple) -> tuple[Callable, Callable]:
-        cells = "".join(f"c{l}, " for l in range(len(schema)))
-        source = [f"def read(line):\n    {cells}= line.split(',')",
-                  "    if '_' in line:\n        raise ValueError"]
-        for l, kind in enumerate(schema):
-            # The test of the cell's constructor, then the cell with its slots set
-            # through their descriptors, which costs less than a constructor call.
-            cls = _KIND_CLASS[kind]
-            xs = "xyz"[:len(cls.__slots__)]
-            read = [_READ[kind].format(l=l), *(f"{x} = float({x})" for x in xs),
-                    f"if not -inf < {' <= '.join(xs)} < inf:\n    raise ValueError",
-                    f"c{l} = new({cls.__name__})"]
-            read += [f"set_{slot}(c{l}, {x})" for slot, x in zip(cls.__slots__, xs)]
-            read = "\n".join(read).replace("\n", "\n        ")
-            source.append(f"    if c{l}:\n        {read}\n    else:\n        c{l} = None")
-        writes = ",".join(f"{{'' if c{l} is None else f'{_WRITE[kind].format(l=l)}'}}"
-                          for l, kind in enumerate(schema))
-        source += [f"    return ({cells})", f"def write(row):\n    {cells}= row",
-                   f'    return f"{writes}\\n"\n']
-        namespace = dict(_NAMES)
-        exec("\n".join(source), namespace)
-        self[schema] = codec = namespace["read"], namespace["write"]
-        return codec
+def _reader(schema: tuple) -> str:
+    """The source of ``schema``'s row reader: ``read(line)`` gives the row of a line of gaps
+    and unpadded cells with no '_', else raises ValueError."""
+    cells = "".join(f"c{l}, " for l in range(len(schema)))
+    source = [f"def read(line):\n    {cells}= line.split(',')",
+              "    if '_' in line:\n        raise ValueError"]
+    for l, kind in enumerate(schema):
+        # The test of the cell's constructor, then the cell with its slots set
+        # through their descriptors, which costs less than a constructor call.
+        cls = _KIND_CLASS[kind]
+        xs = "xyz"[:len(cls.__slots__)]
+        read = [_READ[kind].format(l=l), *(f"{x} = float({x})" for x in xs),
+                f"if not -inf < {' <= '.join(xs)} < inf:\n    raise ValueError",
+                f"c{l} = new({cls.__name__})"]
+        read += [f"set_{slot}(c{l}, {x})" for slot, x in zip(cls.__slots__, xs)]
+        read = _indent("\n".join(read), 2)
+        source.append(f"    if c{l}:\n        {read}\n    else:\n        c{l} = None")
+    return "\n".join(source) + f"\n    return ({cells})"
 
 
-_CODECS = _Codecs()
+def _writer(schema: tuple) -> str:
+    """The source of ``schema``'s row writer: ``write(row)`` gives the row's canonical
+    record, repr() giving the shortest digits."""
+    cells = "".join(f"c{l}, " for l in range(len(schema)))
+    writes = ",".join(f"{{'' if c{l} is None else f'{_WRITE[kind].format(l=l)}'}}"
+                      for l, kind in enumerate(schema))
+    return f'def write(row):\n    {cells}= row\n    return f"{writes}\\n"'
 
 
 def _lines(chunks: Iterable[str]) -> Iterator[str]:
@@ -206,7 +199,7 @@ def _parse(lines: Iterator[str]) -> DataMatrix:
                                      f"{', '.join(_KIND_TAGS)}, found {cell!r}")
         names.append(name)
         schema.append(_KIND_TAGS[tag])
-    read = _CODECS[tuple(schema)][0]
+    read = _compiled(_reader, tuple(schema))
     rows: list[tuple[CellValue, ...]] = []
     for lineno, line in enumerate(lines, start=2):
         try:
@@ -240,7 +233,7 @@ def _records(matrix: DataMatrix) -> Iterator[str]:
         f"{name}:{kind.value}"
         for name, kind in zip(matrix.column_names, matrix.schema)
     )
-    write = _CODECS[matrix.schema][1]
+    write = _compiled(_writer, matrix.schema)
     return itertools.chain([header + "\n"], map(write, matrix.cells))
 
 

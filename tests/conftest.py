@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hetimpute import ColumnKind, Crisp, DataMatrix, FuzzyTFN, Interval, fixture
+from hetimpute import ColumnKind, Crisp, DataMatrix, FuzzyTFN, Interval, core, fixture
 
 
 @pytest.fixture
@@ -107,3 +108,22 @@ def no_fork(monkeypatch):
 
     monkeypatch.setattr(os, "fork", refused)
     monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def compiles(monkeypatch, tmp_path):
+    """Empty ``core._compiled``'s cache, and log each source it compiles while the
+    test runs to a file, so that a forked worker's compiles are seen too. Returns a
+    function that gives the ``(pid, source)`` of each compile so far, in order."""
+    log = tmp_path / "compiles"
+    log.touch()
+
+    def logged(source, namespace):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()} {source!r}\n")
+        exec(source, namespace)
+
+    core._compiled.cache_clear()
+    monkeypatch.setattr(core, "exec", logged, raising=False)
+    return lambda: [(int(pid), ast.literal_eval(source)) for pid, source in
+                    (line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines())]

@@ -19,6 +19,7 @@ import hetimpute
 from hetimpute import fixture, parse, serialize
 from hetimpute import cli
 from hetimpute.cli import main
+from hetimpute.fixtures import FIXTURE_NAMES
 
 from conftest import seeded_table
 from oracle import bf_cell_distance, bf_row_distance
@@ -96,7 +97,7 @@ def test_signal_is_loaded_only_to_kill_a_worker():
         "    if os.getpid() != parent:",
         "        os.kill(os.getpid(), 19)  # SIGSTOP: a worker that never replies",
         "    raise RuntimeError",
-        "imputer._KERNELS = {m.schema: stuck}",
+        "imputer._compiled = lambda write, schema: stuck",
         "try:",
         "    impute(m, 3)",
         "except RuntimeError:",
@@ -109,6 +110,49 @@ def test_signal_is_loaded_only_to_kill_a_worker():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout == "False\nTrue\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "distance", "benchmark", "impute", "fixtures"])
+def test_a_command_compiles_what_it_runs_once_in_the_parent(tmp_path, command):
+    # Each per-schema function is compiled on its first use: only a command that
+    # writes a typed-CSV file compiles a row writer, one that selects donors a
+    # kernel, and the forked workers of impute and benchmark compile nothing.
+    gapped, complete = tmp_path / "gapped.csv", tmp_path / "complete.csv"
+    gapped.write_text(serialize(seeded_table(200, 6, seed=19, gap_rate=0.15)), encoding="utf-8")
+    complete.write_text(serialize(seeded_table(60, 6, seed=19, gap_rate=0.0)), encoding="utf-8")
+    argv, compiled = {
+        "validate": (["--input", gapped], ["read"]),
+        "distance": (["--input", gapped, "--rows", "0,1"], ["read"]),
+        "benchmark": (["--input", complete, "--k-min", "1", "--k-max", "2", "--nan-min", "1",
+                       "--nan-max", "3", "--trials", "20", "--output", tmp_path / "raw.csv"],
+                      ["read", "nearest"]),
+        "impute": (["--input", gapped, "--k", "3", "--output", tmp_path / "out.csv",
+                    "--trace", tmp_path / "trace.csv"], ["read", "nearest", "write"]),
+        "fixtures": (["--dest", tmp_path], ["write"] * len({fixture(n).schema
+                                                           for n in FIXTURE_NAMES})),
+    }[command]
+    code = "\n".join([
+        "import os, sys",
+        "from hetimpute import cli, core",
+        "log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND | os.O_CREAT)",
+        "def logged(source, namespace):  # the defined function's name, by pid",
+        "    os.write(log, f'{os.getpid()} {source[4:source.index(\"(\")]}\\n'.encode())",
+        "    exec(source, namespace)",
+        "core.exec = logged",
+        "forks, fork = [], os.fork",
+        "os.fork = lambda: forks.append(1) or fork()",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "print(cli.main(sys.argv[2:]), os.getpid(), len(forks))",
+    ])
+    log = tmp_path / "compiles"
+    env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code, log, command, *argv],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    status, pid, forks = run.stdout.splitlines()[-1].split()  # after the command's own output
+    assert status == "0"
+    assert int(forks) == (command in ("benchmark", "impute"))
+    assert log.read_text(encoding="utf-8").splitlines() == [f"{pid} {name}" for name in compiled]
 
 
 def assert_one_line_data_error(run: subprocess.CompletedProcess) -> None:

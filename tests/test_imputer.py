@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import faulthandler
+import functools
 import marshal
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from hetimpute import distances, evaluation, fixture, imputer
+from hetimpute import core, distances, evaluation, fixture, imputer
 from hetimpute.core import (
     CellRef,
     ColumnKind,
@@ -510,80 +511,49 @@ def test_rows_that_cannot_be_nearest_are_cut_short(monkeypatch):
 
 def wrap_kernels(monkeypatch, wrap):
     """Make the fill step run ``wrap(kernel)`` in place of each schema's kernel."""
-
-    class Wrapped(dict):
-        def __missing__(self, schema):
-            self[schema] = wrapped = wrap(distances._KERNELS[schema])
-            return wrapped
-
-    monkeypatch.setattr(imputer, "_KERNELS", Wrapped())
+    wrapped = functools.cache(lambda write, schema: wrap(core._compiled(write, schema)))
+    monkeypatch.setattr(imputer, "_compiled", wrapped)
 
 
 # -- one selection kernel per schema -----------------------------------------
 
 
-@pytest.fixture
-def kernels():
-    """The kernel cache, empty while the test runs and restored after it."""
-    saved = dict(distances._KERNELS)
-    distances._KERNELS.clear()
-    yield distances._KERNELS
-    distances._KERNELS.clear()
-    distances._KERNELS.update(saved)
-
-
-def logged_builds(monkeypatch, log):
-    """Append the pid of each process that compiles a kernel to ``log``."""
-    compile_ = distances._compile
-
-    def logged(source):
-        with open(log, "a", encoding="utf-8") as out:
-            out.write(f"{os.getpid()}\n")
-        return compile_(source)
-
-    monkeypatch.setattr(distances, "_compile", logged)
-
-
-def test_a_column_name_never_reaches_a_kernel(kernels, monkeypatch, no_fork):
-    sources = []
-    compile_ = distances._compile
-    monkeypatch.setattr(distances, "_compile", lambda text: sources.append(text) or compile_(text))
+def test_a_column_name_never_reaches_a_kernel(compiles, no_fork):
     m = seeded_table(30, 3, seed=3, gap_rate=0.2)
     hostile = DataMatrix(m.schema, m.cells, ["x\nimport os", '"""', "'''\nos.abort()"])
     traces = []
     for matrix in (m, hostile):
-        kernels.clear()
+        core._compiled.cache_clear()
         traces.append(impute(matrix, 3).trace)
+    sources = [source for _, source in compiles()]
     assert len(sources) == 2
     assert sources[1] == sources[0]
     assert traces[1] == traces[0]
     assert "import" not in sources[0] and "os." not in sources[0]
 
 
-def test_a_schema_gets_one_kernel(kernels, monkeypatch, tmp_path, no_fork):
-    log = tmp_path / "builds"
-    logged_builds(monkeypatch, log)
+def test_a_schema_gets_one_kernel(compiles, no_fork):
     complete = seeded_table(30, 4, seed=4, gap_rate=0.0)
     narrow = seeded_table(30, 3, seed=4, gap_rate=0.2)
     for _ in range(2):
         impute(complete.with_cell(0, 1, None).with_cell(5, 2, None), 3)
         impute(narrow, 3)
         evaluation.benchmark(complete, [1, 2], [1, 2], 3, 0)
-    assert set(kernels) == {complete.schema, narrow.schema}
-    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
+    kernels = [distances._kernel(complete.schema), distances._kernel(narrow.schema)]
+    assert compiles() == [(os.getpid(), kernel) for kernel in kernels]
 
 
 @pytest.mark.parametrize("call", ["impute", "benchmark"])
-def test_a_worker_builds_no_kernel(kernels, monkeypatch, tmp_path, forks, dense_matrix, call):
+def test_a_worker_builds_no_kernel(compiles, forks, dense_matrix, call):
     # The parent compiles the kernel before it forks, and each worker inherits it.
-    log = tmp_path / "builds"
-    logged_builds(monkeypatch, log)
     if call == "impute":
-        impute(dense_matrix, 5)
+        m = dense_matrix
+        impute(m, 5)
     else:  # the benchmark forks, and no trial forks again
-        evaluation.benchmark(fixture("case3"), range(1, 5), range(1, 6), 20, 3)
+        m = fixture("case3")
+        evaluation.benchmark(m, range(1, 5), range(1, 6), 20, 3)
     assert len(forks) == 1
-    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
+    assert compiles() == [(os.getpid(), distances._kernel(m.schema))]
 
 
 @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
@@ -591,24 +561,24 @@ def test_impute_reads_the_kernel_cache_once_per_call(dense_matrix, monkeypatch, 
     # Not once per target row: a read hashes the schema through Enum.__hash__.
     expected, reads = serially(dense_matrix, 5), []
 
-    class Counted(type(distances._KERNELS)):
-        def __getitem__(self, schema):
-            reads.append(schema)
-            return super().__getitem__(schema)
+    def counted(write, key):
+        reads.append((write, key))
+        return core._compiled(write, key)
 
-    monkeypatch.setattr(imputer, "_KERNELS", Counted(distances._KERNELS))
+    monkeypatch.setattr(imputer, "_compiled", counted)
     forks = patch_forks(monkeypatch)
     if not forked:
         monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 10**9)
     assert impute(dense_matrix, 5) == expected
     assert len(forks) == forked
-    assert reads == [dense_matrix.schema]
+    assert reads == [(distances._kernel, dense_matrix.schema)]
 
 
 def test_a_warm_kernel_lookup_makes_no_python_call():
-    # ColumnKind hashes in C, so looking a schema up runs no Enum.__hash__.
+    # The cache is C, and ColumnKind hashes in C, so looking a schema's kernel up
+    # runs no Enum.__hash__ and no other Python-level call.
     schema = fixture("case2").schema
-    distances._KERNELS[schema]
+    core._compiled(distances._kernel, schema)
     calls = []
 
     def profile(frame, event, arg):
@@ -617,7 +587,7 @@ def test_a_warm_kernel_lookup_makes_no_python_call():
 
     sys.setprofile(profile)
     try:
-        distances._KERNELS[schema]
+        core._compiled(distances._kernel, schema)
     finally:
         sys.setprofile(None)
     assert calls == []

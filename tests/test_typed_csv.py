@@ -231,17 +231,16 @@ class TestLines:
         assert repr(parse(crlf)) == repr(m)
 
 
-def test_only_indices_and_kinds_reach_a_codec(monkeypatch):
-    # A schema's row reader and writer are compiled source: no column name or
-    # cell value may reach it. One compile serves a schema's parse and serialize.
-    sources = []
-    monkeypatch.setattr(typed_csv, "_CODECS", typed_csv._Codecs())
-    monkeypatch.setattr(typed_csv, "exec", lambda text, ns: sources.append(text) or exec(text, ns),
-                        raising=False)
+def test_only_indices_and_kinds_reach_a_codec(compiles):
+    # A schema's row reader and writer are compiled source: no column name or cell
+    # value may reach them. parse compiles the reader alone, serialize the writer.
     text = "zq'{0}:crisp,zq\\\":fuzzy\n0.123456789,(0.25;0.375;0.4375)\n"
-    assert serialize(parse(text)) == text
-    assert len(sources) == 1
-    assert not any(s in sources[0] for s in ("zq", "0.123456789", "0.375"))
+    m = parse(text)
+    assert [source.split("(")[0] for _, source in compiles()] == ["def read"]
+    assert serialize(m) == text
+    sources = [source for _, source in compiles()]
+    assert [source.split("(")[0] for source in sources] == ["def read", "def write"]
+    assert not any(s in source for s in ("zq", "0.123456789", "0.375") for source in sources)
 
 
 class TestSerialize:
