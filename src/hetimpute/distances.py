@@ -8,10 +8,10 @@ same [0, 1]-ish magnitude for unit-range components, so no single column
 kind dominates the mix. Donor selection walks the candidate rows once per
 target row and stops summing a row once it cannot be among the k nearest.
 It runs one kernel per schema: source text with each column's formula
-inline, which ``core._compiled``, the one helper that compiles every
-per-schema function, compiles on first use. The kernels and the
-cell-distance functions are written from each kind's one formula text, so
-their distances agree bit for bit with ``row_distance``, which folds
+inline, which ``core._compiled`` compiles on first use, as it does
+``_apart``, which ranks a row once for each column left out. The kernels,
+``_apart`` and the cell distances are written from each kind's one formula
+text, so they agree bit for bit with ``row_distance``, which folds
 ``_shared_distances``.
 """
 
@@ -124,6 +124,33 @@ def _kernel(schema: tuple) -> str:
         columns.append(_COLUMN.format(l=l, term=_indent(term, 2)))
     return _KERNEL.format(targets="".join(f"a{l}," for l in range(len(schema))),
                           hoist="\n    ".join(hoist), columns=_indent("\n".join(columns), 2))
+
+
+_APART = """\
+def apart(cells, i, rows):
+    {targets} = cells[i]
+    {hoist}
+    {lists} = lists = [[] for _ in cells[i]]
+    for j in rows:
+        other = cells[j]
+        {body}
+    return lists
+"""
+
+
+def _apart(schema: tuple) -> str:
+    """The source of ``apart(cells, i, rows)``: per column l, the ``(distance, j)`` to row i of
+    each row j of ``rows`` that ``row_distance`` gives when (i, l) is the one gap. Each term is
+    computed once and folded in schema order: none is below +0.0, as in a fold from 0.0."""
+    m, columns = len(schema), range(len(schema))
+    hoist = [f"a{l}_{f} = a{l}.{f}" for l, kind in enumerate(schema)
+             for f in _KIND_CLASS[kind].__slots__]
+    body = [f"b = other[{l}]\n" + _FORMULAS[kind][1].format(into=f"t{l} =", a=f"a{l}_")
+            for l, kind in enumerate(schema)]
+    folds = [" + ".join(f"t{x}" for x in columns if x != l) for l in columns if m > 1]
+    body += [f"d{l}.append((sqrt(({fold}) / {m - 1}), j))" for l, fold in enumerate(folds)]
+    return _APART.format(targets="".join(f"a{l}," for l in columns), hoist="; ".join(hoist),
+                         lists="".join(f"d{l}," for l in columns), body=_indent("\n".join(body), 2))
 
 
 def _shared_distances(matrix: DataMatrix, i: int, j: int) -> list[tuple[int, float]]:

@@ -9,9 +9,9 @@ the number of masked cells over many seeded trials yields the per-trial
 errors and per-k box-plot statistics used for reporting. A trial's error
 depends only on k and its masked cells, so each distinct pair is filled
 once, and ``imputer._map_shares`` spreads them over forked workers on other
-CPUs when that pays. Per-trial seeds are derived by hashing (seed, k, count,
-trial), so any single trial can be reproduced in isolation and the full
-report is a pure function of its arguments.
+CPUs when that pays; a row that many trials mask is ranked once per column.
+Trial seeds hash (seed, k, count, trial): any one trial can be reproduced
+alone, and the full report is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .core import CellRef, DataMatrix, _compiled, _replaced, _with_cells
-from .distances import _CELL_DISTANCE, _kernel
-from .imputer import _fill, _map_shares
+from .distances import _CELL_DISTANCE, _apart, _kernel
+from .imputer import _PASS_COST, _fill, _map_shares
 
 
 class Summary(NamedTuple):
@@ -154,6 +154,28 @@ def derive_trial_seed(seed: int, k: int, count: int, trial: int) -> int:
     return int.from_bytes(_sha256(key).digest()[:8], "big")
 
 
+def _ranked(matrix: DataMatrix, keys: list, kept: int) -> dict:
+    """Per masked (i, l) of ``keys``, a plan's distinct ``(k, cells)`` on complete ``matrix``, the
+    ``kept`` (max k + max count - 1) ``(distance, row)`` nearest to row i with only (i, l) a gap.
+    A pass in a trial masking c of n rows spares the kernel n - c rows, and ranking a row for
+    each column costs 2 to 5 passes: only a row whose passes spare 3n rows gets lists."""
+    n, spared, columns = matrix.n_rows, {}, {}
+    for _, refs in keys:
+        for i, l in refs:
+            spared[i] = spared.get(i, 0) + n - len(refs)
+            columns.setdefault(i, set()).add(l)
+    rows = [i for i, v in spared.items() if v >= 3 * n]
+    apart = _compiled(_apart, matrix.schema) if rows else None  # compiled before any fork
+
+    def rank(rows: list) -> Iterator[list]:
+        for i in rows:
+            lists = apart(matrix.cells, i, itertools.chain(range(i), range(i + 1, n)))
+            yield [sorted(lists[l])[:kept] for l in columns[i]]  # the other columns dropped
+
+    ranks = _map_shares(rank, rows, matrix, 2 * len(rows))  # a row costs about 2 passes
+    return {(i, l): ranked for i, lists in zip(rows, ranks) for l, ranked in zip(columns[i], lists)}
+
+
 def benchmark(matrix: DataMatrix, k_values: Iterable[int], missing_counts: Iterable[int],
               trials: int, seed: int, dataset_name: str = "") -> BenchmarkReport:
     """Mask/impute/score ``trials`` times for every (k, missing_count) pair.
@@ -163,8 +185,9 @@ def benchmark(matrix: DataMatrix, k_values: Iterable[int], missing_counts: Itera
     aggregate the errors of all missing counts for that k. ``mask_random``'s
     checks run once per count before any work, if there is a trial. Each
     distinct (k, cells) is filled once, with one selection pass per masked
-    cell (each in its own row), and scored from its filled cells alone;
-    ``_map_shares`` forks workers that fill shares of them when the passes pay.
+    cell (each in its own row), and scored from its filled cells alone. A
+    pass walks its row's list from ``_ranked`` if there is one, which costs
+    only its fill; ``_map_shares`` forks workers when the passes pay.
     """
     k_values, missing_counts = tuple(k_values), tuple(missing_counts)  # read more than once
     if trials < 1:
@@ -174,13 +197,15 @@ def benchmark(matrix: DataMatrix, k_values: Iterable[int], missing_counts: Itera
     plan = [(k, [(c, t, _mask_cells(matrix, c, derive_trial_seed(seed, k, c, t)))
                  for c in missing_counts for t in range(trials)]) for k in k_values]
     keys = list(dict.fromkeys((k, refs) for k, cells in plan for *_, refs in cells))
+    ranked = _ranked(matrix, keys, max(k_values, default=0) + max(missing_counts, default=0) - 1)
 
     def score(keys: list) -> Iterator[Optional[float]]:
         for k, refs in keys:
             masked = _replaced(matrix.cells, dict.fromkeys(refs))
-            yield _error(matrix, ((ref, cell) for ref, *_, cell in _fill(matrix, masked, refs, k)))
+            yield _error(matrix, ((r, c) for r, *_, c in _fill(matrix, masked, refs, k, ranked)))
 
-    passes = sum(len(refs) for _, refs in keys)
+    cells, served = matrix.n_rows * matrix.n_cols, sum(r in ranked for _, rs in keys for r in rs)
+    passes = sum(len(refs) for _, refs in keys) - served * cells // (cells + _PASS_COST)
     _compiled(_kernel, matrix.schema)  # compiled once, not in each worker
     errors = dict(zip(keys, _map_shares(score, keys, matrix, passes)))
     k_summaries: dict[int, Summary] = {}

@@ -131,10 +131,12 @@ def impute(matrix: DataMatrix, k: int) -> ImputationResult:
 
 
 def _fill(matrix: DataMatrix, cells: Sequence[tuple], gaps: Sequence[tuple[int, int]],
-          k: int) -> Iterator[tuple]:
+          k: int, ranked: dict = {}) -> Iterator[tuple]:
     """``(ref, chosen, weights, cell)`` per ``(row, col)`` of ``gaps``, the row-major gaps of
     ``cells`` (``matrix``'s shape and schema): the ``(distance, row)`` of the k rows nearest to
-    ``row`` observing ``col``, nearest first, their weights and cell, both None if no row does."""
+    ``row`` observing ``col``, nearest first, their weights and cell, both None if no row does.
+    ``ranked[row, col]`` may rank, for a row whose one gap is ``col``, k or more unmasked rows
+    of complete ``matrix`` from it with that cell a gap: that pass walks this list instead."""
     if k < 1:
         raise ValueError("k must be at least 1")
     nearest, n = _compiled(_kernel, matrix.schema), matrix.n_rows  # compiled here, before any fork
@@ -142,13 +144,19 @@ def _fill(matrix: DataMatrix, cells: Sequence[tuple], gaps: Sequence[tuple[int, 
     for i, l in gaps:
         targets.setdefault(i, []).append(l)
         missing[l].add(i)
+    passes = [(i, columns, ranked.get((i, *columns))) for i, columns in targets.items()]
 
-    def select(targets: list) -> Iterator[list]:  # a pass per row, over rows observing a gap
-        for i, columns in targets:
-            excluded = set.intersection(*(missing[l] for l in columns))
-            yield nearest(cells, i, columns, filterfalse(excluded.__contains__, range(n)), k)
+    def select(passes: list) -> Iterator[list]:  # a pass per row, over rows observing a gap
+        for i, columns, listed in passes:
+            if listed is None:
+                excluded = set.intersection(*(missing[l] for l in columns))
+                yield nearest(cells, i, columns, filterfalse(excluded.__contains__, range(n)), k)
+            else:  # the list past the masked rows, and the masked rows that observe the gap
+                others = [j for j in targets if j not in missing[columns[0]]]
+                near = nearest(cells, i, columns, others, k)[0] if others else []
+                yield [sorted([p for p in listed if p[1] not in targets][:k] + near)[:k]]
 
-    selected = _map_shares(select, list(targets.items()), matrix, len(targets))
+    selected = _map_shares(select, passes, matrix, sum(p[2] is None for p in passes))
     for ref, chosen in zip(gaps, chain.from_iterable(selected)):
         weights = cell = None  # if no comparable row observes the column
         if chosen:

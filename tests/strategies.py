@@ -28,6 +28,16 @@ def raw_reals() -> st.SearchStrategy[float]:
     return st.floats(allow_nan=False, allow_infinity=False)
 
 
+def edge_reals() -> st.SearchStrategy[float]:
+    """Ties ({0, 1, 2}), extremes (±1e300, the smallest subnormal, ±the largest
+    double) and any finite float, a third each."""
+    return st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0]),
+        st.sampled_from([1e300, -1e300, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+        raw_reals(),
+    )
+
+
 def cell_values(kind: ColumnKind, elements=None) -> st.SearchStrategy:
     elements = elements if elements is not None else grid_reals()
     if kind is ColumnKind.CRISP:

@@ -116,16 +116,17 @@ def test_signal_is_loaded_only_to_kill_a_worker():
 def test_a_command_compiles_what_it_runs_once_in_the_parent(tmp_path, command):
     # Each per-schema function is compiled on its first use: only a command that
     # writes a typed-CSV file compiles a row writer, one that selects donors a
-    # kernel, and the forked workers of impute and benchmark compile nothing.
+    # kernel, and only a benchmark that revisits rows their ranking; the forked
+    # workers of impute and benchmark compile nothing.
     gapped, complete = tmp_path / "gapped.csv", tmp_path / "complete.csv"
     gapped.write_text(serialize(seeded_table(200, 6, seed=19, gap_rate=0.15)), encoding="utf-8")
-    complete.write_text(serialize(seeded_table(60, 6, seed=19, gap_rate=0.0)), encoding="utf-8")
+    complete.write_text(serialize(seeded_table(100, 6, seed=19, gap_rate=0.0)), encoding="utf-8")
     argv, compiled = {
         "validate": (["--input", gapped], ["read"]),
         "distance": (["--input", gapped, "--rows", "0,1"], ["read"]),
         "benchmark": (["--input", complete, "--k-min", "1", "--k-max", "2", "--nan-min", "1",
                        "--nan-max", "3", "--trials", "20", "--output", tmp_path / "raw.csv"],
-                      ["read", "nearest"]),
+                      ["read", "apart", "nearest"]),
         "impute": (["--input", gapped, "--k", "3", "--output", tmp_path / "out.csv",
                     "--trace", tmp_path / "trace.csv"], ["read", "nearest", "write"]),
         "fixtures": (["--dest", tmp_path], ["write"] * len({fixture(n).schema

@@ -11,10 +11,11 @@ from hetimpute.core import (
     FuzzyTFN,
     Interval,
 )
-from hetimpute.distances import _shared_distances, cell_distance, row_distance
+from hetimpute.core import _compiled
+from hetimpute.distances import _apart, _shared_distances, cell_distance, row_distance
 
 from oracle import bf_cell_distance, bf_row_distance
-from strategies import cell_values, complete_matrices, grid_reals, matrices
+from strategies import cell_values, complete_matrices, edge_reals, grid_reals, matrices
 
 approx = pytest.approx
 
@@ -227,3 +228,20 @@ def test_all_crisp_rows_reduce_to_root_mean_gap(rows):
         sum(abs(a - b) for a, b in zip(rows[0], rows[1])) / len(rows[0])
     )
     assert row_distance(m, 0, 1) == approx(expected, rel=1e-12, abs=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(complete_matrices(min_rows=2, max_rows=6, max_cols=6,
+                         elements=st.one_of(edge_reals(), grid_reals())), st.data())
+def test_apart_leaves_each_column_out_bit_for_bit(m, data):
+    # For each column l, apart's distance from row i to each other row is the
+    # one row_distance gives with only (i, l) a gap, in every bit (repr tells
+    # -0.0 from 0.0); with one column no row is comparable.
+    i = data.draw(st.integers(0, m.n_rows - 1))
+    rows = [j for j in range(m.n_rows) if j != i]
+    lists = _compiled(_apart, m.schema)(m.cells, i, iter(rows))
+    assert len(lists) == m.n_cols
+    for l, listed in enumerate(lists):
+        masked = m.with_cell(i, l, None)
+        expected = [(d, j) for j in rows if (d := row_distance(masked, i, j)) is not None]
+        assert repr(listed) == repr(expected)

@@ -2,6 +2,7 @@ import errno
 import marshal
 import math
 import os
+import random
 import statistics
 
 import pytest
@@ -31,7 +32,7 @@ from hetimpute.imputer import impute
 
 from conftest import logged_forks, patch_forks, seeded_table
 from oracle import bf_candidate_distances, bf_cell_distance, bf_combine, bf_weights
-from strategies import complete_matrices, raw_reals
+from strategies import complete_matrices, edge_reals, raw_reals
 
 approx = pytest.approx
 
@@ -428,12 +429,49 @@ def distinct_masks(m, ks, counts, trials, seed):
     }
 
 
+def listed_rows(m, masks):
+    """The rows the benchmark ranks once: a pass in a trial masking c of n
+    rows spares the kernel n - c rows, and a row whose distinct passes spare
+    3n gets lists."""
+    spared = {}
+    for _, refs in masks:
+        for ref in refs:
+            spared[ref.row] = spared.get(ref.row, 0) + m.n_rows - len(refs)
+    return {i for i, rows in spared.items() if rows >= 3 * m.n_rows}
+
+
+def kernel_passes(m, masks):
+    """The selection passes of distinct ``masks`` that the kernel makes."""
+    listed = listed_rows(m, masks)
+    return sum(ref.row not in listed for _, refs in masks for ref in refs)
+
+
+def mapped_passes(m, masks):
+    """The passes that the benchmark's two mappings weigh: ranking a listed row
+    counts 2, and a pass that a list serves costs its fill alone, _PASS_COST of
+    a kernel pass's n * m + _PASS_COST cell visits."""
+    listed, cells = listed_rows(m, masks), m.n_rows * m.n_cols
+    served = sum(ref.row in listed for _, refs in masks for ref in refs)
+    passes = sum(len(refs) for _, refs in masks)
+    return 2 * len(listed), passes - served * cells // (cells + imputer._PASS_COST)
+
+
+def forks_at_no_threshold(m, masks):
+    """The forks of a benchmark when any two passes pay: one to rank two rows
+    or more, and one to fill two imputations or more whose passes count 2, or,
+    for a single imputation, its trial's fork when the kernel makes 2."""
+    ranking, filling = mapped_passes(m, masks)
+    filled = filling >= 2 if len(masks) >= 2 else kernel_passes(m, masks) >= 2
+    return (ranking >= 4) + filled
+
+
 @settings(max_examples=60, deadline=None)
 @given(complete_matrices(min_rows=2, max_rows=6), st.data())
 def test_a_benchmark_of_two_imputations_forks_and_matches_oracle(m, data):
-    # With one pass per process enough, any benchmark of two or more distinct
-    # imputations forks once, and no trial forks again; one of a single
-    # imputation leaves that trial's selection to fork if it has two passes.
+    # With one pass per process enough, a benchmark that ranks two rows forks
+    # to rank them, and one of two or more distinct imputations forks once to
+    # fill them, and no trial forks again; one of a single imputation leaves
+    # that trial's selection to fork if the kernel makes two of its passes.
     # Either must give the one-process report bit for bit, trial by trial as
     # the brute force does.
     ks = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
@@ -445,8 +483,7 @@ def test_a_benchmark_of_two_imputations_forks_and_matches_oracle(m, data):
         mp.setattr(imputer, "_FORK_MIN_CELLS", 0)
         forks = patch_forks(mp)
         report = benchmark(*args)
-    masks = distinct_masks(*args)
-    assert len(forks) == (len(masks) >= 2 or len(next(iter(masks))[1]) >= 2)
+    assert len(forks) == forks_at_no_threshold(m, distinct_masks(*args))
     assert report == expected
     for rec in report.trials:
         trial_seed = derive_trial_seed(args[4], rec.k, rec.missing_count, rec.trial)
@@ -458,6 +495,7 @@ def test_a_benchmark_of_two_imputations_forks_and_matches_oracle(m, data):
 def test_scoring_builds_no_imputation_result(m, seed, forked):
     # The score reads the filled cells: with impute and every matrix copy
     # refused, forked or in one process, each trial still matches the oracle.
+    # The forked run forks where any two passes pay.
     def refused(*args):
         raise AssertionError("scoring built a matrix")
 
@@ -473,7 +511,8 @@ def test_scoring_builds_no_imputation_result(m, seed, forked):
             mp.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
         report = benchmark(m, range(1, 4), range(1, m.n_rows + 1), trials=2, seed=seed)
     if forked:
-        assert len(forks) == 1
+        masks = distinct_masks(m, range(1, 4), range(1, m.n_rows + 1), 2, seed)
+        assert len(forks) == forks_at_no_threshold(m, masks)
     for rec in report.trials:
         trial_seed = derive_trial_seed(seed, rec.k, rec.missing_count, rec.trial)
         assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
@@ -484,12 +523,12 @@ def test_each_distinct_mask_is_imputed_once(monkeypatch, no_fork, case1):
     calls = []
     fill = evaluation._fill
 
-    def counted(matrix, cells, gaps, k):
+    def counted(matrix, cells, gaps, k, ranked):
         # The gaps are exactly the masked grid's, in row-major order.
         assert [(i, l) for i, row in enumerate(cells) for l, c in enumerate(row)
                 if c is None] == list(gaps)
         calls.append((k, tuple(gaps)))
-        return fill(matrix, cells, gaps, k)
+        return fill(matrix, cells, gaps, k, ranked)
 
     monkeypatch.setattr(evaluation, "_fill", counted)
     monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 10**9)  # count in this process
@@ -499,24 +538,138 @@ def test_each_distinct_mask_is_imputed_once(monkeypatch, no_fork, case1):
     assert set(calls) == distinct_masks(case1, [1, 2], [1, 2, 3], 500, 0)
 
 
-@pytest.mark.parametrize("trials, forked", [(1, 0), (2, 1)])
-def test_a_benchmark_forks_once_its_passes_pay(forks, trials, forked):
-    # The perfbench benchmark-sweep shape masks 50 distinct cells a trial,
-    # each one selection pass over 60 x 8 cells: 50 passes stay in one
-    # process, 100 fork.
+@settings(max_examples=80, deadline=None)
+@given(complete_matrices(min_rows=2, max_rows=6, max_cols=3, elements=edge_reals()),
+       st.integers(0, 2**32), st.booleans())
+def test_lists_serve_each_trial_as_the_oracle_fills_it(m, seed, every_row):
+    # Four trials at each k and each count up to n revisit most rows often
+    # enough for lists. With every_row, the plan's keys are counted 3n times
+    # over, so every row that some trial masks at fewer than n rows gets
+    # them. Whatever the ties and magnitudes, each trial's error is the brute
+    # force's, bit for bit.
+    ranked, built = evaluation._ranked, []
+
+    def spied(matrix, keys, kept):
+        built.append(ranked(matrix, keys * (3 * matrix.n_rows if every_row else 1), kept))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_ranked", spied)
+        report = benchmark(m, range(1, 4), range(1, m.n_rows + 1), trials=4, seed=seed)
+    masks = distinct_masks(m, range(1, 4), range(1, m.n_rows + 1), 4, seed)
+    if every_row:
+        assert {i for i, _ in built[0]} == {r.row for _, refs in masks for r in refs
+                                            if len(refs) < m.n_rows}
+    else:
+        assert {i for i, _ in built[0]} == listed_rows(m, masks)
+    for rec in report.trials:
+        trial_seed = derive_trial_seed(seed, rec.k, rec.missing_count, rec.trial)
+        assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
+
+
+def test_lists_hold_k_rows_past_the_nearest_masked_ones(monkeypatch):
+    # Each trial masks a row's cell and, in the same column, the count - 1
+    # rows nearest to it: the most a walk can skip. Past them, the first
+    # max k + max count - 1 rows of each list still hold k whole rows, and
+    # each trial equals the brute force.
+    m = seeded_table(30, 4, seed=8, gap_rate=0.0)
+
+    def nearest_masked(matrix, count, seed):
+        rng = random.Random(seed)
+        i, l = rng.randrange(matrix.n_rows), rng.randrange(matrix.n_cols)
+        ranked = bf_candidate_distances(matrix.with_cell(i, l, None), i, l)
+        return tuple(sorted(CellRef(j, l) for j in [i, *(j for _, j in ranked[:count - 1])]))
+
+    monkeypatch.setattr(evaluation, "_mask_cells", nearest_masked)
+    report = benchmark(m, range(1, 4), range(1, 5), 10, 3)
+    assert len(listed_rows(m, distinct_masks(m, range(1, 4), range(1, 5), 10, 3))) == 29
+    for rec in report.trials:
+        trial_seed = derive_trial_seed(3, rec.k, rec.missing_count, rec.trial)
+        assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
+
+
+def logged_ranking(monkeypatch, log):
+    """Append the pid and row of each row that ``evaluation`` ranks to ``log``, a file."""
+    compiled = evaluation._compiled
+
+    def logged(write, key):
+        function = compiled(write, key)
+        if write is not distances._apart:
+            return function
+
+        def apart(cells, i, rows):
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(f"{os.getpid()} {i}\n")
+            return function(cells, i, rows)
+
+        return apart
+
+    monkeypatch.setattr(evaluation, "_compiled", logged)
+    return lambda: [tuple(map(int, line.split()))
+                    for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.mark.parametrize("trials, rows", [(2, 5), (10, 60)])
+def test_each_revisited_row_is_ranked_once(compiles, forks, monkeypatch, tmp_path, trials, rows):
+    # The sweep shape: this process compiles the ranking once, before any
+    # fork, and each row that the plan revisits enough is ranked once. At 2
+    # trials this process ranks its 5 rows and forks to fill; at 10, a worker
+    # ranks a share of the 60 rows. No worker compiles anything.
+    m = seeded_table(60, 8, seed=60, gap_rate=0.0)
+    args = (m, range(1, 6), range(1, 5), trials, 1)
+    ranked = logged_ranking(monkeypatch, tmp_path / "ranked")
+    benchmark(*args)
+    listed = listed_rows(m, distinct_masks(*args))
+    assert len(listed) == rows
+    assert sorted(i for _, i in ranked()) == sorted(listed)
+    assert {pid for pid, _ in ranked()} == {os.getpid(), *forks[:trials > 2]}
+    assert compiles() == [(os.getpid(), distances._apart(m.schema)),
+                          (os.getpid(), distances._kernel(m.schema))]
+
+
+@pytest.mark.parametrize("ks, counts, trials", [
+    ([5], [60], 1),  # one trial that masks every row once
+    ([1, 2, 3, 4, 5], [1, 2, 3, 4], 1),  # 50 passes on 60 rows: none thrice
+    ([3, 4, 5], [50], 2),  # 300 passes, none sparing a row 3n rows
+])
+def test_a_plan_that_rarely_revisits_a_row_ranks_none(compiles, tmp_path, monkeypatch,
+                                                      ks, counts, trials):
+    m = seeded_table(60, 8, seed=60, gap_rate=0.0)
+    ranked = logged_ranking(monkeypatch, tmp_path / "ranked")
+    (tmp_path / "ranked").touch()
+    report = serial_benchmark(m, ks, counts, trials, 1)
+    assert not listed_rows(m, distinct_masks(m, ks, counts, trials, 1))
+    assert ranked() == []
+    assert compiles() == [(os.getpid(), distances._kernel(m.schema))]
+    rec = report.trials[-1]
+    trial_seed = derive_trial_seed(1, rec.k, rec.missing_count, rec.trial)
+    assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
+
+
+@pytest.mark.parametrize("trials, passes, forked", [(1, (0, 50), 0), (2, (10, 83), 1),
+                                                     (10, (120, 125), 2)])
+def test_a_benchmark_forks_once_its_passes_pay(forks, trials, passes, forked):
+    # The perfbench benchmark-sweep shape masks 50 distinct cells a trial on
+    # 60 x 8 cells, and a mapping forks when its passes reach 75. At 1 trial
+    # the kernel makes all 50 passes in one process. At 2, it ranks 5 rows in
+    # this process and forks to fill; lists serve 23 of the 100 passes, which
+    # count 17 less. At 10, it forks to rank all 60 rows, and again to fill
+    # the 500 passes that lists serve, which count 125.
     args = (seeded_table(60, 8, seed=60, gap_rate=0.0), range(1, 6), range(1, 5), trials, 1)
-    passes = sum(len(refs) for _, refs in distinct_masks(*args))
-    assert passes == 50 * trials
-    assert (passes * (480 + imputer._PASS_COST) >= imputer._FORK_MIN_CELLS) == forked
+    masks = distinct_masks(*args)
+    assert sum(len(refs) for _, refs in masks) == 50 * trials
+    assert mapped_passes(args[0], masks) == passes
+    pays = [p * (480 + imputer._PASS_COST) >= imputer._FORK_MIN_CELLS for p in passes]
+    assert sum(pays) == forked
     benchmark(*args)
     assert len(forks) == forked
 
 
 @pytest.mark.parametrize("fault", ["fork refused", "pipe refused", "replies short"])
 def test_a_failed_fork_or_reply_gives_the_serial_report(monkeypatch, fault):
-    # case3 at 20 trials masks 1105 cells over 343 distinct imputations, so
-    # it forks at the default thresholds.
-    args = (fixture("case3"), range(1, 5), range(1, 6), 20, 3)
+    # The benchmark-sweep shape at 2 trials leaves the kernel enough passes
+    # to fork at the default thresholds, and lists serve the others.
+    args = (seeded_table(60, 8, seed=60, gap_rate=0.0), range(1, 6), range(1, 5), 2, 1)
     expected = serial_benchmark(*args)
     forks = patch_forks(monkeypatch)
     if fault == "replies short":
@@ -543,21 +696,24 @@ def test_a_failed_fork_or_reply_gives_the_serial_report(monkeypatch, fault):
 
 
 @pytest.mark.parametrize(
-    "ks, counts, trials", [([1, 2], [2, 3], 3), ([2], [3], 1)],
+    "ks, counts, trials, distinct", [([1, 2], [2, 3], 1, 4), ([2], [3], 1, 1)],
     ids=["benchmark forks", "trials fork"],
 )
-def test_a_benchmark_forks_only_from_its_own_process(monkeypatch, tmp_path, ks, counts, trials):
-    # Any mapping of two passes would fork. When the benchmark forks, its one
-    # worker imputes its share without forking again; a benchmark of one
-    # distinct imputation does not fork, and that trial forks its selection
-    # from here.
+def test_a_benchmark_forks_only_from_its_own_process(monkeypatch, tmp_path, ks, counts, trials,
+                                                     distinct):
+    # Any mapping of two kernel passes would fork. When the benchmark forks,
+    # its one worker imputes its share without forking again; a benchmark of
+    # one distinct imputation does not fork, and that trial forks its
+    # selection from here. Neither plan revisits a row enough for lists.
     args = (fixture("case3"), ks, counts, trials, 5)
     expected = serial_benchmark(*args)
     log = tmp_path / "forks"
     logged_forks(monkeypatch, log)
     monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 1)
     monkeypatch.setattr(imputer, "_FORK_MIN_CELLS", 0)
-    assert (len(distinct_masks(*args)) == 1) == (trials == 1)
+    masks = distinct_masks(*args)
+    assert len(masks) == distinct
+    assert not listed_rows(args[0], masks)
     assert benchmark(*args) == expected
     assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
 

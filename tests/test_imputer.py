@@ -549,11 +549,13 @@ def test_a_worker_builds_no_kernel(compiles, forks, dense_matrix, call):
     if call == "impute":
         m = dense_matrix
         impute(m, 5)
-    else:  # the benchmark forks, and no trial forks again
-        m = fixture("case3")
-        evaluation.benchmark(m, range(1, 5), range(1, 6), 20, 3)
+        assert compiles() == [(os.getpid(), distances._kernel(m.schema))]
+    else:  # the benchmark ranks the rows it revisits, then forks, and no trial forks again
+        m = seeded_table(60, 8, seed=60, gap_rate=0.0)
+        evaluation.benchmark(m, range(1, 6), range(1, 5), 2, 1)
+        assert compiles() == [(os.getpid(), distances._apart(m.schema)),
+                              (os.getpid(), distances._kernel(m.schema))]
     assert len(forks) == 1
-    assert compiles() == [(os.getpid(), distances._kernel(m.schema))]
 
 
 @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
@@ -627,8 +629,9 @@ def test_few_target_rows_of_a_small_table_stay_serial(no_fork, rows, cols):
 def test_benchmark_sweep_trials_stay_serial(forks):
     # The perfbench benchmark-sweep shape: 60 complete rows, k 1 to 5, 1 to 4
     # gaps. No trial forks its selection, even with the benchmark's own
-    # mapping kept in this process; the benchmark forks one worker that
-    # imputes a share of the trials.
+    # mappings kept in this process. The benchmark forks one worker that ranks
+    # a share of the rows, and one that imputes a share of the trials; with
+    # no lists, only the second.
     m = seeded_table(60, 8, seed=60, gap_rate=0.0)
     args = (m, range(1, 6), range(1, 5), 10, 201)
     with pytest.MonkeyPatch.context() as mp:
@@ -637,8 +640,12 @@ def test_benchmark_sweep_trials_stay_serial(forks):
     assert forks == []
     report = evaluation.benchmark(*args)
     assert len(report.trials) == 200
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert report == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_ranked", lambda *_: {})
+        assert evaluation.benchmark(*args) == expected
+    assert len(forks) == 3
 
 
 def test_a_lone_large_trial_forks_its_selection(forks):
