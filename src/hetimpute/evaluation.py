@@ -8,8 +8,7 @@ cells are at distance 0, and no completed matrix is built. Sweeping k and
 the number of masked cells over many seeded trials yields the per-trial
 errors and per-k box-plot statistics used for reporting. A trial's error
 depends only on k and its masked cells, so each distinct pair is filled
-once, and ``imputer._map_shares`` spreads them over forked workers on other
-CPUs when that pays; a row that many trials mask is ranked once per column.
+once, and a row that many trials mask is ranked once per column.
 Trial seeds hash (seed, k, count, trial): any one trial can be reproduced
 alone, and the full report is a pure function of its arguments.
 """
@@ -21,7 +20,7 @@ import itertools
 import math
 import operator
 import random
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 # The builtin SHA-256, as random imports its SHA-512: hashlib would load
 # OpenSSL (about 3.5 MB of RSS) for one short digest per trial.
@@ -34,8 +33,8 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .core import CellRef, DataMatrix, _compiled, _replaced, _with_cells
-from .distances import _CELL_DISTANCE, _apart, _kernel
-from .imputer import _PASS_COST, _fill, _map_shares
+from .distances import _CELL_DISTANCE, _apart
+from .imputer import _fill
 
 
 class Summary(NamedTuple):
@@ -165,15 +164,10 @@ def _ranked(matrix: DataMatrix, keys: list, kept: int) -> dict:
             spared[i] = spared.get(i, 0) + n - len(refs)
             columns.setdefault(i, set()).add(l)
     rows = [i for i, v in spared.items() if v >= 3 * n]
-    apart = _compiled(_apart, matrix.schema) if rows else None  # compiled before any fork
-
-    def rank(rows: list) -> Iterator[list]:
-        for i in rows:
-            lists = apart(matrix.cells, i, itertools.chain(range(i), range(i + 1, n)))
-            yield [sorted(lists[l])[:kept] for l in columns[i]]  # the other columns dropped
-
-    ranks = _map_shares(rank, rows, matrix, 2 * len(rows))  # a row costs about 2 passes
-    return {(i, l): ranked for i, lists in zip(rows, ranks) for l, ranked in zip(columns[i], lists)}
+    apart = _compiled(_apart, matrix.schema) if rows else None
+    return {(i, l): sorted(lists[l])[:kept] for i in rows  # the other columns dropped
+            for lists in [apart(matrix.cells, i, itertools.chain(range(i), range(i + 1, n)))]
+            for l in columns[i]}
 
 
 def benchmark(matrix: DataMatrix, k_values: Iterable[int], missing_counts: Iterable[int],
@@ -186,8 +180,7 @@ def benchmark(matrix: DataMatrix, k_values: Iterable[int], missing_counts: Itera
     checks run once per count before any work, if there is a trial. Each
     distinct (k, cells) is filled once, with one selection pass per masked
     cell (each in its own row), and scored from its filled cells alone. A
-    pass walks its row's list from ``_ranked`` if there is one, which costs
-    only its fill; ``_map_shares`` forks workers when the passes pay.
+    pass walks its row's list from ``_ranked`` if there is one.
     """
     k_values, missing_counts = tuple(k_values), tuple(missing_counts)  # read more than once
     if trials < 1:
@@ -198,16 +191,10 @@ def benchmark(matrix: DataMatrix, k_values: Iterable[int], missing_counts: Itera
                  for c in missing_counts for t in range(trials)]) for k in k_values]
     keys = list(dict.fromkeys((k, refs) for k, cells in plan for *_, refs in cells))
     ranked = _ranked(matrix, keys, max(k_values, default=0) + max(missing_counts, default=0) - 1)
-
-    def score(keys: list) -> Iterator[Optional[float]]:
-        for k, refs in keys:
-            masked = _replaced(matrix.cells, dict.fromkeys(refs))
-            yield _error(matrix, ((r, c) for r, *_, c in _fill(matrix, masked, refs, k, ranked)))
-
-    cells, served = matrix.n_rows * matrix.n_cols, sum(r in ranked for _, rs in keys for r in rs)
-    passes = sum(len(refs) for _, refs in keys) - served * cells // (cells + _PASS_COST)
-    _compiled(_kernel, matrix.schema)  # compiled once, not in each worker
-    errors = dict(zip(keys, _map_shares(score, keys, matrix, passes)))
+    errors = {}
+    for k, refs in keys:
+        filled = _fill(matrix, _replaced(matrix.cells, dict.fromkeys(refs)), refs, k, ranked)
+        errors[k, refs] = _error(matrix, ((r, c) for r, *_, c in filled))
     k_summaries: dict[int, Summary] = {}
     records: list[TrialRecord] = []
     for k, cells in plan:

@@ -7,40 +7,20 @@ the component-wise convex combination of their values. The donor pool is
 frozen for the whole pass, so cells never see each other's freshly imputed
 values and the result is independent of evaluation order. One fill step
 serves ``impute``, which builds the completed matrix and trace, and the
-masking benchmark, which scores the filled cells alone. On POSIX, it may fork
-workers that select donors on other CPUs and reaps them before it returns; it
-selects a share itself if no whole reply came.
+masking benchmark, which scores the filled cells alone.
 """
 
 from __future__ import annotations
 
-import _thread
-import marshal
 import math
-import os
-from contextlib import suppress
 from itertools import chain, filterfalse
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import CellRef, CellValue, DataMatrix, _compiled, _with_cells, components
 from .distances import _kernel
 
 #: Distances below this are treated as exact matches when weighting.
 ZERO_DISTANCE_EPS = 1e-12
-
-#: Selection passes over a table fork p = min(CPUs, items, passes //
-#: _FORK_MIN_TARGETS) processes if passes * (rows * columns + _PASS_COST), their
-#: cell visits plus each pass's own cost in visits, is at least _FORK_MIN_CELLS.
-#: Two processes against one (2-core Xeon VM, Python 3.11, medians of 31 to 41
-#: calls); impute, target rows of rows x columns: 24x30x8 0.53x, 64x250x2 0.87x,
-#: 96x250x2 1.03x, 12x1000x2 0.80x, 24x1000x2 1.03x, 4x12000x8 1.03x; benchmark,
-#: masked cells on rows x columns: 204 on 3x3 0.88x, 290 1.11x; 240 on 5x3 0.92x,
-#: 299 1.10x; 126 on 30x4 1.09x, 179 1.19x; 50 on 60x8 0.81x, 100 1.13x. A pass
-#: cost of 160 fits 106 such rows of three runs best (160 to 180 fit as well).
-_FORK_MIN_TARGETS = 4
-_FORK_MIN_CELLS = 48000
-_PASS_COST = 160
-_forked = False  # while a mapping has forked: in its parent and in every worker
 
 
 class Donor(NamedTuple):
@@ -139,15 +119,15 @@ def _fill(matrix: DataMatrix, cells: Sequence[tuple], gaps: Sequence[tuple[int, 
     of complete ``matrix`` from it with that cell a gap: that pass walks this list instead."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    nearest, n = _compiled(_kernel, matrix.schema), matrix.n_rows  # compiled here, before any fork
+    nearest, n = _compiled(_kernel, matrix.schema), matrix.n_rows
     targets, missing = {}, [set() for _ in matrix.schema]  # row -> gap columns, column -> rows
     for i, l in gaps:
         targets.setdefault(i, []).append(l)
         missing[l].add(i)
-    passes = [(i, columns, ranked.get((i, *columns))) for i, columns in targets.items()]
 
-    def select(passes: list) -> Iterator[list]:  # a pass per row, over rows observing a gap
-        for i, columns, listed in passes:
+    def select() -> Iterator[list]:  # a pass per row, over rows observing a gap
+        for i, columns in targets.items():
+            listed = ranked.get((i, *columns))
             if listed is None:
                 excluded = set.intersection(*(missing[l] for l in columns))
                 yield nearest(cells, i, columns, filterfalse(excluded.__contains__, range(n)), k)
@@ -156,82 +136,9 @@ def _fill(matrix: DataMatrix, cells: Sequence[tuple], gaps: Sequence[tuple[int, 
                 near = nearest(cells, i, columns, others, k)[0] if others else []
                 yield [sorted([p for p in listed if p[1] not in targets][:k] + near)[:k]]
 
-    selected = _map_shares(select, passes, matrix, sum(p[2] is None for p in passes))
-    for ref, chosen in zip(gaps, chain.from_iterable(selected)):
+    for ref, chosen in zip(gaps, chain.from_iterable(select())):
         weights = cell = None  # if no comparable row observes the column
         if chosen:
             weights = neighbor_weights([d for d, _ in chosen])
             cell = combine_cells([(cells[j][ref[1]], w) for (_, j), w in zip(chosen, weights)])
         yield ref, chosen, weights, cell
-
-
-def _map_shares(function: Callable[[list], Iterable], items: list, matrix: DataMatrix,
-                passes: int) -> Iterable:
-    """``function``, which maps a list item by item, over ``items``, whose selection makes
-    ``passes`` passes over ``matrix``: ``function(items)`` itself unless the passes pay for
-    forks, on POSIX, with no other thread and outside a mapping that forked; else forked worker
-    w of p maps ``items[w::p]`` and replies in full by ``marshal``, which keeps float bits, and
-    the parent maps the rest. A worker that replied has exited and is only reaped. One that
-    has not gets SIGKILL if the parent raises, by the pidfd opened at its fork where there is
-    one: with SIGCHLD ignored, the worker may be gone and its pid reused."""
-    global _forked
-    p = min(len(items), passes // _FORK_MIN_TARGETS)
-    if (p < 2 or _forked or passes * (matrix.n_rows * matrix.n_cols + _PASS_COST) < _FORK_MIN_CELLS
-            or not hasattr(os, "fork") or _thread._count()):
-        return function(items)
-    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
-    p = min(p, len(cpus(0)))
-    with suppress(OSError):  # Linux lists threads that _thread does not count
-        p = 1 if p > 1 and len(os.listdir("/proc/self/task")) > 1 else p
-    if p < 2:
-        return function(items)
-    results: list = [None] * len(items)
-    workers = {}  # share -> (pid, read end of its pipe) until it replies
-    pidfds = {}  # share -> its worker's pidfd, where the system gives one
-    _forked = True
-    try:
-        for w in range(1, p):
-            fds = ()
-            try:
-                fds = r, out = os.pipe()
-                pid = os.fork()
-            except OSError:  # no file descriptor or process left: the parent maps the share
-                for fd in fds:
-                    os.close(fd)
-                continue
-            if pid == 0:  # the worker: it replies and leaves, whatever happens
-                try:
-                    reply = memoryview(marshal.dumps(list(function(items[w::p]))))
-                    while reply:  # a signal may cut a write short
-                        reply = reply[os.write(out, reply):]
-                finally:
-                    os._exit(0)
-            with suppress(AttributeError, OSError):  # none before Linux 5.3, or off Linux
-                pidfds[w] = os.pidfd_open(pid)
-            os.close(out)
-            workers[w] = pid, open(r, "rb")
-        for w in range(p):
-            reply = b""  # no worker: the parent maps the share
-            if w in workers:
-                with workers[w][1] as pipe:
-                    reply = pipe.read()  # to its end, so the worker has exited
-                with suppress(ChildProcessError):  # reaped already if SIGCHLD is ignored
-                    os.waitpid(workers.pop(w)[0], 0)
-            try:
-                results[w::p] = marshal.loads(reply)
-            except (EOFError, ValueError, TypeError):  # none, cut short or of another length
-                results[w::p] = function(items[w::p])
-    finally:
-        _forked = False
-        for w, (pid, pipe) in workers.items():  # only if the parent raised
-            pipe.close()
-            import signal  # only on this path, so a run that does not raise never loads it
-            with suppress(ProcessLookupError, ChildProcessError):  # gone: then not by its pid
-                try:
-                    signal.pidfd_send_signal(pidfds[w], signal.SIGKILL)
-                except (KeyError, AttributeError):  # no pidfd to signal through
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for fd in pidfds.values():  # each worker is reaped by now
-            os.close(fd)
-    return results

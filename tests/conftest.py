@@ -1,5 +1,3 @@
-import ast
-import os
 import random
 import sys
 from pathlib import Path
@@ -57,73 +55,20 @@ def seeded_table(n_rows: int, n_cols: int, seed: int, gap_rate: float) -> DataMa
 
 @pytest.fixture(scope="session")
 def dense_matrix():
-    """200 rows of 6 columns, about 15% of cells missing: enough target rows
-    that selection forks at the default thresholds."""
+    """200 rows of 6 columns, about 15% of cells missing."""
     return seeded_table(200, 6, seed=19, gap_rate=0.15)
 
 
-def patch_forks(mp: pytest.MonkeyPatch) -> list:
-    """Give this process two CPUs and count its forks: returns the list that
-    collects the pid of every worker forked."""
-    pids = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    mp.setattr(os, "fork", counted)
-    mp.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
-    return pids
-
-
-def logged_forks(mp: pytest.MonkeyPatch, log) -> None:
-    """Give this process two CPUs, and append the pid of each process that
-    forks to ``log``, a file, so a worker's forks are seen too."""
-    fork = os.fork
-
-    def logged():
-        with open(log, "a", encoding="utf-8") as out:
-            out.write(f"{os.getpid()}\n")
-        return fork()
-
-    mp.setattr(os, "fork", logged)
-    mp.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
-
-
 @pytest.fixture
-def forks(monkeypatch):
-    """The pids forked while the test runs, on two CPUs."""
-    return patch_forks(monkeypatch)
-
-
-@pytest.fixture
-def no_fork(monkeypatch):
-    """Two CPUs, and a fork fails the test."""
-
-    def refused():
-        raise AssertionError("selection forked")
-
-    monkeypatch.setattr(os, "fork", refused)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
-
-
-@pytest.fixture
-def compiles(monkeypatch, tmp_path):
+def compiles(monkeypatch):
     """Empty ``core._compiled``'s cache, and log each source it compiles while the
-    test runs to a file, so that a forked worker's compiles are seen too. Returns a
-    function that gives the ``(pid, source)`` of each compile so far, in order."""
-    log = tmp_path / "compiles"
-    log.touch()
+    test runs. Returns the list of those sources, in order."""
+    sources = []
 
     def logged(source, namespace):
-        with open(log, "a", encoding="utf-8") as out:
-            out.write(f"{os.getpid()} {source!r}\n")
+        sources.append(source)
         exec(source, namespace)
 
     core._compiled.cache_clear()
     monkeypatch.setattr(core, "exec", logged, raising=False)
-    return lambda: [(int(pid), ast.literal_eval(source)) for pid, source in
-                    (line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines())]
+    return sources

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import hetimpute
 from hetimpute import fixture, parse, serialize
-from hetimpute import cli
+from hetimpute import cli, core
 from hetimpute.cli import main
 from hetimpute.fixtures import FIXTURE_NAMES
 
@@ -46,9 +46,9 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 def test_import_loads_only_what_runs():
     # -S keeps site-packages from preloading modules, so the child sees what
     # importing the CLI itself loads. A trial seed takes the builtin SHA-256,
-    # so hashlib and its OpenSSL stay unloaded after one as well, and an
-    # impute that forks its selection, or a benchmark that forks its
-    # imputations, loads no process or thread machinery.
+    # so hashlib and its OpenSSL stay unloaded after one as well. An impute of
+    # 160 target rows and a benchmark of 400 trials, each given two CPUs, run
+    # in this process: they fork nothing and load no process or thread machinery.
     heavy = (
         "{'dataclasses', 'inspect', 'hashlib', '_hashlib',"
         " 'multiprocessing', 'concurrent', 'pickle', 'threading'}"
@@ -77,47 +77,14 @@ def test_import_loads_only_what_runs():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n17714616561403392311\n[]\n1 []\n2 []\n"
-
-
-def test_signal_is_loaded_only_to_kill_a_worker():
-    # _map_shares imports signal on its exception path alone: a forked impute
-    # that returns loads none, and one whose parent raises kills by pidfd.
-    code = "\n".join([
-        "import hetimpute.cli, os, sys",
-        "from hetimpute import ColumnKind, Crisp, DataMatrix, impute, imputer",
-        "rows = [(None if i % 5 else Crisp(i * 37 % 101 / 101), Crisp(i * 53 % 97 / 97))",
-        "        for i in range(200)]",
-        "m = DataMatrix((ColumnKind.CRISP,) * 2, rows)",
-        "os.sched_getaffinity = lambda pid: {0, 1}",
-        "impute(m, 3)",
-        "print('signal' in sys.modules)",
-        "parent = os.getpid()",
-        "def stuck(*args):",
-        "    if os.getpid() != parent:",
-        "        os.kill(os.getpid(), 19)  # SIGSTOP: a worker that never replies",
-        "    raise RuntimeError",
-        "imputer._compiled = lambda write, schema: stuck",
-        "try:",
-        "    impute(m, 3)",
-        "except RuntimeError:",
-        "    print('signal' in sys.modules)",
-    ])
-    env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "False\nTrue\n"
+    assert run.stdout == "[]\n17714616561403392311\n[]\n0 []\n0 []\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "distance", "benchmark", "impute", "fixtures"])
-def test_a_command_compiles_what_it_runs_once_in_the_parent(tmp_path, command):
+def test_a_command_compiles_what_it_runs_once(tmp_path, compiles, command):
     # Each per-schema function is compiled on its first use: only a command that
     # writes a typed-CSV file compiles a row writer, one that selects donors a
-    # kernel, and only a benchmark that revisits rows their ranking; the forked
-    # workers of impute and benchmark compile nothing.
+    # kernel, and only a benchmark that revisits rows their ranking.
     gapped, complete = tmp_path / "gapped.csv", tmp_path / "complete.csv"
     gapped.write_text(serialize(seeded_table(200, 6, seed=19, gap_rate=0.15)), encoding="utf-8")
     complete.write_text(serialize(seeded_table(100, 6, seed=19, gap_rate=0.0)), encoding="utf-8")
@@ -132,28 +99,10 @@ def test_a_command_compiles_what_it_runs_once_in_the_parent(tmp_path, command):
         "fixtures": (["--dest", tmp_path], ["write"] * len({fixture(n).schema
                                                            for n in FIXTURE_NAMES})),
     }[command]
-    code = "\n".join([
-        "import os, sys",
-        "from hetimpute import cli, core",
-        "log = os.open(sys.argv[1], os.O_WRONLY | os.O_APPEND | os.O_CREAT)",
-        "def logged(source, namespace):  # the defined function's name, by pid",
-        "    os.write(log, f'{os.getpid()} {source[4:source.index(\"(\")]}\\n'.encode())",
-        "    exec(source, namespace)",
-        "core.exec = logged",
-        "forks, fork = [], os.fork",
-        "os.fork = lambda: forks.append(1) or fork()",
-        "os.sched_getaffinity = lambda pid: {0, 1}",
-        "print(cli.main(sys.argv[2:]), os.getpid(), len(forks))",
-    ])
-    log = tmp_path / "compiles"
-    env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", code, log, command, *argv],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert run.returncode == 0, run.stderr
-    status, pid, forks = run.stdout.splitlines()[-1].split()  # after the command's own output
-    assert status == "0"
-    assert int(forks) == (command in ("benchmark", "impute"))
-    assert log.read_text(encoding="utf-8").splitlines() == [f"{pid} {name}" for name in compiled]
+    core._compiled.cache_clear()  # and forget the writer that wrote the inputs
+    compiles.clear()
+    assert main([command, *map(str, argv)]) == 0
+    assert [source[4:source.index("(")] for source in compiles] == compiled
 
 
 def assert_one_line_data_error(run: subprocess.CompletedProcess) -> None:
@@ -559,107 +508,37 @@ class TestImputeCommand:
         assert code == 1
         assert "cannot read" in capsys.readouterr().err
 
-    def test_a_forked_selection_leaves_no_process(self, tmp_path, dense_matrix, forks):
-        src = tmp_path / "in.csv"
-        out = tmp_path / "out.csv"
-        src.write_text(serialize(dense_matrix), encoding="utf-8")
-        assert main(["impute", "--input", str(src), "--output", str(out), "--k", "5"]) == 0
-        assert len(forks) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert parse(out.read_text(encoding="utf-8")) == hetimpute.impute(dense_matrix, 5).matrix
-
-    def test_an_ignored_sigchld_gives_the_normal_bytes(self, tmp_path, dense_matrix):
-        # With SIGCHLD ignored, the kernel reaps each worker as it exits, so
-        # the parent may find no child left to wait for or to signal. The
-        # impute forks its selection, the benchmark its imputations.
-        src = tmp_path / "in.csv"
-        src.write_text(serialize(dense_matrix), encoding="utf-8")
-        commands = {
-            "impute": ["impute", "--input", str(src), "--k", "5"],
-            "benchmark": ["benchmark", "--fixture", "case3", "--k-min", "1", "--k-max", "4",
-                          "--nan-min", "1", "--nan-max", "5", "--trials", "20"],
-        }
-        code = "\n".join([
-            "import os, runpy, signal",
-            "signal.signal(signal.SIGCHLD, signal.SIG_IGN)",
-            "os.sched_getaffinity = lambda pid: {0, 1}",
-            "forks, fork = [], os.fork",
-            "os.fork = lambda: forks.append(1) or fork()",
-            "try:",
-            "    runpy.run_module('hetimpute.cli', run_name='__main__', alter_sys=True)",
-            "finally:",
-            "    print(len(forks))",
-        ])
-        env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
-        for name, args in commands.items():
-            normal = run_cli(*args, "--output", str(tmp_path / f"{name}.normal.csv"))
-            assert normal.returncode == 0
-            run = subprocess.run(
-                [sys.executable, "-c", code, *args, "--output", str(tmp_path / f"{name}.csv")],
-                capture_output=True, text=True, env=env, timeout=60,
-            )
-            assert (run.returncode, run.stderr, run.stdout) == (0, "", normal.stdout + "1\n")
-            for suffix in [".csv", ".summary.csv"] if name == "benchmark" else [".csv"]:
-                written = (tmp_path / f"{name}{suffix}").read_bytes()
-                assert written == (tmp_path / f"{name}.normal{suffix}").read_bytes()
-
-
-# Runs the CLI module, or the script its second argument names, with the
-# arguments after it: in this CPU set, pinned to one CPU, or with SIGCHLD
-# ignored, as its first argument says. Its forks go to stderr as it ends.
-IN_MODE = "\n".join([
-    "import os, runpy, signal, sys",
-    "mode, target = sys.argv.pop(1), sys.argv.pop(1)",
-    "if mode == 'one-cpu':",
-    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
-    "elif mode == 'sigchld-ignored':",
-    "    signal.signal(signal.SIGCHLD, signal.SIG_IGN)",
-    "forks, fork = [], os.fork",
-    "os.fork = lambda: forks.append(1) or fork()",
-    "try:",
-    "    if target == 'cli':",
-    "        runpy.run_module('hetimpute.cli', run_name='__main__', alter_sys=True)",
-    "    else:",
-    "        runpy.run_path(target, run_name='__main__')",
-    "finally:",
-    "    print(len(forks), file=sys.stderr)",
-])
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 
 @pytest.mark.parametrize("job", ["impute", "benchmark", "case-studies"])
-def test_forked_one_cpu_and_ignored_sigchld_write_the_same_bytes(tmp_path, job):
-    # Each job forks where this process has two CPUs or more; pinned to one
-    # CPU it forks nothing, and every output file and stdout stay the same.
+def test_two_runs_write_the_same_bytes(tmp_path, job):
+    # Two processes, each with its own string hash seed, run the same
+    # invocation: every output file and stdout are the same.
     table = tmp_path / "table.csv"
     table.write_text(serialize(seeded_table(200, 8, seed=5, gap_rate=0.2 * (job == "impute"))),
                      encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
-    runs = {}
-    for mode in ("as-usual", "one-cpu", "sigchld-ignored"):
-        out = tmp_path / mode
+    runs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
         out.mkdir()
         args = {
-            "impute": ["cli", "impute", "--input", str(table), "--k", "5", "--output",
-                       str(out / "out.csv"), "--trace", str(out / "trace.csv")],
-            "benchmark": ["cli", "benchmark", "--input", str(table), "--k-min", "3", "--k-max",
-                          "5", "--nan-min", "100", "--nan-max", "101", "--trials", "1",
-                          "--output", str(out / "b.csv")],
+            "impute": ["-m", "hetimpute.cli", "impute", "--input", str(table), "--k", "5",
+                       "--output", str(out / "out.csv"), "--trace", str(out / "trace.csv")],
+            "benchmark": ["-m", "hetimpute.cli", "benchmark", "--input", str(table), "--k-min",
+                          "3", "--k-max", "5", "--nan-min", "100", "--nan-max", "101",
+                          "--trials", "1", "--output", str(out / "b.csv")],
             "case-studies": [str(SCRIPTS / "run_case_studies.py"), "--trials", "50",
                              "--outdir", str(out)],
         }[job]
-        run = subprocess.run([sys.executable, "-c", IN_MODE, mode, *args],
-                             capture_output=True, env=env, timeout=120)
+        env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]),
+                   PYTHONHASHSEED=hash_seed)
+        run = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
-        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-        runs[mode] = int(run.stderr), run.stdout, files
-    forked = len(os.sched_getaffinity(0)) > 1
-    assert [forks > 0 for forks, *_ in runs.values()] == [forked, False, forked]
-    assert len(runs["as-usual"][2]) == {"impute": 2, "benchmark": 2, "case-studies": 6}[job]
-    assert runs["one-cpu"][1:] == runs["as-usual"][1:]
-    assert runs["sigchld-ignored"][1:] == runs["as-usual"][1:]
+        runs.append((run.stdout, {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
+    assert len(runs[0][1]) == {"impute": 2, "benchmark": 2, "case-studies": 6}[job]
+    assert runs[1] == runs[0]
 
 
 class TestBenchmarkCommand:

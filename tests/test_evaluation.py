@@ -1,7 +1,4 @@
-import errno
-import marshal
 import math
-import os
 import random
 import statistics
 
@@ -30,7 +27,7 @@ from hetimpute.distances import cell_distance
 from hetimpute.fixtures import fixture
 from hetimpute.imputer import impute
 
-from conftest import logged_forks, patch_forks, seeded_table
+from conftest import seeded_table
 from oracle import bf_candidate_distances, bf_cell_distance, bf_combine, bf_weights
 from strategies import complete_matrices, edge_reals, raw_reals
 
@@ -411,14 +408,7 @@ def test_benchmark_keeps_no_table_across_calls():
         assert rec.error == _bf_trial_error(m2, rec.k, rec.missing_count, trial_seed)
 
 
-# -- distinct imputations split over forked workers ---------------------------
-
-
-def serial_benchmark(*args):
-    """``benchmark`` on one CPU, so that neither it nor a trial forks."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
-        return benchmark(*args)
+# -- distinct imputations and per-row lists -----------------------------------
 
 
 def distinct_masks(m, ks, counts, trials, seed):
@@ -440,62 +430,11 @@ def listed_rows(m, masks):
     return {i for i, rows in spared.items() if rows >= 3 * m.n_rows}
 
 
-def kernel_passes(m, masks):
-    """The selection passes of distinct ``masks`` that the kernel makes."""
-    listed = listed_rows(m, masks)
-    return sum(ref.row not in listed for _, refs in masks for ref in refs)
-
-
-def mapped_passes(m, masks):
-    """The passes that the benchmark's two mappings weigh: ranking a listed row
-    counts 2, and a pass that a list serves costs its fill alone, _PASS_COST of
-    a kernel pass's n * m + _PASS_COST cell visits."""
-    listed, cells = listed_rows(m, masks), m.n_rows * m.n_cols
-    served = sum(ref.row in listed for _, refs in masks for ref in refs)
-    passes = sum(len(refs) for _, refs in masks)
-    return 2 * len(listed), passes - served * cells // (cells + imputer._PASS_COST)
-
-
-def forks_at_no_threshold(m, masks):
-    """The forks of a benchmark when any two passes pay: one to rank two rows
-    or more, and one to fill two imputations or more whose passes count 2, or,
-    for a single imputation, its trial's fork when the kernel makes 2."""
-    ranking, filling = mapped_passes(m, masks)
-    filled = filling >= 2 if len(masks) >= 2 else kernel_passes(m, masks) >= 2
-    return (ranking >= 4) + filled
-
-
 @settings(max_examples=60, deadline=None)
-@given(complete_matrices(min_rows=2, max_rows=6), st.data())
-def test_a_benchmark_of_two_imputations_forks_and_matches_oracle(m, data):
-    # With one pass per process enough, a benchmark that ranks two rows forks
-    # to rank them, and one of two or more distinct imputations forks once to
-    # fill them, and no trial forks again; one of a single imputation leaves
-    # that trial's selection to fork if the kernel makes two of its passes.
-    # Either must give the one-process report bit for bit, trial by trial as
-    # the brute force does.
-    ks = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    counts = data.draw(st.lists(st.integers(1, m.n_rows), min_size=1, max_size=3))
-    args = (m, ks, counts, data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2**32)))
-    expected = serial_benchmark(*args)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(imputer, "_FORK_MIN_TARGETS", 1)
-        mp.setattr(imputer, "_FORK_MIN_CELLS", 0)
-        forks = patch_forks(mp)
-        report = benchmark(*args)
-    assert len(forks) == forks_at_no_threshold(m, distinct_masks(*args))
-    assert report == expected
-    for rec in report.trials:
-        trial_seed = derive_trial_seed(args[4], rec.k, rec.missing_count, rec.trial)
-        assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
-
-
-@settings(max_examples=60, deadline=None)
-@given(complete_matrices(min_rows=2, max_rows=6), st.integers(0, 2**32), st.booleans())
-def test_scoring_builds_no_imputation_result(m, seed, forked):
+@given(complete_matrices(min_rows=2, max_rows=6), st.integers(0, 2**32))
+def test_scoring_builds_no_imputation_result(m, seed):
     # The score reads the filled cells: with impute and every matrix copy
-    # refused, forked or in one process, each trial still matches the oracle.
-    # The forked run forks where any two passes pay.
+    # refused, each trial still matches the oracle.
     def refused(*args):
         raise AssertionError("scoring built a matrix")
 
@@ -503,22 +442,13 @@ def test_scoring_builds_no_imputation_result(m, seed, forked):
         for module, name in [(imputer, "impute"), (imputer, "_with_cells"),
                              (evaluation, "_with_cells")]:
             mp.setattr(module, name, refused)
-        if forked:
-            mp.setattr(imputer, "_FORK_MIN_TARGETS", 1)
-            mp.setattr(imputer, "_FORK_MIN_CELLS", 0)
-            forks = patch_forks(mp)
-        else:
-            mp.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
         report = benchmark(m, range(1, 4), range(1, m.n_rows + 1), trials=2, seed=seed)
-    if forked:
-        masks = distinct_masks(m, range(1, 4), range(1, m.n_rows + 1), 2, seed)
-        assert len(forks) == forks_at_no_threshold(m, masks)
     for rec in report.trials:
         trial_seed = derive_trial_seed(seed, rec.k, rec.missing_count, rec.trial)
         assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
 
 
-def test_each_distinct_mask_is_imputed_once(monkeypatch, no_fork, case1):
+def test_each_distinct_mask_is_imputed_once(monkeypatch, case1):
     # case1's 3000 trials at 500 per (k, count) hold 126 distinct masks.
     calls = []
     fill = evaluation._fill
@@ -531,7 +461,6 @@ def test_each_distinct_mask_is_imputed_once(monkeypatch, no_fork, case1):
         return fill(matrix, cells, gaps, k, ranked)
 
     monkeypatch.setattr(evaluation, "_fill", counted)
-    monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 10**9)  # count in this process
     report = benchmark(case1, [1, 2], [1, 2, 3], 500, 0)
     assert len(report.trials) == 3000
     assert len(calls) == len(set(calls)) == 126
@@ -588,9 +517,9 @@ def test_lists_hold_k_rows_past_the_nearest_masked_ones(monkeypatch):
         assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
 
 
-def logged_ranking(monkeypatch, log):
-    """Append the pid and row of each row that ``evaluation`` ranks to ``log``, a file."""
-    compiled = evaluation._compiled
+def logged_ranking(monkeypatch):
+    """The list of the rows that ``evaluation`` ranks, in order."""
+    compiled, ranked = evaluation._compiled, []
 
     def logged(write, key):
         function = compiled(write, key)
@@ -598,33 +527,28 @@ def logged_ranking(monkeypatch, log):
             return function
 
         def apart(cells, i, rows):
-            with open(log, "a", encoding="utf-8") as out:
-                out.write(f"{os.getpid()} {i}\n")
+            ranked.append(i)
             return function(cells, i, rows)
 
         return apart
 
     monkeypatch.setattr(evaluation, "_compiled", logged)
-    return lambda: [tuple(map(int, line.split()))
-                    for line in log.read_text(encoding="utf-8").splitlines()]
+    return ranked
 
 
 @pytest.mark.parametrize("trials, rows", [(2, 5), (10, 60)])
-def test_each_revisited_row_is_ranked_once(compiles, forks, monkeypatch, tmp_path, trials, rows):
-    # The sweep shape: this process compiles the ranking once, before any
-    # fork, and each row that the plan revisits enough is ranked once. At 2
-    # trials this process ranks its 5 rows and forks to fill; at 10, a worker
-    # ranks a share of the 60 rows. No worker compiles anything.
+def test_each_revisited_row_is_ranked_once(compiles, monkeypatch, trials, rows):
+    # The sweep shape: the ranking and the kernel are compiled once each, and
+    # each row that the plan revisits enough is ranked once: 5 rows at 2
+    # trials, and all 60 at 10.
     m = seeded_table(60, 8, seed=60, gap_rate=0.0)
     args = (m, range(1, 6), range(1, 5), trials, 1)
-    ranked = logged_ranking(monkeypatch, tmp_path / "ranked")
+    ranked = logged_ranking(monkeypatch)
     benchmark(*args)
     listed = listed_rows(m, distinct_masks(*args))
     assert len(listed) == rows
-    assert sorted(i for _, i in ranked()) == sorted(listed)
-    assert {pid for pid, _ in ranked()} == {os.getpid(), *forks[:trials > 2]}
-    assert compiles() == [(os.getpid(), distances._apart(m.schema)),
-                          (os.getpid(), distances._kernel(m.schema))]
+    assert sorted(ranked) == sorted(listed)
+    assert compiles == [distances._apart(m.schema), distances._kernel(m.schema)]
 
 
 @pytest.mark.parametrize("ks, counts, trials", [
@@ -632,105 +556,24 @@ def test_each_revisited_row_is_ranked_once(compiles, forks, monkeypatch, tmp_pat
     ([1, 2, 3, 4, 5], [1, 2, 3, 4], 1),  # 50 passes on 60 rows: none thrice
     ([3, 4, 5], [50], 2),  # 300 passes, none sparing a row 3n rows
 ])
-def test_a_plan_that_rarely_revisits_a_row_ranks_none(compiles, tmp_path, monkeypatch,
-                                                      ks, counts, trials):
+def test_a_plan_that_rarely_revisits_a_row_ranks_none(compiles, monkeypatch, ks, counts, trials):
     m = seeded_table(60, 8, seed=60, gap_rate=0.0)
-    ranked = logged_ranking(monkeypatch, tmp_path / "ranked")
-    (tmp_path / "ranked").touch()
-    report = serial_benchmark(m, ks, counts, trials, 1)
+    ranked = logged_ranking(monkeypatch)
+    report = benchmark(m, ks, counts, trials, 1)
     assert not listed_rows(m, distinct_masks(m, ks, counts, trials, 1))
-    assert ranked() == []
-    assert compiles() == [(os.getpid(), distances._kernel(m.schema))]
+    assert ranked == []
+    assert compiles == [distances._kernel(m.schema)]
     rec = report.trials[-1]
     trial_seed = derive_trial_seed(1, rec.k, rec.missing_count, rec.trial)
     assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
 
 
-@pytest.mark.parametrize("trials, passes, forked", [(1, (0, 50), 0), (2, (10, 83), 1),
-                                                     (10, (120, 125), 2)])
-def test_a_benchmark_forks_once_its_passes_pay(forks, trials, passes, forked):
-    # The perfbench benchmark-sweep shape masks 50 distinct cells a trial on
-    # 60 x 8 cells, and a mapping forks when its passes reach 75. At 1 trial
-    # the kernel makes all 50 passes in one process. At 2, it ranks 5 rows in
-    # this process and forks to fill; lists serve 23 of the 100 passes, which
-    # count 17 less. At 10, it forks to rank all 60 rows, and again to fill
-    # the 500 passes that lists serve, which count 125.
-    args = (seeded_table(60, 8, seed=60, gap_rate=0.0), range(1, 6), range(1, 5), trials, 1)
-    masks = distinct_masks(*args)
-    assert sum(len(refs) for _, refs in masks) == 50 * trials
-    assert mapped_passes(args[0], masks) == passes
-    pays = [p * (480 + imputer._PASS_COST) >= imputer._FORK_MIN_CELLS for p in passes]
-    assert sum(pays) == forked
-    benchmark(*args)
-    assert len(forks) == forked
-
-
-@pytest.mark.parametrize("fault", ["fork refused", "pipe refused", "replies short"])
-def test_a_failed_fork_or_reply_gives_the_serial_report(monkeypatch, fault):
-    # The benchmark-sweep shape at 2 trials leaves the kernel enough passes
-    # to fork at the default thresholds, and lists serve the others.
-    args = (seeded_table(60, 8, seed=60, gap_rate=0.0), range(1, 6), range(1, 5), 2, 1)
-    expected = serial_benchmark(*args)
-    forks = patch_forks(monkeypatch)
-    if fault == "replies short":
-        parent, fill = os.getpid(), evaluation._fill
-
-        def short(*a):
-            if os.getpid() != parent:
-                marshal.dumps = lambda obj: b"[\x02"
-            return fill(*a)
-
-        monkeypatch.setattr(evaluation, "_fill", short)
-    else:
-        call, error = {"fork refused": ("fork", errno.EAGAIN),
-                       "pipe refused": ("pipe", errno.EMFILE)}[fault]
-
-        def refused():
-            raise OSError(error, os.strerror(error))
-
-        monkeypatch.setattr(os, call, refused)
-    assert benchmark(*args) == expected
-    assert len(forks) == (fault == "replies short")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize(
-    "ks, counts, trials, distinct", [([1, 2], [2, 3], 1, 4), ([2], [3], 1, 1)],
-    ids=["benchmark forks", "trials fork"],
-)
-def test_a_benchmark_forks_only_from_its_own_process(monkeypatch, tmp_path, ks, counts, trials,
-                                                     distinct):
-    # Any mapping of two kernel passes would fork. When the benchmark forks,
-    # its one worker imputes its share without forking again; a benchmark of
-    # one distinct imputation does not fork, and that trial forks its
-    # selection from here. Neither plan revisits a row enough for lists.
-    args = (fixture("case3"), ks, counts, trials, 5)
-    expected = serial_benchmark(*args)
-    log = tmp_path / "forks"
-    logged_forks(monkeypatch, log)
-    monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 1)
-    monkeypatch.setattr(imputer, "_FORK_MIN_CELLS", 0)
-    masks = distinct_masks(*args)
-    assert len(masks) == distinct
-    assert not listed_rows(args[0], masks)
-    assert benchmark(*args) == expected
-    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
-
-
-def test_a_benchmark_of_a_200x8_table_forks_only_from_here(monkeypatch, tmp_path):
-    # 320000 cell distances between its rows. Each trial masks 100 cells,
-    # enough for its selection to fork, but the benchmark's two distinct
-    # imputations fork at its level, and no trial forks again.
-    m = seeded_table(200, 8, seed=5, gap_rate=0.0)
-    args = (m, [5], [100], 2, 7)
-    assert len(distinct_masks(*args)) == 2
-    expected = serial_benchmark(*args)
-    log = tmp_path / "forks"
-    logged_forks(monkeypatch, log)
+def test_the_sweep_reports_the_same_with_and_without_lists(monkeypatch):
+    # The perfbench benchmark-sweep shape: 60 complete rows, k 1 to 5, 1 to 4
+    # gaps and 10 trials, whose lists serve most passes. With no lists the
+    # kernel makes every pass, and the report is the same.
+    args = (seeded_table(60, 8, seed=60, gap_rate=0.0), range(1, 6), range(1, 5), 10, 201)
     report = benchmark(*args)
-    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
-    assert report == expected
-    rec = report.trials[1]
-    trial_seed = derive_trial_seed(7, rec.k, rec.missing_count, rec.trial)
-    assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
+    assert len(report.trials) == 200
+    monkeypatch.setattr(evaluation, "_ranked", lambda *_: {})
+    assert benchmark(*args) == report

@@ -1,13 +1,6 @@
-import contextlib
-import errno
-import faulthandler
 import functools
-import marshal
 import math
-import os
 import sys
-import threading
-import time
 
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -32,7 +25,7 @@ from hetimpute.imputer import (
 )
 from hetimpute.typed_csv import parse, serialize
 
-from conftest import logged_forks, patch_forks, seeded_table
+from conftest import seeded_table
 from oracle import bf_candidate_distances, bf_combine, bf_weights
 from strategies import cell_values, matrices, raw_reals
 
@@ -373,21 +366,11 @@ def test_find_neighbors_agrees_with_bruteforce(m, k):
             assert [d.row for d in donors] == [j for _, j in ranked[:k]]
 
 
-@contextlib.contextmanager
-def forking():
-    """Thresholds so low that selection forks on any table of two or more
-    target rows, two CPUs, and the list of the pids forked meanwhile."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(imputer, "_FORK_MIN_TARGETS", 1)
-        mp.setattr(imputer, "_FORK_MIN_CELLS", 0)
-        yield patch_forks(mp)
-
-
 def assert_matches_oracle(m, k):
     # One selection pass per target row, shared by the row's gaps and
     # cutting rows short, must select exactly what a per-cell brute force
     # selects, and fill the cell with its value, to the last bit (float.hex,
-    # since a cell's == takes -0.0 for 0.0), in one process or split over two.
+    # since a cell's == takes -0.0 for 0.0).
     result = impute(m, k)
     for ref in missing_cells(m):
         ranked = bf_candidate_distances(m, ref.row, ref.col)[:k]
@@ -404,9 +387,6 @@ def assert_matches_oracle(m, k):
         else:
             assert ref not in result.trace
             assert ref in result.unimputable
-    with forking() as forks:
-        assert impute(m, k) == result
-    assert len(forks) == (len({ref.row for ref in missing_cells(m)}) >= 2)
 
 
 # The oracle properties report the first table that fails, unshrunk: on a
@@ -502,8 +482,6 @@ def test_rows_that_cannot_be_nearest_are_cut_short(monkeypatch):
         return pass_
 
     wrap_kernels(monkeypatch, counting)
-    # In one process, so that every evaluation is counted here.
-    monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 10**9)
     assert impute(m, 5).trace == impute(plain, 5).trace
     # A pass with no cut evaluates all of ``full``; this one about 73%.
     assert 0 < evaluated < 0.8 * full
@@ -518,61 +496,39 @@ def wrap_kernels(monkeypatch, wrap):
 # -- one selection kernel per schema -----------------------------------------
 
 
-def test_a_column_name_never_reaches_a_kernel(compiles, no_fork):
+def test_a_column_name_never_reaches_a_kernel(compiles):
     m = seeded_table(30, 3, seed=3, gap_rate=0.2)
     hostile = DataMatrix(m.schema, m.cells, ["x\nimport os", '"""', "'''\nos.abort()"])
     traces = []
     for matrix in (m, hostile):
         core._compiled.cache_clear()
         traces.append(impute(matrix, 3).trace)
-    sources = [source for _, source in compiles()]
-    assert len(sources) == 2
-    assert sources[1] == sources[0]
+    assert len(compiles) == 2
+    assert compiles[1] == compiles[0]
     assert traces[1] == traces[0]
-    assert "import" not in sources[0] and "os." not in sources[0]
+    assert "import" not in compiles[0] and "os." not in compiles[0]
 
 
-def test_a_schema_gets_one_kernel(compiles, no_fork):
+def test_a_schema_gets_one_kernel(compiles):
     complete = seeded_table(30, 4, seed=4, gap_rate=0.0)
     narrow = seeded_table(30, 3, seed=4, gap_rate=0.2)
     for _ in range(2):
         impute(complete.with_cell(0, 1, None).with_cell(5, 2, None), 3)
         impute(narrow, 3)
         evaluation.benchmark(complete, [1, 2], [1, 2], 3, 0)
-    kernels = [distances._kernel(complete.schema), distances._kernel(narrow.schema)]
-    assert compiles() == [(os.getpid(), kernel) for kernel in kernels]
+    assert compiles == [distances._kernel(complete.schema), distances._kernel(narrow.schema)]
 
 
-@pytest.mark.parametrize("call", ["impute", "benchmark"])
-def test_a_worker_builds_no_kernel(compiles, forks, dense_matrix, call):
-    # The parent compiles the kernel before it forks, and each worker inherits it.
-    if call == "impute":
-        m = dense_matrix
-        impute(m, 5)
-        assert compiles() == [(os.getpid(), distances._kernel(m.schema))]
-    else:  # the benchmark ranks the rows it revisits, then forks, and no trial forks again
-        m = seeded_table(60, 8, seed=60, gap_rate=0.0)
-        evaluation.benchmark(m, range(1, 6), range(1, 5), 2, 1)
-        assert compiles() == [(os.getpid(), distances._apart(m.schema)),
-                              (os.getpid(), distances._kernel(m.schema))]
-    assert len(forks) == 1
-
-
-@pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
-def test_impute_reads_the_kernel_cache_once_per_call(dense_matrix, monkeypatch, forked):
+def test_impute_reads_the_kernel_cache_once_per_call(dense_matrix, monkeypatch):
     # Not once per target row: a read hashes the schema through Enum.__hash__.
-    expected, reads = serially(dense_matrix, 5), []
+    expected, reads = impute(dense_matrix, 5), []
 
     def counted(write, key):
         reads.append((write, key))
         return core._compiled(write, key)
 
     monkeypatch.setattr(imputer, "_compiled", counted)
-    forks = patch_forks(monkeypatch)
-    if not forked:
-        monkeypatch.setattr(imputer, "_FORK_MIN_TARGETS", 10**9)
     assert impute(dense_matrix, 5) == expected
-    assert len(forks) == forked
     assert reads == [(distances._kernel, dense_matrix.schema)]
 
 
@@ -593,329 +549,6 @@ def test_a_warm_kernel_lookup_makes_no_python_call():
     finally:
         sys.setprofile(None)
     assert calls == []
-
-
-# -- selection split over forked workers -------------------------------------
-
-
-def serially(m, k):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(imputer, "_FORK_MIN_TARGETS", 10**9)
-        return impute(m, k)
-
-
-def test_a_dense_table_forks_at_the_default_thresholds(dense_matrix, forks):
-    result = impute(dense_matrix, 5)
-    assert len(forks) == 1
-    assert result == serially(dense_matrix, 5)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_two_gaps_in_a_tall_table_stay_serial(tall_text, no_fork):
-    m = parse(tall_text).with_cell(7, 1, None).with_cell(2900, 4, None)
-    assert set(impute(m, 5).trace) == {(7, 1), (2900, 4)}
-
-
-@pytest.mark.parametrize("rows, cols", [(30, 8), (250, 2)])
-def test_few_target_rows_of_a_small_table_stay_serial(no_fork, rows, cols):
-    # 24 target rows of these tables ran 0.53x and 0.61x as fast when forked.
-    m = seeded_table(rows, cols, seed=30, gap_rate=0.0)
-    for i in range(24):
-        m = m.with_cell(i, i % cols, None)
-    assert len(impute(m, 5).trace) == 24
-
-
-def test_benchmark_sweep_trials_stay_serial(forks):
-    # The perfbench benchmark-sweep shape: 60 complete rows, k 1 to 5, 1 to 4
-    # gaps. No trial forks its selection, even with the benchmark's own
-    # mappings kept in this process. The benchmark forks one worker that ranks
-    # a share of the rows, and one that imputes a share of the trials; with
-    # no lists, only the second.
-    m = seeded_table(60, 8, seed=60, gap_rate=0.0)
-    args = (m, range(1, 6), range(1, 5), 10, 201)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluation, "_map_shares", lambda function, items, *_: function(items))
-        expected = evaluation.benchmark(*args)
-    assert forks == []
-    report = evaluation.benchmark(*args)
-    assert len(report.trials) == 200
-    assert len(forks) == 2
-    assert report == expected
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluation, "_ranked", lambda *_: {})
-        assert evaluation.benchmark(*args) == expected
-    assert len(forks) == 3
-
-
-def test_a_lone_large_trial_forks_its_selection(forks):
-    # One distinct imputation leaves the benchmark nothing to spread over the
-    # CPUs, so a trial large enough forks its own selection.
-    m = seeded_table(200, 6, seed=7, gap_rate=0.0)
-    report = evaluation.benchmark(m, [5], [60], trials=1, seed=1)
-    assert len(forks) == 1
-    assert report.trials[0].error is not None
-
-
-def test_a_mapping_inside_a_forked_mapping_runs_serially(dense_matrix, monkeypatch, tmp_path):
-    # Each inner mapping would fork on its own; inside the outer one, in the
-    # parent's share and in the worker's, it runs without forking.
-    log = tmp_path / "forks"
-    logged_forks(monkeypatch, log)
-    items = list(range(100))
-
-    def outer(shares):
-        for _ in shares:
-            yield sum(imputer._map_shares(iter, items, dense_matrix, len(items)))
-
-    assert list(imputer._map_shares(outer, [0, 1, 2, 3], dense_matrix, 100)) == [sum(items)] * 4
-    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
-    assert sum(imputer._map_shares(iter, items, dense_matrix, len(items))) == sum(items)
-    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
-
-
-def test_a_mapping_that_raised_lets_the_next_one_fork(dense_matrix, forks):
-    def failing(shares):
-        raise RuntimeError("share failed")
-
-    with pytest.raises(RuntimeError, match="share failed"):
-        imputer._map_shares(failing, list(range(100)), dense_matrix, 100)
-    assert len(forks) == 1
-    assert impute(dense_matrix, 5) == serially(dense_matrix, 5)
-    assert len(forks) == 2
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("passes", [79, 80])
-def test_impute_and_benchmark_fork_at_one_boundary(forks, passes):
-    # 80 passes over 110 x 4 cells, at 160 visits more each, are exactly 48000.
-    m = seeded_table(110, 4, seed=8, gap_rate=0.0)
-    pays = passes * (m.n_rows * m.n_cols + imputer._PASS_COST) >= imputer._FORK_MIN_CELLS
-    assert pays == (passes == 80)
-    gapped = m
-    for i in range(passes):  # one gap in each of ``passes`` rows
-        gapped = gapped.with_cell(i, i % 4, None)
-    impute(gapped, 5)
-    assert len(forks) == pays
-    half = passes // 2 - 1  # two distinct imputations of ``passes`` masked cells in all
-    evaluation.benchmark(m, [3], [half, passes - half], 1, 0)
-    assert len(forks) == 2 * pays
-
-
-def test_a_live_thread_keeps_selection_serial(dense_matrix, no_fork):
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        assert impute(dense_matrix, 5) == serially(dense_matrix, 5)
-    finally:
-        done.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads listed on Linux only")
-def test_a_thread_outside_threading_keeps_selection_serial(dense_matrix, no_fork):
-    # faulthandler's watchdog is an OS thread that _thread does not count.
-    # Python 3.12 and 3.13 warn that a fork beside it may deadlock the child.
-    tasks = "/proc/self/task"
-    before = len(os.listdir(tasks))
-    faulthandler.dump_traceback_later(600)
-    try:
-        assert len(os.listdir(tasks)) == before + 1
-        assert impute(dense_matrix, 5) == serially(dense_matrix, 5)
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-    deadline = time.monotonic() + 10
-    while len(os.listdir(tasks)) > before and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert len(os.listdir(tasks)) == before
-
-
-def test_one_cpu_keeps_selection_serial(dense_matrix, no_fork, monkeypatch):
-    # The CPUs this process may run on, not the machine's.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert impute(dense_matrix, 5) == serially(dense_matrix, 5)
-
-
-def in_worker(parent_pid, act):
-    """Wrap a kernel so that ``act()`` runs first in a worker."""
-
-    def wrap(nearest):
-        def wrapped(*args):
-            if os.getpid() != parent_pid:
-                act()
-            return nearest(*args)
-
-        return wrapped
-
-    return wrap
-
-
-@pytest.mark.parametrize(
-    "fault",
-    [
-        lambda: os._exit(3),
-        lambda: 1 / 0,
-        lambda: setattr(marshal, "dumps", lambda obj: b"[\x02"),
-    ],
-    ids=["exits nonzero", "raises", "replies short"],
-)
-def test_a_failed_worker_gives_the_serial_result(dense_matrix, forks, monkeypatch, fault):
-    expected = serially(dense_matrix, 5)
-    wrap_kernels(monkeypatch, in_worker(os.getpid(), fault))
-    assert impute(dense_matrix, 5) == expected
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize(
-    "call, error",
-    [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
-    ids=["fork refused", "pipe refused"],
-)
-def test_a_fork_that_fails_gives_the_serial_result(dense_matrix, monkeypatch, call, error):
-    def refused():
-        raise OSError(error, os.strerror(error))
-
-    expected = serially(dense_matrix, 5)
-    monkeypatch.setattr(os, call, refused)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
-    fd_dir = "/proc/self/fd"
-    before = sorted(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
-    assert impute(dense_matrix, 5) == expected
-    if before is not None:  # both ends of the pipe are closed
-        assert sorted(os.listdir(fd_dir)) == before
-
-
-def test_a_reply_in_short_writes_is_sent_in_full(dense_matrix, forks, monkeypatch):
-    # A pipe write may take fewer bytes than it was given. The worker writes
-    # the rest, so the parent selects its own share alone.
-    expected = serially(dense_matrix, 5)
-    write = os.write
-    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:512]))
-    parent, selected = os.getpid(), []
-
-    def logged(nearest):
-        def pass_(cells, i, *args):
-            if os.getpid() == parent:
-                selected.append(i)
-            return nearest(cells, i, *args)
-
-        return pass_
-
-    wrap_kernels(monkeypatch, logged)
-    assert impute(dense_matrix, 5) == expected
-    assert len(forks) == 1
-    rows = sorted({ref.row for ref in missing_cells(dense_matrix)})
-    # The parent's share alone: the worker's reply, several kB, came in 512-byte writes.
-    assert selected == rows[0::2]
-
-
-def test_a_worker_that_replied_is_not_signalled(dense_matrix, forks, monkeypatch):
-    # It has exited, so it is only reaped: with SIGCHLD ignored its pid may
-    # already belong to another process.
-    signalled = []
-    monkeypatch.setattr(os, "kill", lambda *args: signalled.append(args))
-    assert impute(dense_matrix, 5) == serially(dense_matrix, 5)
-    assert len(forks) == 1
-    assert signalled == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def stuck_workers(monkeypatch, forks: list, error: type) -> None:
-    """Make a forked worker hang, and the parent raise ``error`` on its first target
-    row after the fork."""
-    parent = os.getpid()
-
-    def stuck(nearest):
-        def pass_(*args):
-            if os.getpid() != parent:  # a worker that would take 30 s
-                time.sleep(30)
-                os._exit(1)
-            if forks:  # the parent's first target row, after the fork
-                raise error("stop")
-            return nearest(*args)
-
-        return pass_
-
-    wrap_kernels(monkeypatch, stuck)
-
-
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_a_parent_exception_kills_and_reaps_the_workers(dense_matrix, forks, monkeypatch, error):
-    stuck_workers(monkeypatch, forks, error)
-    start = time.monotonic()
-    with pytest.raises(error):
-        impute(dense_matrix, 5)
-    assert time.monotonic() - start < 10
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def logged_pidfds(monkeypatch, pidfd: str) -> tuple[dict, list, list, list]:
-    """Log, as ``(opened, sent, killed, closed)``, the pidfd opened for each pid, the
-    signals sent through a pidfd, those sent by pid, and the file descriptors closed.
-    ``pidfd`` is "opened", "refused" (pidfd_open raises) or "absent" (no pidfd_open)."""
-    import signal
-
-    if pidfd == "opened" and not hasattr(os, "pidfd_open"):
-        pytest.skip("no pidfd on this system")
-    opened, sent, killed, closed = {}, [], [], []
-    pidfd_open, send, kill, close = (getattr(os, "pidfd_open", None),
-                                     getattr(signal, "pidfd_send_signal", None), os.kill, os.close)
-
-    def logged_open(pid):
-        opened[pid] = None
-        if pidfd == "refused":
-            raise OSError(errno.ENOSYS, "no pidfd")
-        opened[pid] = pidfd_open(pid)
-        return opened[pid]
-
-    if pidfd == "absent":
-        monkeypatch.delattr(os, "pidfd_open", raising=False)
-    else:
-        monkeypatch.setattr(os, "pidfd_open", logged_open, raising=False)
-    monkeypatch.setattr(signal, "pidfd_send_signal", lambda *a: sent.append(a) or send(*a),
-                        raising=False)
-    monkeypatch.setattr(os, "kill", lambda *a: killed.append(a) or kill(*a))
-    monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or close(fd))
-    return opened, sent, killed, closed
-
-
-def test_a_replied_workers_pidfd_is_closed_and_never_signalled(dense_matrix, forks,
-                                                               monkeypatch):
-    opened, sent, killed, closed = logged_pidfds(monkeypatch, "opened")
-    assert impute(dense_matrix, 5) == serially(dense_matrix, 5)
-    assert list(opened) == forks and len(forks) == 1
-    assert sent == killed == []
-    assert opened[forks[0]] in closed
-
-
-@pytest.mark.parametrize("pidfd", ["opened", "refused", "absent"])
-def test_the_exception_path_signals_through_the_pidfd(dense_matrix, forks, monkeypatch, pidfd):
-    # With SIGCHLD ignored, a worker may be gone and its pid another process's:
-    # a pidfd names the worker itself. Where none opens, the worker is killed by pid.
-    import signal
-
-    opened, sent, killed, closed = logged_pidfds(monkeypatch, pidfd)
-    stuck_workers(monkeypatch, forks, RuntimeError)
-    with pytest.raises(RuntimeError):
-        impute(dense_matrix, 5)
-    assert len(forks) == 1
-    assert list(opened) == ([] if pidfd == "absent" else forks)
-    if pidfd == "opened":
-        assert sent == [(opened[forks[0]], signal.SIGKILL)] and killed == []
-        assert opened[forks[0]] in closed  # once the worker is reaped
-    else:
-        assert sent == [] and killed == [(forks[0], signal.SIGKILL)]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @settings(max_examples=100, deadline=None)
