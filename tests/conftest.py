@@ -1,5 +1,8 @@
+import _thread
+import os
 import random
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -72,3 +75,34 @@ def compiles(monkeypatch):
     core._compiled.cache_clear()
     monkeypatch.setattr(core, "exec", logged, raising=False)
     return sources
+
+
+def refuse_other_processes(mp: pytest.MonkeyPatch) -> None:
+    """Make every call that would start a process or a thread, open a pipe, send a
+    signal, write to a file descriptor or ask which CPUs this process may run on
+    fail the test."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a call that reaches outside this process")
+
+    for name in ("fork", "forkpty", "pipe", "pipe2", "kill", "killpg", "posix_spawn",
+                 "posix_spawnp", "system", "write", "sched_getaffinity", "cpu_count"):
+        mp.setattr(os, name, refused, raising=False)
+    mp.setattr(_thread, "start_new_thread", refused)
+    mp.setattr(threading.Thread, "start", refused)
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """Everything the test runs stays in this process and its thread: see
+    ``refuse_other_processes``. After it, no child is left to reap and no more
+    file descriptors are open than before."""
+    fds = "/proc/self/fd"
+    before = sorted(os.listdir(fds)) if os.path.isdir(fds) else None
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_other_processes(mp)
+        yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if before is not None:
+        assert sorted(os.listdir(fds)) == before

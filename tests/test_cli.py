@@ -105,6 +105,51 @@ def test_a_command_compiles_what_it_runs_once(tmp_path, compiles, command):
     assert [source[4:source.index("(")] for source in compiles] == compiled
 
 
+@pytest.mark.parametrize("command", ["validate", "distance", "benchmark", "impute", "fixtures"])
+def test_a_command_runs_in_this_process(tmp_path, one_process, command):
+    # No command starts a process or a thread, or asks which CPUs it may use.
+    gapped, complete = tmp_path / "gapped.csv", tmp_path / "complete.csv"
+    gapped.write_text(serialize(seeded_table(200, 6, seed=19, gap_rate=0.15)), encoding="utf-8")
+    complete.write_text(serialize(seeded_table(100, 6, seed=19, gap_rate=0.0)), encoding="utf-8")
+    argv = {
+        "validate": ["--input", gapped],
+        "distance": ["--input", gapped, "--rows", "0,1"],
+        "benchmark": ["--input", complete, "--k-min", "1", "--k-max", "2", "--nan-min", "1",
+                      "--nan-max", "3", "--trials", "20", "--output", tmp_path / "raw.csv"],
+        "impute": ["--input", gapped, "--k", "3", "--output", tmp_path / "out.csv",
+                   "--trace", tmp_path / "trace.csv"],
+        "fixtures": ["--dest", tmp_path],
+    }[command]
+    assert main([command, *map(str, argv)]) == 0
+
+
+def test_signal_is_never_loaded():
+    # Neither an impute that returns nor one whose selection raises loads it.
+    code = "\n".join([
+        "import hetimpute.cli, sys",
+        "from hetimpute import ColumnKind, Crisp, DataMatrix, impute, imputer",
+        "rows = [(None if i % 5 else Crisp(i * 37 % 101 / 101), Crisp(i * 53 % 97 / 97))",
+        "        for i in range(200)]",
+        "m = DataMatrix((ColumnKind.CRISP,) * 2, rows)",
+        "impute(m, 3)",
+        "print('signal' in sys.modules)",
+        "def failing(*args):",
+        "    raise RuntimeError",
+        "imputer._compiled = lambda write, schema: failing",
+        "try:",
+        "    impute(m, 3)",
+        "except RuntimeError:",
+        "    print('signal' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\nFalse\n"
+
+
 def assert_one_line_data_error(run: subprocess.CompletedProcess) -> None:
     assert "Traceback" not in run.stderr
     assert run.returncode == 1
@@ -539,6 +584,53 @@ def test_two_runs_write_the_same_bytes(tmp_path, job):
         runs.append((run.stdout, {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
     assert len(runs[0][1]) == {"impute": 2, "benchmark": 2, "case-studies": 6}[job]
     assert runs[1] == runs[0]
+
+
+# Runs the CLI module, or the script its second argument names, with the
+# arguments after it: as usual, pinned to one CPU, or with SIGCHLD ignored,
+# as its first argument says.
+IN_MODE = "\n".join([
+    "import os, runpy, signal, sys",
+    "mode, target = sys.argv.pop(1), sys.argv.pop(1)",
+    "if mode == 'one-cpu':",
+    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+    "elif mode == 'sigchld-ignored':",
+    "    signal.signal(signal.SIGCHLD, signal.SIG_IGN)",
+    "if target == 'cli':",
+    "    runpy.run_module('hetimpute.cli', run_name='__main__', alter_sys=True)",
+    "else:",
+    "    runpy.run_path(target, run_name='__main__')",
+])
+
+
+@pytest.mark.parametrize("job", ["impute", "benchmark", "case-studies"])
+def test_one_cpu_and_ignored_sigchld_write_the_same_bytes(tmp_path, job):
+    # Pinned to one CPU or with SIGCHLD ignored, every output file and stdout
+    # are those of the usual run.
+    table = tmp_path / "table.csv"
+    table.write_text(serialize(seeded_table(200, 8, seed=5, gap_rate=0.2 * (job == "impute"))),
+                     encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
+    runs = {}
+    for mode in ("as-usual", "one-cpu", "sigchld-ignored"):
+        out = tmp_path / mode
+        out.mkdir()
+        args = {
+            "impute": ["cli", "impute", "--input", str(table), "--k", "5", "--output",
+                       str(out / "out.csv"), "--trace", str(out / "trace.csv")],
+            "benchmark": ["cli", "benchmark", "--input", str(table), "--k-min", "3", "--k-max",
+                          "5", "--nan-min", "100", "--nan-max", "101", "--trials", "1",
+                          "--output", str(out / "b.csv")],
+            "case-studies": [str(SCRIPTS / "run_case_studies.py"), "--trials", "50",
+                             "--outdir", str(out)],
+        }[job]
+        run = subprocess.run([sys.executable, "-c", IN_MODE, mode, *args],
+                             capture_output=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        runs[mode] = run.stdout, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert len(runs["as-usual"][1]) == {"impute": 2, "benchmark": 2, "case-studies": 6}[job]
+    assert runs["one-cpu"] == runs["as-usual"]
+    assert runs["sigchld-ignored"] == runs["as-usual"]
 
 
 class TestBenchmarkCommand:

@@ -1,6 +1,8 @@
 import math
 import random
 import statistics
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -577,3 +579,127 @@ def test_the_sweep_reports_the_same_with_and_without_lists(monkeypatch):
     assert len(report.trials) == 200
     monkeypatch.setattr(evaluation, "_ranked", lambda *_: {})
     assert benchmark(*args) == report
+
+
+# -- everything in one process and one thread ----------------------------------
+
+
+def assert_trial_matches_oracle(m, seed, rec):
+    trial_seed = derive_trial_seed(seed, rec.k, rec.missing_count, rec.trial)
+    assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complete_matrices(min_rows=2, max_rows=6), st.data())
+def test_a_benchmark_of_two_imputations_matches_oracle(m, data):
+    # Any ks, counts and trials: each trial as the brute force fills it.
+    ks = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    counts = data.draw(st.lists(st.integers(1, m.n_rows), min_size=1, max_size=3))
+    seed = data.draw(st.integers(0, 2**32))
+    for rec in benchmark(m, ks, counts, data.draw(st.integers(1, 3)), seed).trials:
+        assert_trial_matches_oracle(m, seed, rec)
+
+
+def test_a_lone_large_trial_is_scored_in_this_process(one_process):
+    m = seeded_table(200, 6, seed=7, gap_rate=0.0)
+    report = benchmark(m, [5], [60], trials=1, seed=1)
+    assert report.trials[0].error is not None
+    assert_trial_matches_oracle(m, 1, report.trials[0])
+
+
+@pytest.mark.parametrize("trials, rows", [(1, 0), (2, 5), (10, 60)])
+def test_the_sweep_shape_is_scored_in_this_process(one_process, trials, rows):
+    # The perfbench benchmark-sweep shape, with none, some and all of its
+    # rows listed; the last trial as the brute force fills it.
+    m = seeded_table(60, 8, seed=60, gap_rate=0.0)
+    args = (m, range(1, 6), range(1, 5), trials, 1)
+    assert len(listed_rows(m, distinct_masks(*args))) == rows
+    report = benchmark(*args)
+    assert len(report.trials) == 20 * trials
+    assert_trial_matches_oracle(m, 1, report.trials[-1])
+
+
+@pytest.mark.parametrize(
+    "ks, counts, distinct", [([1, 2], [2, 3], 4), ([2], [3], 1)],
+    ids=["4 distinct", "1 distinct"],
+)
+def test_case3_plans_are_scored_in_this_process(one_process, ks, counts, distinct):
+    m = fixture("case3")
+    masks = distinct_masks(m, ks, counts, 1, 5)
+    assert len(masks) == distinct
+    assert not listed_rows(m, masks)
+    for rec in benchmark(m, ks, counts, 1, 5).trials:
+        assert_trial_matches_oracle(m, 5, rec)
+
+
+def test_a_benchmark_of_a_200x8_table_is_scored_in_this_process(one_process):
+    # 100 masked cells a trial, two distinct imputations.
+    m = seeded_table(200, 8, seed=5, gap_rate=0.0)
+    args = (m, [5], [100], 2, 7)
+    assert len(distinct_masks(*args)) == 2
+    assert_trial_matches_oracle(m, 7, benchmark(*args).trials[1])
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, MemoryError])
+@pytest.mark.parametrize("where", ["ranking", "fill"])
+def test_an_exception_in_a_benchmark_reaches_the_caller(one_process, where, error):
+    # The sweep shape at 10 trials ranks all 60 rows, then fills 50 distinct
+    # imputations. The third row ranked, or the third fill, raises: the
+    # exception ends the call as it is, and the next call is whole.
+    args = (seeded_table(60, 8, seed=60, gap_rate=0.0), range(1, 6), range(1, 5), 10, 1)
+    expected, calls = benchmark(*args), []
+    with pytest.MonkeyPatch.context() as mp:
+        if where == "ranking":
+            compiled = evaluation._compiled
+
+            def failing(write, key):
+                apart = compiled(write, key)
+
+                def counted(*a):
+                    calls.append(a[1])
+                    if len(calls) == 3:
+                        raise error("stop")
+                    return apart(*a)
+
+                return counted
+
+            mp.setattr(evaluation, "_compiled", failing)
+        else:
+            fill = evaluation._fill
+
+            def failing(*a):
+                calls.append(a[3])
+                if len(calls) == 3:
+                    raise error("stop")
+                return fill(*a)
+
+            mp.setattr(evaluation, "_fill", failing)
+        with pytest.raises(error, match="stop"):
+            benchmark(*args)
+    assert len(calls) == 3
+    assert benchmark(*args) == expected
+
+
+def test_threads_that_benchmark_at_once_get_the_serial_report():
+    # Two threads, switching often, each compile the ranking and the kernel on
+    # first use, rank the sweep shape's rows and fill its imputations.
+    args = (seeded_table(60, 8, seed=60, gap_rate=0.0), range(1, 6), range(1, 5), 10, 1)
+    expected = benchmark(*args)
+    evaluation._compiled.cache_clear()
+    start, reports = threading.Barrier(2), []
+
+    def run():
+        start.wait()
+        reports.append(benchmark(*args))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [expected, expected]

@@ -1,6 +1,10 @@
+import faulthandler
 import functools
 import math
+import os
 import sys
+import threading
+import warnings
 
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -25,7 +29,7 @@ from hetimpute.imputer import (
 )
 from hetimpute.typed_csv import parse, serialize
 
-from conftest import seeded_table
+from conftest import refuse_other_processes, seeded_table
 from oracle import bf_candidate_distances, bf_combine, bf_weights
 from strategies import cell_values, matrices, raw_reals
 
@@ -549,6 +553,182 @@ def test_a_warm_kernel_lookup_makes_no_python_call():
     finally:
         sys.setprofile(None)
     assert calls == []
+
+
+# -- everything in one process and one thread ----------------------------------
+
+
+def test_a_dense_table_is_imputed_in_this_process(dense_matrix, one_process):
+    assert_matches_oracle(dense_matrix, 5)
+
+
+def test_two_gaps_in_a_tall_table_are_filled_in_this_process(tall_text, one_process):
+    m = parse(tall_text).with_cell(7, 1, None).with_cell(2900, 4, None)
+    assert set(impute(m, 5).trace) == {(7, 1), (2900, 4)}
+    assert_matches_oracle(m, 5)
+
+
+@pytest.mark.parametrize("rows, cols", [(30, 8), (250, 2)])
+def test_few_target_rows_of_a_small_table_are_filled_in_this_process(one_process, rows, cols):
+    m = seeded_table(rows, cols, seed=30, gap_rate=0.0)
+    for i in range(24):
+        m = m.with_cell(i, i % cols, None)
+    assert len(impute(m, 5).trace) == 24
+    assert_matches_oracle(m, 5)
+
+
+@pytest.mark.parametrize("passes", [2, 80])
+def test_impute_and_benchmark_run_in_this_process(one_process, passes):
+    # One gap in each of ``passes`` rows of 110 x 4 cells, and a benchmark of
+    # two distinct imputations that mask ``passes`` cells in all. Each trial's
+    # error is that of the completed matrix of its masked table.
+    m = seeded_table(110, 4, seed=8, gap_rate=0.0)
+    gapped = m
+    for i in range(passes):
+        gapped = gapped.with_cell(i, i % 4, None)
+    assert set(impute(gapped, 5).trace) == set(missing_cells(gapped))
+    half = passes // 2 - 1
+    report = evaluation.benchmark(m, [3], [half, passes - half], 1, 0)
+    assert len(report.trials) == 2
+    for rec in report.trials:
+        masked, _ = evaluation.mask_random(m, rec.missing_count,
+                                           evaluation.derive_trial_seed(0, 3, rec.missing_count, 0))
+        assert rec.error == evaluation.matrix_error(m, impute(masked, 3).matrix)
+
+
+@pytest.mark.parametrize("target", ["dense", "tall"])
+def test_selection_makes_one_pass_per_target_row(dense_matrix, tall_text, monkeypatch, target):
+    # In row-major order, whatever the count of the row's gaps.
+    m = dense_matrix if target == "dense" else (
+        parse(tall_text).with_cell(7, 1, None).with_cell(7, 4, None).with_cell(2900, 4, None))
+    rows = []
+
+    def logged(nearest):
+        def pass_(cells, i, *args):
+            rows.append(i)
+            return nearest(cells, i, *args)
+
+        return pass_
+
+    wrap_kernels(monkeypatch, logged)
+    impute(m, 5)
+    assert rows == list(dict.fromkeys(ref.row for ref in missing_cells(m)))
+    assert len(rows) < len(missing_cells(m))
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt, MemoryError])
+@pytest.mark.parametrize("where", ["pass", "compile"])
+def test_an_exception_in_selection_reaches_the_caller(dense_matrix, one_process, where, error):
+    # The third selection pass, or the kernel's compile, raises: the exception
+    # ends the call as it is, and the next call, with nothing failing, is whole.
+    expected, passes = impute(dense_matrix, 5), []
+    with pytest.MonkeyPatch.context() as mp:
+        if where == "pass":
+            def failing(nearest):
+                def pass_(*args):
+                    passes.append(args[1])
+                    if len(passes) == 3:
+                        raise error("stop")
+                    return nearest(*args)
+
+                return pass_
+
+            wrap_kernels(mp, failing)
+        else:
+            def failing(source, namespace):
+                raise error("stop")
+
+            core._compiled.cache_clear()
+            mp.setattr(core, "exec", failing, raising=False)
+        with pytest.raises(error, match="stop"):
+            impute(dense_matrix, 5)
+    assert len(passes) == (3 if where == "pass" else 0)
+    assert impute(dense_matrix, 5) == expected
+
+
+def test_an_impute_inside_a_pass_leaves_both_whole(dense_matrix, monkeypatch):
+    # The fill step keeps no state between calls, so a call made while
+    # another is between two of its passes gives each its own result.
+    inner = seeded_table(30, 3, seed=3, gap_rate=0.2)
+    expected, expected_inner, nested = impute(dense_matrix, 5), impute(inner, 3), []
+
+    def nesting(nearest):
+        def pass_(*args):
+            if not nested:
+                nested.append(None)
+                nested[0] = impute(inner, 3)
+            return nearest(*args)
+
+        return pass_
+
+    wrap_kernels(monkeypatch, nesting)
+    assert impute(dense_matrix, 5) == expected
+    assert nested == [expected_inner]
+
+
+def test_the_fill_step_keeps_its_default_lists_empty(dense_matrix):
+    # impute passes no lists, and a benchmark that lists rows leaves none behind.
+    m = seeded_table(60, 8, seed=60, gap_rate=0.0)
+    evaluation.benchmark(m, range(1, 6), range(1, 5), 2, 1)
+    assert imputer._fill.__defaults__ == ({},)
+    impute(dense_matrix, 5)
+    assert imputer._fill.__defaults__ == ({},)
+
+
+def test_selection_beside_a_live_thread_gives_the_same_result(dense_matrix):
+    expected = impute(dense_matrix, 5)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            refuse_other_processes(mp)
+            assert impute(dense_matrix, 5) == expected
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_selection_beside_an_os_thread_warns_nothing(dense_matrix):
+    # faulthandler's watchdog is an OS thread that threading does not list; a
+    # fork beside it would warn on Python 3.12 and later.
+    expected = impute(dense_matrix, 5)
+    tasks = "/proc/self/task"
+    before = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+    faulthandler.dump_traceback_later(600)
+    try:
+        if before is not None:
+            assert len(os.listdir(tasks)) == before + 1
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("error")
+            refuse_other_processes(mp)
+            assert impute(dense_matrix, 5) == expected
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def test_threads_that_impute_at_once_get_the_serial_result(dense_matrix):
+    # Two threads, switching often, each compile the kernel on first use and select.
+    expected = impute(dense_matrix, 5)
+    core._compiled.cache_clear()
+    start, results = threading.Barrier(2), []
+
+    def run():
+        start.wait()
+        results.append(impute(dense_matrix, 5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected, expected]
 
 
 @settings(max_examples=100, deadline=None)
