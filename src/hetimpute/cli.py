@@ -1,8 +1,9 @@
 """Command-line interface: impute, benchmark, distance, validate, fixtures.
 
 Exit codes: 0 success, 1 data error (unreadable, invalid or unwritable
-files, unimputable cells), 2 usage error. All randomness is controlled by
---seed; given identical arguments and inputs, output files are byte-identical.
+files or stdout, unimputable cells), 2 usage error. All randomness is
+controlled by --seed; given identical arguments and inputs, output files are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -343,9 +344,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gc.disable()
     try:
         args.targets = _targets(paths)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except _DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # stdout's reader is gone: send the exit flush to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        print("error: cannot write to standard output: broken pipe", file=sys.stderr)
         return 1
     finally:
         if enabled:

@@ -9,10 +9,10 @@ kind dominates the mix. Donor selection walks the candidate rows once per
 target row and stops summing a row once it cannot be among the k nearest.
 It runs one kernel per schema: source text with each column's formula
 inline, which ``core._compiled`` compiles on first use, as it does
-``_apart``, which ranks a row once for each column left out. The kernels,
-``_apart`` and the cell distances are written from each kind's one formula
-text, so they agree bit for bit with ``row_distance``, which folds
-``_shared_distances``.
+``_apart``, which ranks a row once for each column left out. Both open with
+``_row_i``, and they and each kind's cell distance are written from the
+kind's one formula text, so they agree bit for bit with ``row_distance``,
+which folds ``_shared_distances``.
 """
 
 from __future__ import annotations
@@ -23,24 +23,23 @@ from typing import Optional
 from .core import _KIND_CLASS, CellValue, ColumnKind, DataMatrix, _compiled, _indent, matches_kind
 
 
-#: Each kind's cell distance: its name, and the text of its distance from a target cell ``a``
-#: to a donor cell ``b`` that ``_cell_distance`` and every kernel write, so the two agree bit
-#: for bit. ``{into}`` takes the distance, and ``{a}`` leads to a component of ``a``.
+#: Each kind's distance from a target cell ``a`` to a donor cell ``b``: the text that its cell
+#: distance ``{kind.value}_distance`` and every kernel write, so the two agree bit for bit.
+#: ``{into}`` takes the distance, and ``{a}`` leads to a component of ``a``.
 _FORMULAS = {
-    ColumnKind.CRISP: ("crisp_distance", "{into} abs({a}value - b.value)"),
-    ColumnKind.INTERVAL: ("interval_distance", """try:
+    ColumnKind.CRISP: "{into} abs({a}value - b.value)",
+    ColumnKind.INTERVAL: """try:
     {into} 0.5 * sqrt(({a}lower - b.lower) ** 2 + ({a}upper - b.upper) ** 2)
 except OverflowError:
-    {into} inf"""),
-    ColumnKind.FUZZY: ("tfn_distance",
-                       "{into} (abs({a}a1 - b.a1) + abs({a}a2 - b.a2) + abs({a}a3 - b.a3)) / 3.0"),
+    {into} inf""",
+    ColumnKind.FUZZY: "{into} (abs({a}a1 - b.a1) + abs({a}a2 - b.a2) + abs({a}a3 - b.a3)) / 3.0",
 }
 
 
 def _cell_distance(kind: ColumnKind) -> str:
     """The source of ``kind``'s cell distance from ``a`` to ``b``."""
-    name, text = _FORMULAS[kind]
-    return f"def {name}(a, b):\n    {_indent(text.format(into='return', a='a.'), 1)}"
+    text = _indent(_FORMULAS[kind].format(into="return", a="a."), 1)
+    return f"def {kind.value}_distance(a, b):\n    {text}"
 
 
 _CELL_DISTANCE = {kind: _compiled(_cell_distance, kind) for kind in ColumnKind}
@@ -56,13 +55,19 @@ def cell_distance(a: CellValue, b: CellValue, kind: ColumnKind) -> float:
     return _CELL_DISTANCE[kind](a, b)
 
 
-# A kernel's text: ``{targets}`` names row i's cells, ``{hoist}`` reads their components, and
-# ``{columns}`` adds row j's cell distances in turn.
+def _row_i(schema: tuple) -> str:
+    """The opening of a kernel and ``apart``: row i's cells, and their fields if observed."""
+    hoist = [f"if a{l} is not None: " + "; ".join(f"a{l}_{f} = a{l}.{f}" for f in cls.__slots__)
+             for l, cls in enumerate(map(_KIND_CLASS.get, schema))]
+    targets = "".join(f"a{l}," for l in range(len(schema)))
+    return _indent("\n".join([f"{targets} = row = cells[i]", *hoist]), 1)
+
+
+# A kernel's text: ``{row_i}`` opens it, and ``{columns}`` adds row j's cell distances in turn.
 _KERNEL = """\
 def nearest(cells, i, gaps, rows, k):
-    {targets} = row = cells[i]
+    {row_i}
     c = sum([a is not None for a in row])
-    {hoist}
     # Each gap's k nearest so far as (distance, row), sorted: the last is
     # the worst kept, and a later row of equal distance sorts after it.
     nearest = [[] for _ in gaps]
@@ -116,20 +121,14 @@ def _kernel(schema: tuple) -> str:
     row. It keeps a sorted list of at most k rows per gap and stops summing a row once it
     cannot enter any. It adds the cell distances in schema order, so every bit matches
     ``row_distance``. Rows sharing no observed column with row i are left out."""
-    hoist, columns = [], []
-    for l, kind in enumerate(schema):
-        fields = (f"a{l}_{f} = a{l}.{f}" for f in _KIND_CLASS[kind].__slots__)
-        hoist.append(f"if a{l} is not None: " + "; ".join(fields))
-        term = _FORMULAS[kind][1].format(into="total +=", a=f"a{l}_")
-        columns.append(_COLUMN.format(l=l, term=_indent(term, 2)))
-    return _KERNEL.format(targets="".join(f"a{l}," for l in range(len(schema))),
-                          hoist="\n    ".join(hoist), columns=_indent("\n".join(columns), 2))
+    terms = [_FORMULAS[kind].format(into="total +=", a=f"a{l}_") for l, kind in enumerate(schema)]
+    columns = "\n".join(_COLUMN.format(l=l, term=_indent(t, 2)) for l, t in enumerate(terms))
+    return _KERNEL.format(row_i=_row_i(schema), columns=_indent(columns, 2))
 
 
 _APART = """\
 def apart(cells, i, rows):
-    {targets} = cells[i]
-    {hoist}
+    {row_i}
     {lists} = lists = [[] for _ in cells[i]]
     for j in rows:
         other = cells[j]
@@ -140,17 +139,16 @@ def apart(cells, i, rows):
 
 def _apart(schema: tuple) -> str:
     """The source of ``apart(cells, i, rows)``: per column l, the ``(distance, j)`` to row i of
-    each row j of ``rows`` that ``row_distance`` gives when (i, l) is the one gap. Each term is
-    computed once and folded in schema order: none is below +0.0, as in a fold from 0.0."""
+    each row j of ``rows`` that ``row_distance`` gives when (i, l) is the one gap of complete
+    row i. Each term is computed once and folded in schema order: none is below +0.0, as in a
+    fold from 0.0."""
     m, columns = len(schema), range(len(schema))
-    hoist = [f"a{l}_{f} = a{l}.{f}" for l, kind in enumerate(schema)
-             for f in _KIND_CLASS[kind].__slots__]
-    body = [f"b = other[{l}]\n" + _FORMULAS[kind][1].format(into=f"t{l} =", a=f"a{l}_")
+    body = [f"b = other[{l}]\n" + _FORMULAS[kind].format(into=f"t{l} =", a=f"a{l}_")
             for l, kind in enumerate(schema)]
     folds = [" + ".join(f"t{x}" for x in columns if x != l) for l in columns if m > 1]
     body += [f"d{l}.append((sqrt(({fold}) / {m - 1}), j))" for l, fold in enumerate(folds)]
-    return _APART.format(targets="".join(f"a{l}," for l in columns), hoist="; ".join(hoist),
-                         lists="".join(f"d{l}," for l in columns), body=_indent("\n".join(body), 2))
+    return _APART.format(row_i=_row_i(schema), lists="".join(f"d{l}," for l in columns),
+                         body=_indent("\n".join(body), 2))
 
 
 def _shared_distances(matrix: DataMatrix, i: int, j: int) -> list[tuple[int, float]]:

@@ -177,16 +177,19 @@ def benchmark(matrix: DataMatrix, k_values: Iterable[int], missing_counts: Itera
     Trials where some cell could not be imputed are kept in the per-trial
     records with error None but excluded from the summaries. Per-k summaries
     aggregate the errors of all missing counts for that k. ``mask_random``'s
-    checks run once per count before any work, if there is a trial. Each
-    distinct (k, cells) is filled once, with one selection pass per masked
-    cell (each in its own row), and scored from its filled cells alone. A
-    pass walks its row's list from ``_ranked`` if there is one.
+    checks run once per count, then the check of k, before any work, if
+    there is a trial. Each distinct (k, cells) is filled once, with one
+    selection pass per masked cell (each in its own row), and scored from its
+    filled cells alone. A pass walks its row's list from ``_ranked`` if there
+    is one.
     """
     k_values, missing_counts = tuple(k_values), tuple(missing_counts)  # read more than once
     if trials < 1:
         raise ValueError("trials must be at least 1")
     for c in dict.fromkeys(missing_counts) if k_values else ():
         _check_count(matrix, c)
+    if missing_counts and min(k_values, default=1) < 1:  # before any trial is drawn
+        raise ValueError("k must be at least 1")
     plan = [(k, [(c, t, _mask_cells(matrix, c, derive_trial_seed(seed, k, c, t)))
                  for c in missing_counts for t in range(trials)]) for k in k_values]
     keys = list(dict.fromkeys((k, refs) for k, cells in plan for *_, refs in cells))

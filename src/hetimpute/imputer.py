@@ -13,7 +13,7 @@ masking benchmark, which scores the filled cells alone.
 from __future__ import annotations
 
 import math
-from itertools import chain, filterfalse
+from itertools import filterfalse
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import CellRef, CellValue, DataMatrix, _compiled, _with_cells, components
@@ -120,25 +120,23 @@ def _fill(matrix: DataMatrix, cells: Sequence[tuple], gaps: Sequence[tuple[int, 
     if k < 1:
         raise ValueError("k must be at least 1")
     nearest, n = _compiled(_kernel, matrix.schema), matrix.n_rows
-    targets, missing = {}, [set() for _ in matrix.schema]  # row -> gap columns, column -> rows
-    for i, l in gaps:
-        targets.setdefault(i, []).append(l)
-        missing[l].add(i)
-
-    def select() -> Iterator[list]:  # a pass per row, over rows observing a gap
-        for i, columns in targets.items():
-            listed = ranked.get((i, *columns))
-            if listed is None:
-                excluded = set.intersection(*(missing[l] for l in columns))
-                yield nearest(cells, i, columns, filterfalse(excluded.__contains__, range(n)), k)
-            else:  # the list past the masked rows, and the masked rows that observe the gap
-                others = [j for j in targets if j not in missing[columns[0]]]
-                near = nearest(cells, i, columns, others, k)[0] if others else []
-                yield [sorted([p for p in listed if p[1] not in targets][:k] + near)[:k]]
-
-    for ref, chosen in zip(gaps, chain.from_iterable(select())):
-        weights = cell = None  # if no comparable row observes the column
-        if chosen:
-            weights = neighbor_weights([d for d, _ in chosen])
-            cell = combine_cells([(cells[j][ref[1]], w) for (_, j), w in zip(chosen, weights)])
-        yield ref, chosen, weights, cell
+    targets, missing = {}, [set() for _ in matrix.schema]  # row -> gaps, column -> rows
+    for ref in gaps:
+        targets.setdefault(ref[0], []).append(ref)
+        missing[ref[1]].add(ref[0])
+    for i, refs in targets.items():  # a pass per row, over rows observing a gap
+        columns = [l for _, l in refs]
+        listed = ranked.get((i, *columns))
+        if listed is None:
+            excluded = set.intersection(*(missing[l] for l in columns))
+            passes = nearest(cells, i, columns, filterfalse(excluded.__contains__, range(n)), k)
+        else:  # the list past the masked rows, and the masked rows that observe the gap
+            others = [j for j in targets if j not in missing[columns[0]]]
+            near = nearest(cells, i, columns, others, k)[0] if others else []
+            passes = [sorted([p for p in listed if p[1] not in targets][:k] + near)[:k]]
+        for ref, chosen in zip(refs, passes):
+            weights = cell = None  # if no comparable row observes the column
+            if chosen:
+                weights = neighbor_weights([d for d, _ in chosen])
+                cell = combine_cells([(cells[j][ref[1]], w) for (_, j), w in zip(chosen, weights)])
+            yield ref, chosen, weights, cell

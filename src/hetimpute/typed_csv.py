@@ -15,14 +15,15 @@ field, every real printed with the shortest digits that parse back to the
 identical double, records joined by single newlines with one trailing
 newline. parse(serialize(m)) reproduces m bit-exactly.
 
-Both directions work a row at a time, each through code that core._compiled
-compiles for the schema on its first use, so only a command that writes
-compiles a row writer. The row reader reads an empty field as a gap and builds
-every other cell inline from float() of its components, after the test of its
-constructor (finite, in order); the row writer is one f-string. A line the row
-reader refuses (padding, NaN, any fault) is read again field by field, through
-the whole cell grammar and the cells' constructors, which name the first wrong
-field: the field count first, then fields left to right.
+Both directions work a row at a time, through code that core._compiled
+compiles for the schema on first use from each kind's brackets in _SHAPES and
+its class's __slots__: only a command that writes compiles a row writer. The
+row reader reads an empty field as a gap and builds every other cell inline
+from float() of its components, after its constructor's test; the row writer
+is one f-string. A line the row reader refuses (padding, NaN, any fault) is
+read again field by field, through the whole cell grammar and the cells'
+constructors, which name the first wrong field: the field count first, then
+fields left to right.
 
 Neither direction holds a second copy of the table. One parser draws its
 lines one at a time: parse() from a text, the CLI from a file that _decoded()
@@ -65,7 +66,7 @@ def _number(token: str, what: str) -> float:
     raise ValueError(f"{what}: {token!r} is not a finite decimal number")
 
 
-# Each kind's brackets, and what a message of _read calls each of its components.
+# Each kind's brackets, stated only here, and what a message of _read calls its components.
 _SHAPES = {
     ColumnKind.CRISP: ("", ["expected crisp cell"]),
     ColumnKind.INTERVAL: ("[]", ["interval lower bound", "interval upper bound"]),
@@ -92,24 +93,6 @@ def _read(field: str, kind: ColumnKind) -> CellValue:
     return cls(*[_number(part.strip(), name) for part, name in zip(parts, names)])
 
 
-# Each kind's text in the row reader, which splits c{l}, the observed field of column {l},
-# into its components x, y, z; and in the row writer, where c{l} is the cell.
-_READ = {
-    ColumnKind.CRISP: "x = c{l}",
-    ColumnKind.INTERVAL: """if c{l}[0] != "[" or c{l}[-1] != "]":
-    raise ValueError
-x, y = c{l}[1:-1].split(";")""",
-    ColumnKind.FUZZY: """if c{l}[0] != "(" or c{l}[-1] != ")":
-    raise ValueError
-x, y, z = c{l}[1:-1].split(";")""",
-}
-_WRITE = {
-    ColumnKind.CRISP: "{{c{l}.value!r}}",
-    ColumnKind.INTERVAL: "[{{c{l}.lower!r}};{{c{l}.upper!r}}]",
-    ColumnKind.FUZZY: "({{c{l}.a1!r}};{{c{l}.a2!r}};{{c{l}.a3!r}})",
-}
-
-
 def _reader(schema: tuple) -> str:
     """The source of ``schema``'s row reader: ``read(line)`` gives the row of a line of gaps
     and unpadded cells with no '_', else raises ValueError."""
@@ -117,14 +100,15 @@ def _reader(schema: tuple) -> str:
     source = [f"def read(line):\n    {cells}= line.split(',')",
               "    if '_' in line:\n        raise ValueError"]
     for l, kind in enumerate(schema):
-        # The test of the cell's constructor, then the cell with its slots set
-        # through their descriptors, which costs less than a constructor call.
-        cls = _KIND_CLASS[kind]
-        xs = "xyz"[:len(cls.__slots__)]
-        read = [_READ[kind].format(l=l), *(f"{x} = float({x})" for x in xs),
-                f"if not -inf < {' <= '.join(xs)} < inf:\n    raise ValueError",
-                f"c{l} = new({cls.__name__})"]
-        read += [f"set_{slot}(c{l}, {x})" for slot, x in zip(cls.__slots__, xs)]
+        # Components, the constructor's test, then slots set directly: cheaper than a call.
+        cls, (opening, closing) = _KIND_CLASS[kind], _SHAPES[kind][0] or ("", "")
+        xs = cls.__slots__
+        read = [f"{xs[0]} = c{l}"] if not opening else [
+            f"if c{l}[0] != {opening!r} or c{l}[-1] != {closing!r}:\n    raise ValueError",
+            f"{', '.join(xs)} = c{l}[1:-1].split(';')"]
+        read += [*(f"{x} = float({x})" for x in xs),
+                 f"if not -inf < {' <= '.join(xs)} < inf:\n    raise ValueError",
+                 f"c{l} = new({cls.__name__})", *(f"set_{x}(c{l}, {x})" for x in xs)]
         read = _indent("\n".join(read), 2)
         source.append(f"    if c{l}:\n        {read}\n    else:\n        c{l} = None")
     return "\n".join(source) + f"\n    return ({cells})"
@@ -134,9 +118,12 @@ def _writer(schema: tuple) -> str:
     """The source of ``schema``'s row writer: ``write(row)`` gives the row's canonical
     record, repr() giving the shortest digits."""
     cells = "".join(f"c{l}, " for l in range(len(schema)))
-    writes = ",".join(f"{{'' if c{l} is None else f'{_WRITE[kind].format(l=l)}'}}"
-                      for l, kind in enumerate(schema))
-    return f'def write(row):\n    {cells}= row\n    return f"{writes}\\n"'
+    writes = []
+    for l, kind in enumerate(schema):
+        opening, closing = _SHAPES[kind][0] or ("", "")
+        fields = ";".join(f"{{c{l}.{x}!r}}" for x in _KIND_CLASS[kind].__slots__)
+        writes.append(f"{{'' if c{l} is None else f'{opening}{fields}{closing}'}}")
+    return f'''def write(row):\n    {cells}= row\n    return f"{",".join(writes)}\\n"'''
 
 
 def _lines(chunks: Iterable[str]) -> Iterator[str]:
@@ -175,11 +162,12 @@ def _decoded(file: BinaryIO) -> Iterator[str]:
 
 
 def parse(text: str) -> DataMatrix:
-    """Parse a typed-CSV document into a valid DataMatrix.
+    r"""Parse a typed-CSV document into a valid DataMatrix.
 
-    Raises ParseError, pointing at the offending line and column, for
-    malformed cells, kind or arity mismatches, ragged rows, and cells that
-    would violate a matrix invariant.
+    A line ends at "\n" alone, and a "\r" is padding; a file that the CLI reads
+    also ends a line at "\r\n" or a lone "\r". Raises ParseError, pointing at
+    the offending line and column, for malformed cells, kind or arity
+    mismatches, ragged rows, and cells that would violate a matrix invariant.
     """
     return _parse(_lines(text[i:i + _CHUNK] for i in range(0, len(text), _CHUNK)))
 
@@ -226,9 +214,10 @@ def _records(matrix: DataMatrix) -> Iterator[str]:
     header, then one record per row. A column name that parse() would not
     read back raises ValueError in this call, before any line is drawn."""
     for name in matrix.column_names:
-        # parse() splits the header on both and strips a name's leading space.
-        if "," in name or "\n" in name or name[:1].isspace():
-            raise ValueError(f"column name {name!r} has ',', newline or leading space")
+        # parse() splits the header at each and strips a name's leading space; a file
+        # that the CLI reads also ends a line at "\r".
+        if "," in name or "\n" in name or "\r" in name or name[:1].isspace():
+            raise ValueError(f"column name {name!r} has ',', a line break or leading space")
     header = ",".join(
         f"{name}:{kind.value}"
         for name, kind in zip(matrix.column_names, matrix.schema)

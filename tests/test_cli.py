@@ -458,6 +458,51 @@ EXTREME_FILES = {
 }
 
 
+# The commands that print to stdout, each writing its files (if any) under {out}.
+PRINTERS = {
+    "benchmark": ["benchmark", "--fixture", "case3", "--k-min", "1", "--k-max", "2",
+                  "--nan-min", "1", "--nan-max", "2", "--trials", "3", "--output", "{out}/b.csv"],
+    "fixtures": ["fixtures", "--dest", "{out}"],
+    "distance": ["distance", "--input", "{in}", "--rows", "0,1"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", list(PRINTERS))
+def test_a_closed_stdout_ends_in_one_line(tmp_path, command, unbuffered):
+    # A stdout that is a pipe whose reader has closed it ends the command with
+    # exit 1 and one error line, after its files are written whole.
+    src = tmp_path / "in.csv"
+    src.write_text(serialize(fixture("case1")), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+
+    def run(name, stdout):
+        (tmp_path / name).mkdir()
+        args = [a.replace("{out}", str(tmp_path / name)).replace("{in}", str(src))
+                for a in PRINTERS[command]]
+        return subprocess.run([sys.executable, "-m", "hetimpute.cli", *args], stdout=stdout,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+
+    whole = run("open", subprocess.PIPE)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        closed = run("closed", write)
+    finally:
+        os.close(write)
+    assert whole.returncode == 0 and whole.stdout and not whole.stderr
+    assert closed.returncode == 1
+    assert "Traceback" not in closed.stderr.decode()
+    assert closed.stderr.decode().splitlines() == [
+        "error: cannot write to standard output: broken pipe"]
+    files = sorted(path.name for path in (tmp_path / "open").iterdir())
+    assert len(files) == {"benchmark": 2, "fixtures": len(FIXTURE_NAMES), "distance": 0}[command]
+    assert sorted(path.name for path in (tmp_path / "closed").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "open" / name).read_bytes()
+
+
 class TestNumericExtremes:
     @pytest.mark.parametrize("text", list(EXTREME_FILES.values()), ids=list(EXTREME_FILES))
     def test_impute_writes_a_valid_file(self, tmp_path, text):

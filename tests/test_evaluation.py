@@ -249,6 +249,14 @@ class TestBenchmark:
         assert len(benchmark(case1, [1, 2], [2, 1, 2, 0], trials=5, seed=0).trials) == 40
         assert checked == [2, 1, 0]
 
+    def test_a_k_below_one_is_refused_before_any_trial_is_drawn(self, monkeypatch):
+        drawn, draw = [], evaluation._mask_cells
+        monkeypatch.setattr(evaluation, "_mask_cells",
+                            lambda *args: drawn.append(args) or draw(*args))
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            benchmark(fixture("case3"), [0], [1, 2], 20000, 0)
+        assert drawn == []
+
     def test_iterators_give_the_report_of_equal_lists(self, case1):
         # The checks and the plan both read the counts; a one-shot iterator
         # must not be drained by the first, nor an empty one of k run them.

@@ -17,7 +17,7 @@ from hetimpute.core import (
     Missing,
 )
 from hetimpute.fixtures import FIXTURE_NAMES, fixture
-from hetimpute import cli, typed_csv
+from hetimpute import cli, core, typed_csv
 from hetimpute.typed_csv import ParseError, _decoded, _lines, _records, parse, serialize
 
 from conftest import seeded_table
@@ -242,6 +242,27 @@ def test_only_indices_and_kinds_reach_a_codec(compiles):
     assert not any(s in source for s in ("zq", "0.123456789", "0.375") for source in compiles)
 
 
+def test_shapes_alone_decide_a_kinds_syntax(monkeypatch, case1):
+    # A kind's brackets are stated once, in _SHAPES: the row writer writes them, and
+    # the row reader reads them without falling back to the field-by-field reader.
+    def refused(field, kind):
+        raise AssertionError(f"the row reader refused {field!r}")
+
+    _, names = typed_csv._SHAPES[ColumnKind.INTERVAL]
+    monkeypatch.setitem(typed_csv._SHAPES, ColumnKind.INTERVAL, ("<>", names))
+    core._compiled.cache_clear()
+    try:
+        text = serialize(case1)
+        monkeypatch.setattr(typed_csv, "_read", refused)
+        parsed = parse(text)
+    finally:
+        monkeypatch.undo()
+        core._compiled.cache_clear()
+    assert text == serialize(case1).replace("[", "<").replace("]", ">")
+    assert "<0.31623;0.94868>" in text
+    assert parsed == case1
+
+
 class TestSerialize:
     def test_canonical_shortest_digits(self):
         m = parse("x:crisp\n0.50000\n")
@@ -296,8 +317,8 @@ class TestSerialize:
             serialize(bad)
 
     @pytest.mark.parametrize(
-        "name", ["a,b", "a\nb", " a", "\ta"],
-        ids=["comma", "newline", "leading-space", "leading-tab"],
+        "name", ["a,b", "a\nb", "a\rb", " a", "\ta"],
+        ids=["comma", "newline", "carriage-return", "leading-space", "leading-tab"],
     )
     def test_rejects_names_parse_would_change(self, case1, name):
         bad = type(case1)(case1.schema, case1.cells, (name, "c", "d"))
