@@ -9,10 +9,10 @@ kind dominates the mix. Donor selection walks the candidate rows once per
 target row and stops summing a row once it cannot be among the k nearest.
 It runs one kernel per schema: source text with each column's formula
 inline, which ``core._compiled`` compiles on first use, as it does
-``_apart``, which ranks a row once for each column left out. Both open with
-``_row_i``, and they and each kind's cell distance are written from the
-kind's one formula text, so they agree bit for bit with ``row_distance``,
-which folds ``_shared_distances``.
+``_apart``, which ranks a set of rows together for each column left out,
+each pair once. Both open with ``_row_i``, and they and each kind's cell
+distance are written from the kind's one formula text, so they agree bit
+for bit with ``row_distance``, which folds ``_shared_distances``.
 """
 
 from __future__ import annotations
@@ -127,28 +127,36 @@ def _kernel(schema: tuple) -> str:
 
 
 _APART = """\
-def apart(cells, i, rows):
-    {row_i}
-    {lists} = lists = [[] for _ in cells[i]]
-    for j in rows:
-        other = cells[j]
-        {body}
-    return lists
+def apart(cells, rows):
+    ahead = {{i: [[inf] * {n} for _ in cells[i]] for i in rows}}
+    outside = [j for j in range({n}) if j not in ahead]
+    for i in rows:
+        {row_i}
+        {d} = lists = ahead.pop(i)
+        for j in [*ahead, *outside]:
+            other = cells[j]
+            {body}
+            if j in ahead:
+                {e} = ahead[j]; {mirror}
+        yield i, lists
 """
 
 
 def _apart(schema: tuple) -> str:
-    """The source of ``apart(cells, i, rows)``: per column l, the ``(distance, j)`` to row i of
-    each row j of ``rows`` that ``row_distance`` gives when (i, l) is the one gap of complete
-    row i. Each term is computed once and folded in schema order: none is below +0.0, as in a
-    fold from 0.0."""
+    """The source of ``apart(cells, rows)``, which yields ``(i, lists)`` per row i of the ascending
+    complete ``rows``: ``lists[l][j]`` is the distance to row j that ``row_distance`` gives when
+    (i, l) is the one gap of row i, ``lists[l][i]`` is inf, and one column gives empty lists. Each
+    term is computed once and folded in schema order, none below +0.0, as in a fold from 0.0: a
+    pair of ``rows`` has the same bits from either side, so it is computed once for both."""
     m, columns = len(schema), range(len(schema))
     body = [f"b = other[{l}]\n" + _FORMULAS[kind].format(into=f"t{l} =", a=f"a{l}_")
             for l, kind in enumerate(schema)]
     folds = [" + ".join(f"t{x}" for x in columns if x != l) for l in columns if m > 1]
-    body += [f"d{l}.append((sqrt(({fold}) / {m - 1}), j))" for l, fold in enumerate(folds)]
-    return _APART.format(row_i=_row_i(schema), lists="".join(f"d{l}," for l in columns),
-                         body=_indent("\n".join(body), 2))
+    body += [f"d{l}[j] = x{l} = sqrt(({fold}) / {m - 1})" for l, fold in enumerate(folds)]
+    return _APART.format(n="len(cells)" if m > 1 else "0", row_i=_indent(_row_i(schema), 1),
+                         d="".join(f"d{l}," for l in columns), e="".join(f"e{l}," for l in columns),
+                         body=_indent("\n".join(body), 3),
+                         mirror="; ".join(f"e{l}[i] = x{l}" for l in range(len(folds))))
 
 
 def _shared_distances(matrix: DataMatrix, i: int, j: int) -> list[tuple[int, float]]:

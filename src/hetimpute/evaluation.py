@@ -8,7 +8,7 @@ cells are at distance 0, and no completed matrix is built. Sweeping k and
 the number of masked cells over many seeded trials yields the per-trial
 errors and per-k box-plot statistics used for reporting. A trial's error
 depends only on k and its masked cells, so each distinct pair is filled
-once, and a row that many trials mask is ranked once per column.
+once, and the rows that many trials mask are ranked once, together.
 Trial seeds hash (seed, k, count, trial): any one trial can be reproduced
 alone, and the full report is a pure function of its arguments.
 """
@@ -153,21 +153,27 @@ def derive_trial_seed(seed: int, k: int, count: int, trial: int) -> int:
     return int.from_bytes(_sha256(key).digest()[:8], "big")
 
 
+_ENTRIES = 2**16  # about the most distances ranking keeps alive: a chunk's rows × n × m
+
+
 def _ranked(matrix: DataMatrix, keys: list, kept: int) -> dict:
     """Per masked (i, l) of ``keys``, a plan's distinct ``(k, cells)`` on complete ``matrix``, the
     ``kept`` (max k + max count - 1) ``(distance, row)`` nearest to row i with only (i, l) a gap.
     A pass in a trial masking c of n rows spares the kernel n - c rows, and ranking a row for
-    each column costs 2 to 5 passes: only a row whose passes spare 3n rows gets lists."""
+    each column costs 2 to 5 passes: only a row whose passes spare 3n rows gets lists. ``apart``
+    ranks them in chunks; a stable sort of rows by distance breaks ties toward the lower row."""
     n, spared, columns = matrix.n_rows, {}, {}
     for _, refs in keys:
         for i, l in refs:
             spared[i] = spared.get(i, 0) + n - len(refs)
             columns.setdefault(i, set()).add(l)
-    rows = [i for i, v in spared.items() if v >= 3 * n]
-    apart = _compiled(_apart, matrix.schema) if rows else None
-    return {(i, l): sorted(lists[l])[:kept] for i in rows  # the other columns dropped
-            for lists in [apart(matrix.cells, i, itertools.chain(range(i), range(i + 1, n)))]
-            for l in columns[i]}
+    rows = sorted(i for i, v in spared.items() if v >= 3 * n)
+    step = max(1, _ENTRIES // (n * matrix.n_cols))
+    return {(i, l): [(d[j], j) for j in sorted(range(len(d)), key=d.__getitem__)[:kept + 1]
+                     if j != i][:kept]  # row i's own entry is inf
+            for start in range(0, len(rows), step)
+            for i, lists in _compiled(_apart, matrix.schema)(matrix.cells, rows[start:start + step])
+            for l in columns[i] for d in [lists[l]]}
 
 
 def benchmark(matrix: DataMatrix, k_values: Iterable[int], missing_counts: Iterable[int],

@@ -234,14 +234,20 @@ def test_all_crisp_rows_reduce_to_root_mean_gap(rows):
 @given(complete_matrices(min_rows=2, max_rows=6, max_cols=6,
                          elements=st.one_of(edge_reals(), grid_reals())), st.data())
 def test_apart_leaves_each_column_out_bit_for_bit(m, data):
-    # For each column l, apart's distance from row i to each other row is the
-    # one row_distance gives with only (i, l) a gap, in every bit (repr tells
-    # -0.0 from 0.0); with one column no row is comparable.
-    i = data.draw(st.integers(0, m.n_rows - 1))
-    rows = [j for j in range(m.n_rows) if j != i]
-    lists = _compiled(_apart, m.schema)(m.cells, i, iter(rows))
-    assert len(lists) == m.n_cols
-    for l, listed in enumerate(lists):
-        masked = m.with_cell(i, l, None)
-        expected = [(d, j) for j in rows if (d := row_distance(masked, i, j)) is not None]
-        assert repr(listed) == repr(expected)
+    # apart ranks a random set of rows together, each yielded once, in
+    # ascending order. For each column l, its distance from row i to each
+    # other row j is the one row_distance gives with only (i, l) a gap, in
+    # every bit (repr tells -0.0 from 0.0): for j ranked too, apart computed
+    # the pair once and wrote both entries; for any other j, only row i's.
+    # Row i's own entry is inf. With one column no row is comparable, and
+    # every list is empty.
+    rows = data.draw(st.lists(st.integers(0, m.n_rows - 1), min_size=1, unique=True))
+    yielded = list(_compiled(_apart, m.schema)(m.cells, sorted(rows)))
+    assert [i for i, _ in yielded] == sorted(rows)
+    for i, lists in yielded:
+        assert len(lists) == m.n_cols
+        for l, listed in enumerate(lists):
+            masked = m.with_cell(i, l, None)
+            expected = [math.inf if j == i else row_distance(masked, i, j)
+                        for j in range(m.n_rows)] if m.n_cols > 1 else []
+            assert repr(listed) == repr(expected)

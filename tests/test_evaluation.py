@@ -3,6 +3,7 @@ import random
 import statistics
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -506,6 +507,55 @@ def test_lists_serve_each_trial_as_the_oracle_fills_it(m, seed, every_row):
         assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
 
 
+@settings(max_examples=80, deadline=None)
+@given(complete_matrices(min_rows=2, max_rows=6, max_cols=3, elements=edge_reals()),
+       st.integers(0, 2**32), st.integers(1, 2), st.integers(1, 8))
+def test_chunks_of_one_or_two_rows_rank_as_one_chunk(m, seed, chunk, kept):
+    # With the entry budget cut to chunk rows, every masked row is ranked in
+    # chunks of at most that many, so the pairs across chunks are computed
+    # from both sides and ties and infinite distances cross chunk edges. The
+    # lists equal those of one chunk, bit for bit, each the brute force's
+    # first kept rows, and each trial equals the brute force.
+    args = (m, range(1, 4), range(1, m.n_rows + 1), 4, seed)
+    keys = list(distinct_masks(*args)) * (3 * m.n_rows)
+    ranked, compiled, chunks = evaluation._ranked, evaluation._compiled, []
+    whole = ranked(m, keys, kept)
+    for (i, l), listed in whole.items():
+        assert repr(listed) == repr(bf_candidate_distances(m.with_cell(i, l, None), i, l)[:kept])
+
+    def logged(write, key):
+        apart = compiled(write, key)
+        return lambda cells, rows: chunks.append(len(rows)) or apart(cells, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_ENTRIES", chunk * m.n_rows * m.n_cols)
+        mp.setattr(evaluation, "_compiled", logged)
+        assert repr(ranked(m, keys, kept)) == repr(whole)
+        assert max(chunks) <= chunk and sum(chunks) == len({i for i, _ in whole})
+        mp.setattr(evaluation, "_ranked", lambda matrix, keys, kept: ranked(
+            matrix, keys * (3 * matrix.n_rows), kept))
+        report = benchmark(*args)
+    for rec in report.trials:
+        assert_trial_matches_oracle(m, seed, rec)
+
+
+def test_ranking_every_row_of_a_300x8_table_keeps_few_lists_alive():
+    # The CI plan on 300 complete rows, its keys counted four times: each
+    # masked row's passes then spare at least 4(n - 4) >= 3n rows, so all 300
+    # rows get lists, in chunks of 27. Were every row's lists alive at once,
+    # the peak would be about 8 MB.
+    m = seeded_table(300, 8, seed=300, gap_rate=0.0)
+    keys = list(distinct_masks(m, range(1, 6), range(1, 5), 40, 1)) * 4
+    tracemalloc.start()
+    try:
+        ranked = evaluation._ranked(m, keys, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len({i for i, _ in ranked}) == 300
+    assert peak < 3_000_000
+
+
 def test_lists_hold_k_rows_past_the_nearest_masked_ones(monkeypatch):
     # Each trial masks a row's cell and, in the same column, the count - 1
     # rows nearest to it: the most a walk can skip. Past them, the first
@@ -536,9 +586,10 @@ def logged_ranking(monkeypatch):
         if write is not distances._apart:
             return function
 
-        def apart(cells, i, rows):
-            ranked.append(i)
-            return function(cells, i, rows)
+        def apart(cells, rows):
+            for i, lists in function(cells, rows):
+                ranked.append(i)
+                yield i, lists
 
         return apart
 
@@ -652,8 +703,8 @@ def test_a_benchmark_of_a_200x8_table_is_scored_in_this_process(one_process):
 @pytest.mark.parametrize("where", ["ranking", "fill"])
 def test_an_exception_in_a_benchmark_reaches_the_caller(one_process, where, error):
     # The sweep shape at 10 trials ranks all 60 rows, then fills 50 distinct
-    # imputations. The third row ranked, or the third fill, raises: the
-    # exception ends the call as it is, and the next call is whole.
+    # imputations. The third row ranked, as it is yielded, or the third fill,
+    # raises: the exception ends the call as it is, and the next call is whole.
     args = (seeded_table(60, 8, seed=60, gap_rate=0.0), range(1, 6), range(1, 5), 10, 1)
     expected, calls = benchmark(*args), []
     with pytest.MonkeyPatch.context() as mp:
@@ -663,11 +714,12 @@ def test_an_exception_in_a_benchmark_reaches_the_caller(one_process, where, erro
             def failing(write, key):
                 apart = compiled(write, key)
 
-                def counted(*a):
-                    calls.append(a[1])
-                    if len(calls) == 3:
-                        raise error("stop")
-                    return apart(*a)
+                def counted(cells, rows):
+                    for i, lists in apart(cells, rows):
+                        calls.append(i)
+                        if len(calls) == 3:
+                            raise error("stop")
+                        yield i, lists
 
                 return counted
 
