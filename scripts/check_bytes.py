@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of every output of a fixed corpus of CLI runs.
 
-The corpus is built in a temporary directory: perfbench's seeded inputs,
-the three case studies at 500 trials, three complete seeded tables for
-``benchmark``, and one run each of ``distance``, ``validate`` and
-``fixtures``. Each job runs ``hetimpute.cli.main`` in this process, from the
-checkout's ``src``, and prints one ``sha256  job/name`` line per output file,
-then one for its stdout and one for its exit code. The outputs are the same
-bytes on every interpreter and hash seed, so the lines must equal
-``check_bytes.expected.txt``::
+Each job runs ``hetimpute.cli.main`` from the checkout's ``src``, in this
+process, on inputs built in a temporary directory, and prints one
+``sha256  job/name`` line per output file, then one for its stdout and one
+for its exit code. Outputs are the same bytes on every interpreter and hash
+seed, so the lines must equal the committed ``check_bytes.expected.txt``::
 
     python scripts/check_bytes.py | diff scripts/check_bytes.expected.txt -
 
 A change that means to change outputs, or that edits perfbench's generator,
-regenerates that file by redirecting this script's stdout into it.
+regenerates that file from this script's stdout.
 """
 
 import contextlib
@@ -40,61 +37,52 @@ def sweep(k_max: int, nan_max: int, trials: int) -> list[str]:
 
 
 def jobs() -> list[tuple[str, list[str]]]:
-    """Write the corpus's inputs under the working directory and return each
-    job as (name, CLI arguments)."""
+    """Write the inputs under the working directory; return each job's name and arguments."""
     runs = []
     for name, seeds in (("impute-dense", (1, 201)), ("impute-tall", (1,)),
                         ("benchmark-sweep", (1, 201))):
         w = WORKLOADS["full"][name]
         for seed in seeds:
             job = f"{name}-{seed}"
-            source = str(generate(w, seed, Path("in", job)).input_path)
+            args = ["--input", str(generate(w, seed, Path("in", job)).input_path)]
             if w.command == "impute":
-                args = ["impute", "--input", source, "--k", "5", "--output", f"{job}/out.csv",
-                        "--trace", f"{job}/trace.csv"]
+                args += ["--k", "5", "--trace", f"{job}/trace.csv"]
             else:
-                args = ["benchmark", "--input", source, *sweep(w.k_max, w.nan_max, w.trials),
-                        "--seed", str(seed), "--output", f"{job}/out.csv"]
-            runs.append((job, args))
+                args += [*sweep(w.k_max, w.nan_max, w.trials), "--seed", str(seed)]
+            runs.append((job, [w.command, *args, "--output", f"{job}/out.csv"]))
     for name, k_max, nan_max in SWEEPS:
         runs.append((name, ["benchmark", "--fixture", name, *sweep(k_max, nan_max, 500),
                             "--output", f"{name}/{name}.csv"]))
     # The 60x8 sweep shape, whose passes the per-row lists serve; a 200x8
     # table whose trials mask half its rows, which the kernel selects; and a
     # 300x8 table that lists 266 of its rows, ranked in chunks of 27.
-    for rows, args in ((60, sweep(5, 4, 10)), (200, ["--k-min", "3", "--k-max", "5",
-                       "--nan-min", "100", "--nan-max", "101", "--trials", "1"]),
-                       (300, sweep(5, 4, 40))):
+    half = ["--k-min", "3", "--k-max", "5", "--nan-min", "100", "--nan-max", "101",
+            "--trials", "1"]
+    for rows, args in ((60, sweep(5, 4, 10)), (200, half), (300, sweep(5, 4, 40))):
         job, rng = f"t{rows}x8", random.Random(rows)
-        source = Path("in", f"{job}.csv")
-        source.write_text(_table([[_cell(rng, KINDS[l % 3]) for l in range(N_COLS)]
-                                  for _ in range(rows)]), encoding="utf-8")
-        runs.append((job, ["benchmark", "--input", str(source), *args,
+        grid = [[_cell(rng, KINDS[l % 3]) for l in range(N_COLS)] for _ in range(rows)]
+        Path("in", f"{job}.csv").write_text(_table(grid), encoding="utf-8")
+        runs.append((job, ["benchmark", "--input", f"in/{job}.csv", *args,
                            "--output", f"{job}/b.csv"]))
-    dense = str(Path("in", "impute-dense-1", "input.csv"))
-    runs += [("distance", ["distance", "--input", dense, "--rows", "0,1"]),
-             ("validate", ["validate", "--input", dense]),
-             ("fixtures", ["fixtures", "--dest", "fixtures"])]
-    return runs
+    dense = "in/impute-dense-1/input.csv"
+    return runs + [("distance", ["distance", "--input", dense, "--rows", "0,1"]),
+                   ("validate", ["validate", "--input", dense]),
+                   ("fixtures", ["fixtures", "--dest", "fixtures"])]
 
 
-def main() -> int:
-    def line(data: bytes, name: str) -> None:
-        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
-
+def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for job, args in jobs():
             os.makedirs(job, exist_ok=True)
             with contextlib.redirect_stdout(io.StringIO()) as out:
                 code = hetimpute(args)
-            for path in sorted(Path(job).iterdir()):
-                line(path.read_bytes(), f"{job}/{path.name}")
-            line(out.getvalue().encode("utf-8"), f"{job}/stdout")
-            line(str(code).encode("ascii"), f"{job}/exit")
+            outputs = [(path.name, path.read_bytes()) for path in sorted(Path(job).iterdir())]
+            outputs += [("stdout", out.getvalue().encode()), ("exit", str(code).encode())]
+            for name, data in outputs:
+                print(f"{hashlib.sha256(data).hexdigest()}  {job}/{name}")
         os.chdir(ROOT)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

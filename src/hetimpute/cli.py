@@ -73,9 +73,11 @@ _Target = tuple[Path, Optional[tuple[str, int]]]
 
 
 def _temp_beside(real: str) -> tuple[int, str]:
-    """A new temporary file in the directory of ``real``, as ``(fd, path)``."""
+    """A new temporary file in the directory of ``real``, as ``(fd, path)``.
+    Its name adds 14 bytes to at most 32 characters of ``real``'s, so it stays
+    within the 255-byte name limit however long ``real``'s name is."""
     directory, name = os.path.split(real)
-    return tempfile.mkstemp(".tmp", f".{name}.", directory)
+    return tempfile.mkstemp(".tmp", f".{name[:32]}.", directory)
 
 
 def _targets(paths: Iterable[Path]) -> list[_Target]:

@@ -42,9 +42,6 @@ def _cell_distance(kind: ColumnKind) -> str:
     return f"def {kind.value}_distance(a, b):\n    {text}"
 
 
-_CELL_DISTANCE = {kind: _compiled(_cell_distance, kind) for kind in ColumnKind}
-
-
 def cell_distance(a: CellValue, b: CellValue, kind: ColumnKind) -> float:
     """Dispatch to the distance for ``kind``; both cells must match it."""
     if not (matches_kind(a, kind) and matches_kind(b, kind)):
@@ -52,7 +49,7 @@ def cell_distance(a: CellValue, b: CellValue, kind: ColumnKind) -> float:
             f"cell_distance needs two observed {kind.value} cells, "
             f"found {type(a).__name__}/{type(b).__name__}"
         )
-    return _CELL_DISTANCE[kind](a, b)
+    return _compiled(_cell_distance, kind)(a, b)
 
 
 def _row_i(schema: tuple) -> str:
@@ -162,7 +159,7 @@ def _apart(schema: tuple) -> str:
 def _shared_distances(matrix: DataMatrix, i: int, j: int) -> list[tuple[int, float]]:
     """``(column, cell distance)`` for each column rows i and j both observe, in schema order."""
     cells = zip(matrix.cells[i], matrix.cells[j], matrix.schema)
-    return [(l, _CELL_DISTANCE[kind](a, b)) for l, (a, b, kind) in enumerate(cells)
+    return [(l, _compiled(_cell_distance, kind)(a, b)) for l, (a, b, kind) in enumerate(cells)
             if a is not None and b is not None]
 
 

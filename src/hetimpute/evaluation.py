@@ -33,7 +33,7 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .core import CellRef, DataMatrix, _compiled, _replaced, _with_cells
-from .distances import _CELL_DISTANCE, _apart
+from .distances import _apart, _cell_distance
 from .imputer import _fill
 
 
@@ -114,7 +114,7 @@ def _error(original: DataMatrix, imputed: Iterable[tuple]) -> Optional[float]:
     """matrix_error summed over the ``((row, col), cell)`` of ``imputed`` alone, in the order
     given, or None if a cell is None. Given in row-major order and leaving out only cells at
     distance 0 (the unmasked cells of a finite table), it keeps the bits of the full sum."""
-    functions = [_CELL_DISTANCE[kind] for kind in original.schema]
+    functions = [_compiled(_cell_distance, kind) for kind in original.schema]
     total = 0.0
     for (i, l), cell in imputed:
         if cell is None:

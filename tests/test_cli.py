@@ -45,17 +45,19 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 
 def test_import_loads_only_what_runs():
     # -S keeps site-packages from preloading modules, so the child sees what
-    # importing the CLI itself loads. A trial seed takes the builtin SHA-256,
-    # so hashlib and its OpenSSL stay unloaded after one as well. An impute of
-    # 160 target rows and a benchmark of 400 trials, each given two CPUs, run
-    # in this process: they fork nothing and load no process or thread machinery.
+    # importing the CLI itself loads, and that it compiles nothing. A trial seed
+    # takes the builtin SHA-256, so hashlib and its OpenSSL stay unloaded after
+    # one as well. An impute of 160 target rows and a benchmark of 400 trials,
+    # each given two CPUs, run in this process: they fork nothing and load no
+    # process or thread machinery.
     heavy = (
         "{'dataclasses', 'inspect', 'hashlib', '_hashlib',"
         " 'multiprocessing', 'concurrent', 'pickle', 'threading'}"
     )
     code = "\n".join([
         "import hetimpute.cli, os, sys",
-        f"print(sorted({heavy} & set(sys.modules)))",
+        f"print(sorted({heavy} & set(sys.modules)),",
+        "      hetimpute.core._compiled.cache_info().currsize)",
         "from hetimpute.evaluation import derive_trial_seed",
         "print(derive_trial_seed(0, 1, 1, 0))",
         f"print(sorted({heavy} & set(sys.modules)))",
@@ -77,23 +79,25 @@ def test_import_loads_only_what_runs():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n17714616561403392311\n[]\n0 []\n0 []\n"
+    assert run.stdout == "[] 0\n17714616561403392311\n[]\n0 []\n0 []\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "distance", "benchmark", "impute", "fixtures"])
 def test_a_command_compiles_what_it_runs_once(tmp_path, compiles, command):
     # Each per-schema function is compiled on its first use: only a command that
     # writes a typed-CSV file compiles a row writer, one that selects donors a
-    # kernel, and only a benchmark that revisits rows their ranking.
+    # kernel, only a benchmark that revisits rows their ranking, and only one
+    # that measures or scores cells their kinds' cell distances.
     gapped, complete = tmp_path / "gapped.csv", tmp_path / "complete.csv"
     gapped.write_text(serialize(seeded_table(200, 6, seed=19, gap_rate=0.15)), encoding="utf-8")
     complete.write_text(serialize(seeded_table(100, 6, seed=19, gap_rate=0.0)), encoding="utf-8")
+    cells = ["crisp_distance", "interval_distance", "fuzzy_distance"]
     argv, compiled = {
         "validate": (["--input", gapped], ["read"]),
-        "distance": (["--input", gapped, "--rows", "0,1"], ["read"]),
+        "distance": (["--input", gapped, "--rows", "0,1"], ["read", *cells]),
         "benchmark": (["--input", complete, "--k-min", "1", "--k-max", "2", "--nan-min", "1",
                        "--nan-max", "3", "--trials", "20", "--output", tmp_path / "raw.csv"],
-                      ["read", "apart", "nearest"]),
+                      ["read", "apart", *cells, "nearest"]),
         "impute": (["--input", gapped, "--k", "3", "--output", tmp_path / "out.csv",
                     "--trace", tmp_path / "trace.csv"], ["read", "nearest", "write"]),
         "fixtures": (["--dest", tmp_path], ["write"] * len({fixture(n).schema
@@ -328,6 +332,20 @@ class TestBadFilesEndInOneLine:
         assert parse(target.read_text(encoding="utf-8")).is_complete()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "in.csv", "link.csv", "target.csv"]
+
+    @pytest.mark.parametrize("char", ["a", "é"], ids=["ascii", "multibyte"])
+    def test_output_name_at_the_length_limit_is_written(self, tmp_path, char):
+        # A name the directory takes is written, though the file staged
+        # beside it could not be named after the whole of it.
+        src = tmp_path / "in.csv"
+        write_case1_masked(src)
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        name = char * ((limit - 4) // len(char.encode())) + ".csv"
+        assert limit - 1 <= len(name.encode()) <= limit
+        assert main(["impute", "--input", str(src), "--k", "1",
+                     "--output", str(tmp_path / name)]) == 0
+        assert parse((tmp_path / name).read_text(encoding="utf-8")).is_complete()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["in.csv", name])
 
     def test_benchmark_output_in_missing_directory(self, tmp_path):
         run = run_cli("benchmark", "--fixture", "case1", *BENCH_ARGS,
@@ -597,85 +615,6 @@ class TestImputeCommand:
         )
         assert code == 1
         assert "cannot read" in capsys.readouterr().err
-
-
-SCRIPTS = Path(__file__).parents[1] / "scripts"
-
-
-@pytest.mark.parametrize("job", ["impute", "benchmark", "case-studies"])
-def test_two_runs_write_the_same_bytes(tmp_path, job):
-    # Two processes, each with its own string hash seed, run the same
-    # invocation: every output file and stdout are the same.
-    table = tmp_path / "table.csv"
-    table.write_text(serialize(seeded_table(200, 8, seed=5, gap_rate=0.2 * (job == "impute"))),
-                     encoding="utf-8")
-    runs = []
-    for hash_seed in ("1", "2"):
-        out = tmp_path / hash_seed
-        out.mkdir()
-        args = {
-            "impute": ["-m", "hetimpute.cli", "impute", "--input", str(table), "--k", "5",
-                       "--output", str(out / "out.csv"), "--trace", str(out / "trace.csv")],
-            "benchmark": ["-m", "hetimpute.cli", "benchmark", "--input", str(table), "--k-min",
-                          "3", "--k-max", "5", "--nan-min", "100", "--nan-max", "101",
-                          "--trials", "1", "--output", str(out / "b.csv")],
-            "case-studies": [str(SCRIPTS / "run_case_studies.py"), "--trials", "50",
-                             "--outdir", str(out)],
-        }[job]
-        env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]),
-                   PYTHONHASHSEED=hash_seed)
-        run = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
-        assert run.returncode == 0, run.stderr
-        runs.append((run.stdout, {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
-    assert len(runs[0][1]) == {"impute": 2, "benchmark": 2, "case-studies": 6}[job]
-    assert runs[1] == runs[0]
-
-
-# Runs the CLI module, or the script its second argument names, with the
-# arguments after it: as usual, pinned to one CPU, or with SIGCHLD ignored,
-# as its first argument says.
-IN_MODE = "\n".join([
-    "import os, runpy, signal, sys",
-    "mode, target = sys.argv.pop(1), sys.argv.pop(1)",
-    "if mode == 'one-cpu':",
-    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
-    "elif mode == 'sigchld-ignored':",
-    "    signal.signal(signal.SIGCHLD, signal.SIG_IGN)",
-    "if target == 'cli':",
-    "    runpy.run_module('hetimpute.cli', run_name='__main__', alter_sys=True)",
-    "else:",
-    "    runpy.run_path(target, run_name='__main__')",
-])
-
-
-@pytest.mark.parametrize("job", ["impute", "benchmark", "case-studies"])
-def test_one_cpu_and_ignored_sigchld_write_the_same_bytes(tmp_path, job):
-    # Pinned to one CPU or with SIGCHLD ignored, every output file and stdout
-    # are those of the usual run.
-    table = tmp_path / "table.csv"
-    table.write_text(serialize(seeded_table(200, 8, seed=5, gap_rate=0.2 * (job == "impute"))),
-                     encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(hetimpute.__file__).parents[1]))
-    runs = {}
-    for mode in ("as-usual", "one-cpu", "sigchld-ignored"):
-        out = tmp_path / mode
-        out.mkdir()
-        args = {
-            "impute": ["cli", "impute", "--input", str(table), "--k", "5", "--output",
-                       str(out / "out.csv"), "--trace", str(out / "trace.csv")],
-            "benchmark": ["cli", "benchmark", "--input", str(table), "--k-min", "3", "--k-max",
-                          "5", "--nan-min", "100", "--nan-max", "101", "--trials", "1",
-                          "--output", str(out / "b.csv")],
-            "case-studies": [str(SCRIPTS / "run_case_studies.py"), "--trials", "50",
-                             "--outdir", str(out)],
-        }[job]
-        run = subprocess.run([sys.executable, "-c", IN_MODE, mode, *args],
-                             capture_output=True, env=env, timeout=120)
-        assert run.returncode == 0, run.stderr
-        runs[mode] = run.stdout, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-    assert len(runs["as-usual"][1]) == {"impute": 2, "benchmark": 2, "case-studies": 6}[job]
-    assert runs["one-cpu"] == runs["as-usual"]
-    assert runs["sigchld-ignored"] == runs["as-usual"]
 
 
 class TestBenchmarkCommand:

@@ -384,12 +384,16 @@ def _table_30x4():
 def test_a_trial_scores_only_its_masked_cells(monkeypatch, seed):
     # Selection writes each cell distance inline, so the one call a trial
     # masking one cell makes is the score of that cell.
-    calls = []
-    for kind, distance in list(distances._CELL_DISTANCE.items()):
-        def counted(a, b, distance=distance):
-            calls.append(1)
-            return distance(a, b)
-        monkeypatch.setitem(distances._CELL_DISTANCE, kind, counted)
+    calls, compiled = [], evaluation._compiled
+
+    def counting(write, key):
+        function = compiled(write, key)
+        if write is not distances._cell_distance:
+            return function
+        return lambda a, b: calls.append(1) or function(a, b)
+
+    for module in (distances, evaluation):
+        monkeypatch.setattr(module, "_compiled", counting)
     m = _table_30x4()
     benchmark(m, [1], [1], trials=1, seed=seed)
     assert len(calls) == 1
@@ -525,6 +529,8 @@ def test_chunks_of_one_or_two_rows_rank_as_one_chunk(m, seed, chunk, kept):
 
     def logged(write, key):
         apart = compiled(write, key)
+        if write is not distances._apart:
+            return apart
         return lambda cells, rows: chunks.append(len(rows)) or apart(cells, rows)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -577,6 +583,10 @@ def test_lists_hold_k_rows_past_the_nearest_masked_ones(monkeypatch):
         assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
 
 
+#: The source of each kind's cell distance, in the order a benchmark compiles them.
+CELL_DISTANCES = [distances._cell_distance(kind) for kind in ColumnKind]
+
+
 def logged_ranking(monkeypatch):
     """The list of the rows that ``evaluation`` ranks, in order."""
     compiled, ranked = evaluation._compiled, []
@@ -599,9 +609,9 @@ def logged_ranking(monkeypatch):
 
 @pytest.mark.parametrize("trials, rows", [(2, 5), (10, 60)])
 def test_each_revisited_row_is_ranked_once(compiles, monkeypatch, trials, rows):
-    # The sweep shape: the ranking and the kernel are compiled once each, and
-    # each row that the plan revisits enough is ranked once: 5 rows at 2
-    # trials, and all 60 at 10.
+    # The sweep shape: the ranking, the cell distances that score the trials
+    # and the kernel are compiled once each, and each row that the plan
+    # revisits enough is ranked once: 5 rows at 2 trials, and all 60 at 10.
     m = seeded_table(60, 8, seed=60, gap_rate=0.0)
     args = (m, range(1, 6), range(1, 5), trials, 1)
     ranked = logged_ranking(monkeypatch)
@@ -609,7 +619,7 @@ def test_each_revisited_row_is_ranked_once(compiles, monkeypatch, trials, rows):
     listed = listed_rows(m, distinct_masks(*args))
     assert len(listed) == rows
     assert sorted(ranked) == sorted(listed)
-    assert compiles == [distances._apart(m.schema), distances._kernel(m.schema)]
+    assert compiles == [distances._apart(m.schema), *CELL_DISTANCES, distances._kernel(m.schema)]
 
 
 @pytest.mark.parametrize("ks, counts, trials", [
@@ -623,7 +633,7 @@ def test_a_plan_that_rarely_revisits_a_row_ranks_none(compiles, monkeypatch, ks,
     report = benchmark(m, ks, counts, trials, 1)
     assert not listed_rows(m, distinct_masks(m, ks, counts, trials, 1))
     assert ranked == []
-    assert compiles == [distances._kernel(m.schema)]
+    assert compiles == [*CELL_DISTANCES, distances._kernel(m.schema)]
     rec = report.trials[-1]
     trial_seed = derive_trial_seed(1, rec.k, rec.missing_count, rec.trial)
     assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)
