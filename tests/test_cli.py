@@ -333,15 +333,15 @@ class TestBadFilesEndInOneLine:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "in.csv", "link.csv", "target.csv"]
 
-    @pytest.mark.parametrize("char", ["a", "é"], ids=["ascii", "multibyte"])
+    @pytest.mark.parametrize("char", ["a", "é", "𝄞"], ids=["ascii", "multibyte", "four-byte"])
     def test_output_name_at_the_length_limit_is_written(self, tmp_path, char):
-        # A name the directory takes is written, though the file staged
-        # beside it could not be named after the whole of it.
+        # A name the directory takes is written, though the file staged beside it
+        # could not be named after the whole of it, nor of four-byte characters.
         src = tmp_path / "in.csv"
         write_case1_masked(src)
         limit = os.pathconf(tmp_path, "PC_NAME_MAX")
         name = char * ((limit - 4) // len(char.encode())) + ".csv"
-        assert limit - 1 <= len(name.encode()) <= limit
+        assert limit - len(char.encode()) < len(name.encode()) <= limit
         assert main(["impute", "--input", str(src), "--k", "1",
                      "--output", str(tmp_path / name)]) == 0
         assert parse((tmp_path / name).read_text(encoding="utf-8")).is_complete()

@@ -12,7 +12,7 @@ from hetimpute.core import (
     Interval,
 )
 from hetimpute.core import _compiled
-from hetimpute.distances import _apart, _shared_distances, cell_distance, row_distance
+from hetimpute.distances import _apart, _cell_distance, _shared_distances, cell_distance, row_distance
 
 from oracle import bf_cell_distance, bf_row_distance
 from strategies import cell_values, complete_matrices, edge_reals, grid_reals, matrices
@@ -166,6 +166,15 @@ def test_cell_distance_unit_components_stay_comparable(column_kind, data):
     d = cell_distance(a, b, column_kind)
     bound = math.sqrt(0.5) if column_kind is ColumnKind.INTERVAL else 1.0
     assert 0.0 <= d <= bound + 1e-15
+
+
+@pytest.mark.parametrize("kind, cell", zip(ColumnKind, [Crisp(0.5), Interval(0.1, 0.9),
+                                                        FuzzyTFN(0.2, 0.5, 0.7)]))
+def test_a_cell_distance_is_compiled_once_into_the_one_cache(compiles, kind, cell):
+    # With core._compiled's cache emptied, a kind's distance is compiled
+    # again on its first use, and only that kind's, and only once.
+    assert cell_distance(cell, cell, kind) == cell_distance(cell, cell, kind) == 0.0
+    assert compiles == [_cell_distance(kind)]
 
 
 @given(matrices(min_rows=2))
