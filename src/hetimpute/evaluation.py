@@ -10,7 +10,8 @@ errors and per-k box-plot statistics used for reporting. A trial's error
 depends only on k and its masked cells, so each distinct pair is filled
 once, and the rows that many trials mask are ranked once, together.
 Trial seeds hash (seed, k, count, trial): any one trial can be reproduced
-alone, and the full report is a pure function of its arguments.
+alone, and the report is a pure function of its arguments; a trial's cells
+are read off its seeded generator's bits as ``random.sample`` would.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def mask_random(matrix: DataMatrix, count: int,
     the masked cells in row-major order. Same arguments, same pattern.
     """
     _check_count(matrix, count)
-    refs = _mask_cells(matrix, count, seed)
+    refs = tuple(map(CellRef._make, _mask_cells(matrix, count, seed)))
     return _with_cells(matrix, dict.fromkeys(refs)), refs
 
 
@@ -87,11 +88,29 @@ def _check_count(matrix: DataMatrix, count: int) -> None:
         raise ValueError("masking expects a complete matrix")
 
 
-def _mask_cells(matrix: DataMatrix, count: int, seed: int) -> tuple[CellRef, ...]:
-    """The cells ``mask_random`` masks, once ``_check_count`` passed."""
-    rng = random.Random(seed)
-    rows = rng.sample(range(matrix.n_rows), count)
-    return tuple(sorted(CellRef(r, rng.randrange(matrix.n_cols)) for r in rows))
+def _mask_cells(matrix: DataMatrix, count: int, seed: int) -> tuple[tuple[int, int], ...]:
+    """The sorted ``(row, col)`` that ``mask_random`` masks, once ``_check_count`` passed: those of
+    ``r.sample(range(n), count)`` and ``r.randrange(m)`` per row, ``r = random.Random(seed)``, read
+    off ``r.getrandbits`` as those do: a draw below x takes x.bit_length() bits until below x."""
+    bits, n, m, rows = random.Random(seed).getrandbits, matrix.n_rows, matrix.n_cols, {}
+    if n <= 21 + (4 ** math.ceil(math.log(count * 3, 4)) if count > 5 else 0):  # sample's pool
+        pool = list(range(n))
+        for x in range(n, n - count, -1):
+            j = bits(x.bit_length())
+            while j >= x:
+                j = bits(x.bit_length())
+            rows[pool[j]] = None
+            pool[j] = pool[x - 1]
+    while len(rows) < count:  # else sample's set: a row drawn again is drawn anew
+        j = bits(n.bit_length())
+        if j < n:
+            rows[j] = None
+    cols = []
+    while len(cols) < count:  # a column per row drawn, in turn
+        l = bits(m.bit_length())
+        if l < m:
+            cols.append(l)
+    return tuple(sorted(zip(rows, cols)))
 
 
 def matrix_error(original: DataMatrix, imputed: DataMatrix) -> float:
@@ -107,14 +126,14 @@ def matrix_error(original: DataMatrix, imputed: DataMatrix) -> float:
     if not (original.is_complete() and imputed.is_complete()):
         raise ValueError("matrix_error expects two complete matrices")
     cells = itertools.product(range(original.n_rows), range(original.n_cols))
-    return _error(original, zip(cells, itertools.chain.from_iterable(imputed.cells)))
-
-
-def _error(original: DataMatrix, imputed: Iterable[tuple]) -> Optional[float]:
-    """matrix_error summed over the ``((row, col), cell)`` of ``imputed`` alone, in the order
-    given, or None if a cell is None. Given in row-major order and leaving out only cells at
-    distance 0 (the unmasked cells of a finite table), it keeps the bits of the full sum."""
     functions = [_compiled(_cell_distance, kind) for kind in original.schema]
+    return _error(original, functions, zip(cells, itertools.chain.from_iterable(imputed.cells)))
+
+
+def _error(original: DataMatrix, functions: list, imputed: Iterable[tuple]) -> Optional[float]:
+    """matrix_error, by the schema's cell distances ``functions``, over the ``((row, col), cell)``
+    of ``imputed`` alone in the order given, or None if a cell is None. Given in row-major order
+    and leaving out only cells at distance 0, it keeps the bits of the full sum."""
     total = 0.0
     for (i, l), cell in imputed:
         if cell is None:
@@ -200,10 +219,10 @@ def benchmark(matrix: DataMatrix, k_values: Iterable[int], missing_counts: Itera
                  for c in missing_counts for t in range(trials)]) for k in k_values]
     keys = list(dict.fromkeys((k, refs) for k, cells in plan for *_, refs in cells))
     ranked = _ranked(matrix, keys, max(k_values, default=0) + max(missing_counts, default=0) - 1)
-    errors = {}
+    errors, functions = {}, [_compiled(_cell_distance, kind) for kind in matrix.schema]
     for k, refs in keys:
         filled = _fill(matrix, _replaced(matrix.cells, dict.fromkeys(refs)), refs, k, ranked)
-        errors[k, refs] = _error(matrix, ((r, c) for r, *_, c in filled))
+        errors[k, refs] = _error(matrix, functions, ((r, c) for r, *_, c in filled))
     k_summaries: dict[int, Summary] = {}
     records: list[TrialRecord] = []
     for k, cells in plan:

@@ -7,16 +7,17 @@ the component-wise convex combination of their values. The donor pool is
 frozen for the whole pass, so cells never see each other's freshly imputed
 values and the result is independent of evaluation order. One fill step
 serves ``impute``, which builds the completed matrix and trace, and the
-masking benchmark, which scores the filled cells alone.
+masking benchmark, which scores the filled cells alone; it weights and
+combines a gap's donors in one call of its kind's step, compiled from the rule texts.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import filterfalse
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import CellRef, CellValue, DataMatrix, _compiled, _with_cells, components
+from .core import (_KIND_CLASS, CellRef, CellValue, ColumnKind, DataMatrix, _compiled, _indent,
+                   _with_cells, components, matches_kind)
 from .distances import _kernel
 
 #: Distances below this are treated as exact matches when weighting.
@@ -38,6 +39,53 @@ class ImputationResult(NamedTuple):
     unimputable: tuple[CellRef, ...]
 
 
+#: Each rule of a fill, written once and run by each kind's step, ``neighbor_weights`` and
+#: ``combine_cells`` alike. ``_WEIGHTS`` weights ``distances``; the rules of each field ``{f}``
+#: combine ``donors`` by ``weights``. A clamp acts only on a sum past the largest double.
+_WEIGHTS = f"""exact = [d < {ZERO_DISTANCE_EPS!r} for d in distances]
+if True in exact:
+    weights = [1.0 / exact.count(True) if hit else 0.0 for hit in exact]
+else:
+    total = 0.0
+    for d in distances:
+        total += 1.0 / d
+    weights = [1.0 / d / total if total else 1.0 / len(distances) for d in distances]"""
+_IDENTITY = "x.{f} != first.{f}"
+_FOLD = "v_{f} += x.{f} * w"
+_CLAMP = """if not -inf < v_{f} < inf:
+    v_{f} = min(max(v_{f}, min([x.{f} for x in donors])), max([x.{f} for x in donors]))"""
+
+
+def _combination(kind: ColumnKind, out: str) -> str:
+    """The text that gives ``out`` the first of ``donors`` if all are equal, else their left fold
+    by ``weights`` per field, set in a new cell's slots if it passes the constructor's test."""
+    def rule(text: str, sep: str) -> str:
+        return sep.join(text.format(f=f) for f in _KIND_CLASS[kind].__slots__)
+
+    return "\n".join([
+        f"first = donors[0]\nfor x in donors:\n    if {rule(_IDENTITY, ' or ')}:\n        break",
+        f"else:\n    {out}first", rule("v_{f} = 0.0", "; "),
+        f"for x, w in zip(donors, weights):\n    {rule(_FOLD, '; ')}", rule(_CLAMP, "\n"),
+        f"if -inf < {rule('v_{f}', ' <= ')} < inf:\n    cell = new(type(first))",
+        f"    {rule('set_{f}(cell, v_{f})', '; ')}\n    {out}cell",
+        f"{out}type(first)({rule('v_{f}', ', ')})"])
+
+
+def _step(kind: ColumnKind) -> str:
+    """The source of ``kind``'s fill step, ``(cells, col, chosen) -> (weights, cell)``."""
+    body = ["distances = [d for d, _ in chosen]", _WEIGHTS,
+            "donors = [cells[j][col] for _, j in chosen]", _combination(kind, "return weights, ")]
+    return f"def {kind.value}_fill(cells, col, chosen):\n    {_indent(chr(10).join(body), 1)}"
+
+
+def _public(kind: ColumnKind | None) -> str:
+    """The source of ``combine_cells``'s step for ``kind``, or of ``neighbor_weights``'s if None."""
+    if kind is None:
+        return f"def neighbor_weights(distances):\n    {_indent(_WEIGHTS, 1)}\n    return weights"
+    body = _indent(_combination(kind, "return "), 1)
+    return f"def {kind.value}_combine(donors, weights):\n    {body}"
+
+
 def neighbor_weights(distances: Sequence[float]) -> list[float]:
     """Inverse-distance weights, normalized to sum to 1.
 
@@ -49,17 +97,7 @@ def neighbor_weights(distances: Sequence[float]) -> list[float]:
     """
     if len(distances) == 0:
         raise ValueError("at least one distance is required")
-    exact = [d < ZERO_DISTANCE_EPS for d in distances]
-    if any(exact):
-        share = 1.0 / sum(exact)
-        return [share if hit else 0.0 for hit in exact]
-    inverses = [1.0 / d for d in distances]
-    total = 0.0
-    for inv in inverses:
-        total += inv
-    if total == 0.0:  # every distance is inf
-        return [1.0 / len(distances)] * len(distances)
-    return [inv / total for inv in inverses]
+    return _compiled(_public, None)(distances)
 
 
 def combine_cells(donors: Sequence[tuple[CellValue, float]]) -> CellValue:
@@ -76,23 +114,9 @@ def combine_cells(donors: Sequence[tuple[CellValue, float]]) -> CellValue:
     """
     if len(donors) == 0:
         raise ValueError("at least one donor is required")
-    first = donors[0][0]
-    parts = [components(cell) for cell, _ in donors]
-    if all(p == parts[0] for p in parts):
-        return first
-    # A left fold per component in donor order, not sum(), so bits match the oracle.
-    weights = [w for _, w in donors]
-    values = []
-    for column in zip(*parts):
-        value = 0.0
-        for x, w in zip(column, weights):
-            value += x * w
-        if not math.isfinite(value):
-            # Rounding can carry a sum of values near the largest double
-            # past it; clamping only then keeps every finite sum's bits.
-            value = min(max(value, min(column)), max(column))
-        values.append(value)
-    return type(first)(*values)
+    components(donors[0][0])  # a gap has none, and raises
+    kind = next(kind for kind in ColumnKind if matches_kind(donors[0][0], kind))
+    return _compiled(_public, kind)([cell for cell, _ in donors], [w for _, w in donors])
 
 
 def impute(matrix: DataMatrix, k: int) -> ImputationResult:
@@ -120,6 +144,7 @@ def _fill(matrix: DataMatrix, cells: Sequence[tuple], gaps: Sequence[tuple[int, 
     if k < 1:
         raise ValueError("k must be at least 1")
     nearest, n = _compiled(_kernel, matrix.schema), matrix.n_rows
+    steps = [_compiled(_step, kind) for kind in matrix.schema]
     targets, missing = {}, [set() for _ in matrix.schema]  # row -> gaps, column -> rows
     for ref in gaps:
         targets.setdefault(ref[0], []).append(ref)
@@ -134,9 +159,5 @@ def _fill(matrix: DataMatrix, cells: Sequence[tuple], gaps: Sequence[tuple[int, 
             others = [j for j in targets if j not in missing[columns[0]]]
             near = nearest(cells, i, columns, others, k)[0] if others else []
             passes = [sorted([p for p in listed if p[1] not in targets][:k] + near)[:k]]
-        for ref, chosen in zip(refs, passes):
-            weights = cell = None  # if no comparable row observes the column
-            if chosen:
-                weights = neighbor_weights([d for d, _ in chosen])
-                cell = combine_cells([(cells[j][ref[1]], w) for (_, j), w in zip(chosen, weights)])
-            yield ref, chosen, weights, cell
+        for ref, chosen in zip(refs, passes):  # None, None if no comparable row observes it
+            yield ref, chosen, *(steps[ref[1]](cells, ref[1], chosen) if chosen else (None, None))

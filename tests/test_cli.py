@@ -86,20 +86,21 @@ def test_import_loads_only_what_runs():
 def test_a_command_compiles_what_it_runs_once(tmp_path, compiles, command):
     # Each per-schema function is compiled on its first use: only a command that
     # writes a typed-CSV file compiles a row writer, one that selects donors a
-    # kernel, only a benchmark that revisits rows their ranking, and only one
-    # that measures or scores cells their kinds' cell distances.
+    # kernel and its kinds' fill steps, only a benchmark that revisits rows their
+    # ranking, and only one that measures or scores cells their kinds' cell distances.
     gapped, complete = tmp_path / "gapped.csv", tmp_path / "complete.csv"
     gapped.write_text(serialize(seeded_table(200, 6, seed=19, gap_rate=0.15)), encoding="utf-8")
     complete.write_text(serialize(seeded_table(100, 6, seed=19, gap_rate=0.0)), encoding="utf-8")
     cells = ["crisp_distance", "interval_distance", "fuzzy_distance"]
+    steps = ["crisp_fill", "interval_fill", "fuzzy_fill"]
     argv, compiled = {
         "validate": (["--input", gapped], ["read"]),
         "distance": (["--input", gapped, "--rows", "0,1"], ["read", *cells]),
         "benchmark": (["--input", complete, "--k-min", "1", "--k-max", "2", "--nan-min", "1",
                        "--nan-max", "3", "--trials", "20", "--output", tmp_path / "raw.csv"],
-                      ["read", "apart", *cells, "nearest"]),
+                      ["read", "apart", *cells, "nearest", *steps]),
         "impute": (["--input", gapped, "--k", "3", "--output", tmp_path / "out.csv",
-                    "--trace", tmp_path / "trace.csv"], ["read", "nearest", "write"]),
+                    "--trace", tmp_path / "trace.csv"], ["read", "nearest", *steps, "write"]),
         "fixtures": (["--dest", tmp_path], ["write"] * len({fixture(n).schema
                                                            for n in FIXTURE_NAMES})),
     }[command]

@@ -74,6 +74,22 @@ class TestMaskRandom:
         with pytest.raises(ValueError):
             mask_random(case1_masked, 1, seed=0)
 
+    def test_the_draw_is_the_standard_librarys(self):
+        # The draw reads the generator's bits itself, and must take the cells that
+        # random's own sample and randrange take from the same seed. Counts of 6
+        # to 25 reach both of sample's branches: a pool of the rows when n is at
+        # most 21 plus a set's table size, else a set (edges at n = 21/22 and
+        # 85/86). A draw below 1 still takes bits: when count is n, sample's last
+        # pick is one, and the columns drawn after it must not move.
+        for n in [*range(1, 91), 100, 200, 341, 342, 1000]:
+            for m in (1, 2, 3, 5, 8, 9):
+                matrix = DataMatrix([ColumnKind.CRISP] * m, [[Crisp(0.0)] * m] * n)
+                for count in range(min(n, 25) + 1):
+                    seed = derive_trial_seed(n, m, count, 0)
+                    r = random.Random(seed)
+                    expected = sorted((row, r.randrange(m)) for row in r.sample(range(n), count))
+                    assert list(evaluation._mask_cells(matrix, count, seed)) == expected
+
 
 class TestCellError:
     """The error of one imputed cell is its distance to the true value."""
@@ -585,6 +601,8 @@ def test_lists_hold_k_rows_past_the_nearest_masked_ones(monkeypatch):
 
 #: The source of each kind's cell distance, in the order a benchmark compiles them.
 CELL_DISTANCES = [distances._cell_distance(kind) for kind in ColumnKind]
+#: The source of each kind's fill step, in the order a benchmark on ``seeded_table`` compiles them.
+FILL_STEPS = [imputer._step(kind) for kind in ColumnKind]
 
 
 def logged_ranking(monkeypatch):
@@ -609,8 +627,8 @@ def logged_ranking(monkeypatch):
 
 @pytest.mark.parametrize("trials, rows", [(2, 5), (10, 60)])
 def test_each_revisited_row_is_ranked_once(compiles, monkeypatch, trials, rows):
-    # The sweep shape: the ranking, the cell distances that score the trials
-    # and the kernel are compiled once each, and each row that the plan
+    # The sweep shape: the ranking, the cell distances that score the trials,
+    # the kernel and the fill steps are compiled once each, and each row that the plan
     # revisits enough is ranked once: 5 rows at 2 trials, and all 60 at 10.
     m = seeded_table(60, 8, seed=60, gap_rate=0.0)
     args = (m, range(1, 6), range(1, 5), trials, 1)
@@ -619,7 +637,8 @@ def test_each_revisited_row_is_ranked_once(compiles, monkeypatch, trials, rows):
     listed = listed_rows(m, distinct_masks(*args))
     assert len(listed) == rows
     assert sorted(ranked) == sorted(listed)
-    assert compiles == [distances._apart(m.schema), *CELL_DISTANCES, distances._kernel(m.schema)]
+    assert compiles == [distances._apart(m.schema), *CELL_DISTANCES, distances._kernel(m.schema),
+                        *FILL_STEPS]
 
 
 @pytest.mark.parametrize("ks, counts, trials", [
@@ -633,7 +652,7 @@ def test_a_plan_that_rarely_revisits_a_row_ranks_none(compiles, monkeypatch, ks,
     report = benchmark(m, ks, counts, trials, 1)
     assert not listed_rows(m, distinct_masks(m, ks, counts, trials, 1))
     assert ranked == []
-    assert compiles == [*CELL_DISTANCES, distances._kernel(m.schema)]
+    assert compiles == [*CELL_DISTANCES, distances._kernel(m.schema), *FILL_STEPS]
     rec = report.trials[-1]
     trial_seed = derive_trial_seed(1, rec.k, rec.missing_count, rec.trial)
     assert rec.error == _bf_trial_error(m, rec.k, rec.missing_count, trial_seed)

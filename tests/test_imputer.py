@@ -7,7 +7,7 @@ import threading
 import warnings
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hetimpute import core, distances, evaluation, fixture, imputer
@@ -226,6 +226,47 @@ class TestCombineCells:
             assert out.lower <= out.upper
         if isinstance(out, FuzzyTFN):
             assert out.a1 <= out.a2 <= out.a3
+
+
+_TOP = sys.float_info.max
+#: Two donors' distances whose weights sum to just over 1 (see the clamping test above).
+_PAST_TOP = [math.sqrt(1 / 3), math.sqrt(292299213049927 / 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(list(ColumnKind)),
+    data=st.data(),
+    distances=st.lists(
+        st.one_of(st.sampled_from([0.0, 5e-324, 1e-13, imputer.ZERO_DISTANCE_EPS, math.inf]),
+                  st.floats(min_value=0.0, allow_nan=False)),
+        min_size=1, max_size=6,
+    ),
+    same=st.booleans(),
+)
+@example(kind=ColumnKind.FUZZY, data=None, distances=_PAST_TOP, same=False)
+@example(kind=ColumnKind.FUZZY, data=None, distances=_PAST_TOP[::-1], same=False)
+@example(kind=ColumnKind.FUZZY, data=None, distances=[math.inf] * 3, same=False)
+@example(kind=ColumnKind.FUZZY, data=None, distances=[1e-13, 0.0, 0.5], same=True)
+def test_the_fill_step_matches_the_oracle_bit_for_bit(kind, data, distances, same):
+    # Each kind's compiled step weights and combines a gap's donors in one call,
+    # which must give the oracle's weights and cell to the last bit, and the
+    # first donor itself when every donor is equal. The examples without drawn
+    # donors take fuzzy cells at the largest doubles, whose sums overflow.
+    if data is None:
+        cells = [FuzzyTFN(_TOP, _TOP, _TOP), FuzzyTFN(*[1.7976931335875647e308] * 3),
+                 FuzzyTFN(-_TOP, 0.0, _TOP)][:len(distances)]
+    else:
+        parts = st.one_of(raw_reals(), st.sampled_from([_TOP, -_TOP, 5e-324]))
+        cells = [data.draw(cell_values(kind, parts)) for _ in distances]
+    if same:
+        cells = [cells[0]] + [type(cells[0])(*components(cells[0])) for _ in cells[1:]]
+    chosen = [(d, j) for j, d in enumerate(distances)]
+    weights, cell = core._compiled(imputer._step, kind)([[c] for c in cells], 0, chosen)
+    expected = bf_weights(distances)
+    assert repr((weights, cell)) == repr((expected, bf_combine(cells, expected)))
+    if all(c == cells[0] for c in cells):
+        assert cell is cells[0]
 
 
 class TestImpute:
@@ -493,7 +534,8 @@ def test_rows_that_cannot_be_nearest_are_cut_short(monkeypatch):
 
 def wrap_kernels(monkeypatch, wrap):
     """Make the fill step run ``wrap(kernel)`` in place of each schema's kernel."""
-    wrapped = functools.cache(lambda write, schema: wrap(core._compiled(write, schema)))
+    wrapped = functools.cache(lambda write, key: wrap(core._compiled(write, key))
+                              if write is distances._kernel else core._compiled(write, key))
     monkeypatch.setattr(imputer, "_compiled", wrapped)
 
 
@@ -507,10 +549,10 @@ def test_a_column_name_never_reaches_a_kernel(compiles):
     for matrix in (m, hostile):
         core._compiled.cache_clear()
         traces.append(impute(matrix, 3).trace)
-    assert len(compiles) == 2
-    assert compiles[1] == compiles[0]
+    assert len(compiles) == 8  # the kernel and three kinds' fill steps, twice
+    assert compiles[4:] == compiles[:4]
     assert traces[1] == traces[0]
-    assert "import" not in compiles[0] and "os." not in compiles[0]
+    assert not any("import" in source or "os." in source for source in compiles)
 
 
 def test_a_schema_gets_one_kernel(compiles):
@@ -521,12 +563,13 @@ def test_a_schema_gets_one_kernel(compiles):
         impute(narrow, 3)
         evaluation.benchmark(complete, [1, 2], [1, 2], 3, 0)
     kernels = [distances._kernel(complete.schema), distances._kernel(narrow.schema)]
+    steps = [imputer._step(kind) for kind in ColumnKind]  # one per kind, not per schema
     cells = [distances._cell_distance(kind) for kind in ColumnKind]  # that score the benchmark
-    assert compiles == [*kernels, *cells]
+    assert compiles == [kernels[0], *steps, kernels[1], *cells]
 
 
 def test_impute_reads_the_kernel_cache_once_per_call(dense_matrix, monkeypatch):
-    # Not once per target row: a read hashes the schema through Enum.__hash__.
+    # Not once per target row or cell: the kernel once, and each column's fill step.
     expected, reads = impute(dense_matrix, 5), []
 
     def counted(write, key):
@@ -535,7 +578,8 @@ def test_impute_reads_the_kernel_cache_once_per_call(dense_matrix, monkeypatch):
 
     monkeypatch.setattr(imputer, "_compiled", counted)
     assert impute(dense_matrix, 5) == expected
-    assert reads == [(distances._kernel, dense_matrix.schema)]
+    assert reads == [(distances._kernel, dense_matrix.schema),
+                     *((imputer._step, kind) for kind in dense_matrix.schema)]
 
 
 def test_a_warm_kernel_lookup_makes_no_python_call():
