@@ -8,7 +8,7 @@ frozen for the whole pass, so cells never see each other's freshly imputed
 values and the result is independent of evaluation order. One fill step
 serves ``impute``, which builds the completed matrix and trace, and the
 masking benchmark, which scores the filled cells alone; it weights and
-combines a gap's donors in one call of its kind's step, compiled from the rule texts.
+combines a gap's donors in one call of its kind's step, compiled from one template.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 from itertools import filterfalse
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import (_KIND_CLASS, CellRef, CellValue, ColumnKind, DataMatrix, _compiled, _indent,
-                   _with_cells, components, matches_kind)
+from .core import _KIND_CLASS, CellRef, ColumnKind, DataMatrix, _compiled, _with_cells
 from .distances import _kernel
 
 #: Distances below this are treated as exact matches when weighting.
@@ -39,84 +38,51 @@ class ImputationResult(NamedTuple):
     unimputable: tuple[CellRef, ...]
 
 
-#: Each rule of a fill, written once and run by each kind's step, ``neighbor_weights`` and
-#: ``combine_cells`` alike. ``_WEIGHTS`` weights ``distances``; the rules of each field ``{f}``
-#: combine ``donors`` by ``weights``. A clamp acts only on a sum past the largest double.
-_WEIGHTS = f"""exact = [d < {ZERO_DISTANCE_EPS!r} for d in distances]
-if True in exact:
-    weights = [1.0 / exact.count(True) if hit else 0.0 for hit in exact]
-else:
-    total = 0.0
-    for d in distances:
-        total += 1.0 / d
-    weights = [1.0 / d / total if total else 1.0 / len(distances) for d in distances]"""
-_IDENTITY = "x.{f} != first.{f}"
-_FOLD = "v_{f} += x.{f} * w"
-_CLAMP = """if not -inf < v_{f} < inf:
-    v_{f} = min(max(v_{f}, min([x.{f} for x in donors])), max([x.{f} for x in donors]))"""
-
-
-def _combination(kind: ColumnKind, out: str) -> str:
-    """The text that gives ``out`` the first of ``donors`` if all are equal, else their left fold
-    by ``weights`` per field, set in a new cell's slots if it passes the constructor's test."""
-    def rule(text: str, sep: str) -> str:
-        return sep.join(text.format(f=f) for f in _KIND_CLASS[kind].__slots__)
-
-    return "\n".join([
-        f"first = donors[0]\nfor x in donors:\n    if {rule(_IDENTITY, ' or ')}:\n        break",
-        f"else:\n    {out}first", rule("v_{f} = 0.0", "; "),
-        f"for x, w in zip(donors, weights):\n    {rule(_FOLD, '; ')}", rule(_CLAMP, "\n"),
-        f"if -inf < {rule('v_{f}', ' <= ')} < inf:\n    cell = new(type(first))",
-        f"    {rule('set_{f}(cell, v_{f})', '; ')}\n    {out}cell",
-        f"{out}type(first)({rule('v_{f}', ', ')})"])
+#: A kind's fill step: the inverse-distance weights, then the first donor itself if every donor
+#: equals it, else each field's left fold by weight in donor order, a sum past the largest double
+#: clamped into its donors' range, and the cell constructor's test before the slots are set.
+#: ``_step`` fills each placeholder but ``{kind}`` and ``{eps}`` with one text per field.
+_STEP = """\
+def {kind}_fill(cells, col, chosen):
+    distances = [d for d, _ in chosen]
+    exact = [d < {eps!r} for d in distances]
+    if True in exact:
+        weights = [1.0 / exact.count(True) if hit else 0.0 for hit in exact]
+    else:
+        total = 0.0
+        for d in distances:
+            total += 1.0 / d
+        weights = [1.0 / d / total if total else 1.0 / len(distances) for d in distances]
+    donors = [cells[j][col] for _, j in chosen]
+    first = donors[0]
+    for x in donors:
+        if {differs}:
+            break
+    else:
+        return weights, first
+    {zeros}
+    for x, w in zip(donors, weights):
+        {folds}
+    {clamps}
+    if -inf < {ordered} < inf:
+        cell = new(type(first))
+        {slots}
+        return weights, cell
+    return weights, type(first)({values})"""
 
 
 def _step(kind: ColumnKind) -> str:
     """The source of ``kind``'s fill step, ``(cells, col, chosen) -> (weights, cell)``."""
-    body = ["distances = [d for d, _ in chosen]", _WEIGHTS,
-            "donors = [cells[j][col] for _, j in chosen]", _combination(kind, "return weights, ")]
-    return f"def {kind.value}_fill(cells, col, chosen):\n    {_indent(chr(10).join(body), 1)}"
+    def each(text: str, sep: str) -> str:
+        return sep.join(text.format(f=f) for f in _KIND_CLASS[kind].__slots__)
 
-
-def _public(kind: ColumnKind | None) -> str:
-    """The source of ``combine_cells``'s step for ``kind``, or of ``neighbor_weights``'s if None."""
-    if kind is None:
-        return f"def neighbor_weights(distances):\n    {_indent(_WEIGHTS, 1)}\n    return weights"
-    body = _indent(_combination(kind, "return "), 1)
-    return f"def {kind.value}_combine(donors, weights):\n    {body}"
-
-
-def neighbor_weights(distances: Sequence[float]) -> list[float]:
-    """Inverse-distance weights, normalized to sum to 1.
-
-    Inverse distance is singular at zero, and a donor at (numerically) zero
-    distance is an exact answer: if any distance falls below
-    ZERO_DISTANCE_EPS, those donors share the weight uniformly and every
-    other donor gets 0. When every donor is at infinite distance, none is
-    nearer than another, so they too share the weight uniformly.
-    """
-    if len(distances) == 0:
-        raise ValueError("at least one distance is required")
-    return _compiled(_public, None)(distances)
-
-
-def combine_cells(donors: Sequence[tuple[CellValue, float]]) -> CellValue:
-    """Component-wise weighted combination of donor cells.
-
-    The donors are observed cells of one DataMatrix column, so they share
-    its kind, which the matrix checked when it was built. Weights are
-    expected to be nonnegative and sum to 1, which keeps every component
-    inside its donors' range, up to rounding, and preserves interval/fuzzy
-    ordering. A component whose weighted sum overflows is clamped into its
-    donors' [min, max]. A combination of identical values returns that
-    value verbatim (the mathematical identity would otherwise be lost to
-    summation rounding).
-    """
-    if len(donors) == 0:
-        raise ValueError("at least one donor is required")
-    components(donors[0][0])  # a gap has none, and raises
-    kind = next(kind for kind in ColumnKind if matches_kind(donors[0][0], kind))
-    return _compiled(_public, kind)([cell for cell, _ in donors], [w for _, w in donors])
+    clamp = ("if not -inf < v_{f} < inf:\n        v_{f} = "
+             "min(max(v_{f}, min([x.{f} for x in donors])), max([x.{f} for x in donors]))")
+    return _STEP.format(
+        kind=kind.value, eps=ZERO_DISTANCE_EPS, differs=each("x.{f} != first.{f}", " or "),
+        zeros=each("v_{f} = 0.0", "; "), folds=each("v_{f} += x.{f} * w", "; "),
+        clamps=each(clamp, "\n    "), ordered=each("v_{f}", " <= "),
+        slots=each("set_{f}(cell, v_{f})", "; "), values=each("v_{f}", ", "))
 
 
 def impute(matrix: DataMatrix, k: int) -> ImputationResult:
@@ -144,11 +110,11 @@ def _fill(matrix: DataMatrix, cells: Sequence[tuple], gaps: Sequence[tuple[int, 
     if k < 1:
         raise ValueError("k must be at least 1")
     nearest, n = _compiled(_kernel, matrix.schema), matrix.n_rows
-    steps = [_compiled(_step, kind) for kind in matrix.schema]
     targets, missing = {}, [set() for _ in matrix.schema]  # row -> gaps, column -> rows
     for ref in gaps:
         targets.setdefault(ref[0], []).append(ref)
         missing[ref[1]].add(ref[0])
+    steps = [_compiled(_step, kind) if rows else None for kind, rows in zip(matrix.schema, missing)]
     for i, refs in targets.items():  # a pass per row, over rows observing a gap
         columns = [l for _, l in refs]
         listed = ranked.get((i, *columns))

@@ -601,7 +601,7 @@ def test_lists_hold_k_rows_past_the_nearest_masked_ones(monkeypatch):
 
 #: The source of each kind's cell distance, in the order a benchmark compiles them.
 CELL_DISTANCES = [distances._cell_distance(kind) for kind in ColumnKind]
-#: The source of each kind's fill step, in the order a benchmark on ``seeded_table`` compiles them.
+#: The source of each kind's fill step, in ``ColumnKind`` order.
 FILL_STEPS = [imputer._step(kind) for kind in ColumnKind]
 
 
@@ -637,8 +637,11 @@ def test_each_revisited_row_is_ranked_once(compiles, monkeypatch, trials, rows):
     listed = listed_rows(m, distinct_masks(*args))
     assert len(listed) == rows
     assert sorted(ranked) == sorted(listed)
+    # A fill step compiles at its kind's first gap: the first trials mask one crisp,
+    # then one fuzzy, then one interval cell.
+    crisp, interval, fuzzy = FILL_STEPS
     assert compiles == [distances._apart(m.schema), *CELL_DISTANCES, distances._kernel(m.schema),
-                        *FILL_STEPS]
+                        crisp, fuzzy, interval]
 
 
 @pytest.mark.parametrize("ks, counts, trials", [

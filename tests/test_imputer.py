@@ -22,11 +22,7 @@ from hetimpute.core import (
     components,
     missing_cells,
 )
-from hetimpute.imputer import (
-    combine_cells,
-    impute,
-    neighbor_weights,
-)
+from hetimpute.imputer import impute
 from hetimpute.typed_csv import parse, serialize
 
 from conftest import refuse_other_processes, seeded_table
@@ -36,34 +32,45 @@ from strategies import cell_values, matrices, raw_reals
 approx = pytest.approx
 
 
+def fill(cells, distances):
+    """``(weights, cell)`` from the fill step of ``cells``' kind, donor j at ``distances[j]``."""
+    kind = next(kind for kind in ColumnKind if core.matches_kind(cells[0], kind))
+    chosen = [(d, j) for j, d in enumerate(distances)]
+    return core._compiled(imputer._step, kind)([[c] for c in cells], 0, chosen)
+
+
+#: Donors whose values the weights tests ignore.
+DONORS = [Crisp(float(j)) for j in range(10)]
+
+_TOP = sys.float_info.max
+#: Two donors' distances whose weights sum to just over 1 (see the clamping test below).
+_PAST_TOP = [math.sqrt(1 / 3), math.sqrt(292299213049927 / 3)]
+
+
 class TestNeighborWeights:
     def test_worked_example_pair(self):
-        w = neighbor_weights([0.2661, 0.0945])
+        w, _ = fill(DONORS[:2], [0.2661, 0.0945])
         assert w[0] == approx(0.2620, abs=1e-3)
         assert w[1] == approx(0.7380, abs=1e-3)
 
     def test_equal_distances_split_evenly(self):
-        assert neighbor_weights([0.37, 0.37]) == [0.5, 0.5]
+        assert fill(DONORS[:2], [0.37, 0.37])[0] == [0.5, 0.5]
 
     def test_zero_distance_takes_all(self):
-        assert neighbor_weights([0.0, 0.3]) == [1.0, 0.0]
+        assert fill(DONORS[:2], [0.0, 0.3])[0] == [1.0, 0.0]
 
     def test_tied_zero_distances_share(self):
-        assert neighbor_weights([0.0, 0.0, 0.3]) == [0.5, 0.5, 0.0]
+        assert fill(DONORS[:3], [0.0, 0.0, 0.3])[0] == [0.5, 0.5, 0.0]
 
     def test_near_zero_counts_as_zero(self):
-        assert neighbor_weights([1e-13, 0.3]) == [1.0, 0.0]
+        assert fill(DONORS[:2], [1e-13, 0.3])[0] == [1.0, 0.0]
 
     def test_all_infinite_distances_share(self):
         distances = [math.inf, math.inf]
-        assert neighbor_weights(distances) == bf_weights(distances) == [0.5, 0.5]
+        assert fill(DONORS[:2], distances)[0] == bf_weights(distances) == [0.5, 0.5]
 
     def test_infinite_distance_among_finite_gets_nothing(self):
-        assert neighbor_weights([0.5, math.inf]) == [1.0, 0.0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            neighbor_weights([])
+        assert fill(DONORS[:2], [0.5, math.inf])[0] == [1.0, 0.0]
 
     @given(
         st.lists(
@@ -73,7 +80,7 @@ class TestNeighborWeights:
         )
     )
     def test_weights_normalized(self, distances):
-        w = neighbor_weights(distances)
+        w, _ = fill(DONORS[:len(distances)], distances)
         assert len(w) == len(distances)
         assert all(0.0 <= x <= 1.0 for x in w)
         assert sum(w) == approx(1.0, abs=1e-12)
@@ -137,26 +144,22 @@ class TestFindNeighbors:
 
 class TestCombineCells:
     def test_worked_example_fuzzy_blend(self, case1):
-        donors = [
-            (case1.cells[0][2], 0.2620),
-            (case1.cells[1][2], 0.7380),
-        ]
-        out = combine_cells(donors)
+        _, out = fill([case1.cells[0][2], case1.cells[1][2]], [0.2661, 0.0945])
         assert out.a1 == approx(0.3935, abs=1e-3)
         assert out.a2 == approx(0.5604, abs=1e-3)
         assert out.a3 == approx(0.7273, abs=1e-3)
 
     def test_single_donor_is_verbatim(self):
         t = FuzzyTFN(0.123, 0.456, 0.789)
-        assert combine_cells([(t, 1.0)]) == t
+        assert fill([t], [0.5])[1] is t
 
     def test_interval_midpoint(self):
-        out = combine_cells([(Interval(0, 1), 0.5), (Interval(1, 3), 0.5)])
+        out = fill([Interval(0, 1), Interval(1, 3)], [0.5, 0.5])[1]
         assert out == Interval(0.5, 2.0)
 
     def test_identical_donors_return_exact_value(self):
         c = Crisp(0.1)
-        out = combine_cells([(c, 1 / 3), (c, 1 / 3), (c, 1 / 3)])
+        out = fill([c, c, c], [0.3, 0.3, 0.3])[1]
         assert out.value == 0.1
 
     def test_kind_mismatch_rejected(self, case1):
@@ -168,16 +171,11 @@ class TestCombineCells:
     def test_overflowing_sum_clamped_into_donor_range(self):
         # Weights of two donors at distances sqrt(1/3) and sqrt(292299213049927/3):
         # they sum to just over 1, so the weighted sum rounds past the largest double.
-        top = sys.float_info.max
-        donors = [(Crisp(top), 0.99999994150939),
-                  (Crisp(1.7976931335875647e308), 5.8490610119042095e-08)]
-        assert combine_cells(donors) == Crisp(top)
-        low = [(Crisp(-value.value), w) for value, w in donors]
-        assert combine_cells(low) == Crisp(-top)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            combine_cells([])
+        donors = [Crisp(_TOP), Crisp(1.7976931335875647e308)]
+        weights, out = fill(donors, _PAST_TOP)
+        assert weights == [0.99999994150939, 5.8490610119042095e-08]
+        assert out == Crisp(_TOP)
+        assert fill([Crisp(-c.value) for c in donors], _PAST_TOP)[1] == Crisp(-_TOP)
 
     @pytest.mark.parametrize(
         "distances",
@@ -191,7 +189,6 @@ class TestCombineCells:
         # rounding may still carry them outside the donors' range.
         top = sys.float_info.max
         tiny = math.ulp(0.0)
-        weights = neighbor_weights(distances)
         for a, b in [
             (math.nextafter(top, 0.0), top),
             (-top, math.nextafter(-top, 0.0)),
@@ -206,7 +203,7 @@ class TestCombineCells:
                 [FuzzyTFN(a, a, b), FuzzyTFN(a, b, b), FuzzyTFN(b, b, b)],
                 [FuzzyTFN(a, a, a), FuzzyTFN(a, a, b), FuzzyTFN(a, b, b)],
             ]:
-                parts = components(combine_cells(list(zip(donors, weights))))
+                parts = components(fill(donors, distances)[1])
                 assert list(parts) == sorted(parts)
 
     @given(
@@ -216,9 +213,8 @@ class TestCombineCells:
     )
     def test_convex_combination_stays_in_donor_range(self, kind, data, n):
         cells = [data.draw(cell_values(kind)) for _ in range(n)]
-        raw = [data.draw(st.floats(min_value=0.01, max_value=1.0)) for _ in range(n)]
-        weights = [r / sum(raw) for r in raw]
-        out = combine_cells(list(zip(cells, weights)))
+        distances = [data.draw(st.floats(min_value=0.0, allow_nan=False)) for _ in range(n)]
+        out = fill(cells, distances)[1]
         for position, value in enumerate(components(out)):
             donor_values = [components(c)[position] for c in cells]
             assert min(donor_values) - 1e-9 <= value <= max(donor_values) + 1e-9
@@ -226,11 +222,6 @@ class TestCombineCells:
             assert out.lower <= out.upper
         if isinstance(out, FuzzyTFN):
             assert out.a1 <= out.a2 <= out.a3
-
-
-_TOP = sys.float_info.max
-#: Two donors' distances whose weights sum to just over 1 (see the clamping test above).
-_PAST_TOP = [math.sqrt(1 / 3), math.sqrt(292299213049927 / 3)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -565,7 +556,8 @@ def test_a_schema_gets_one_kernel(compiles):
     kernels = [distances._kernel(complete.schema), distances._kernel(narrow.schema)]
     steps = [imputer._step(kind) for kind in ColumnKind]  # one per kind, not per schema
     cells = [distances._cell_distance(kind) for kind in ColumnKind]  # that score the benchmark
-    assert compiles == [kernels[0], *steps, kernels[1], *cells]
+    # The first table's gaps are an interval and a fuzzy cell, so narrow's compile the crisp step.
+    assert compiles == [kernels[0], *steps[1:], kernels[1], steps[0], *cells]
 
 
 def test_impute_reads_the_kernel_cache_once_per_call(dense_matrix, monkeypatch):
