@@ -560,6 +560,37 @@ def test_a_schema_gets_one_kernel(compiles):
     assert compiles == [kernels[0], *steps[1:], kernels[1], steps[0], *cells]
 
 
+def test_impute_compiles_only_the_steps_of_its_gaps_kinds(compiles):
+    complete = seeded_table(30, 4, seed=4, gap_rate=0.0)
+    impute(complete, 3)
+    impute(complete.with_cell(2, 3, None).with_cell(9, 0, None), 3)  # both columns crisp
+    assert compiles == [distances._kernel(complete.schema), imputer._step(ColumnKind.CRISP)]
+
+
+def test_a_gap_without_donors_never_reaches_its_step(monkeypatch):
+    # So no step has to answer for an empty donor list.
+    m = DataMatrix((ColumnKind.CRISP, ColumnKind.CRISP),
+                   ((Crisp(1.0), Crisp(2.0)), (None, None), (Crisp(3.0), Crisp(4.0)),
+                    (None, Crisp(5.0))))
+    donor_lists = []
+
+    def logged(write, key):
+        compiled = core._compiled(write, key)
+        if write is not imputer._step:
+            return compiled
+
+        def step(cells, col, chosen):
+            donor_lists.append(chosen)
+            return compiled(cells, col, chosen)
+        return step
+
+    monkeypatch.setattr(imputer, "_compiled", logged)
+    result = impute(m, 2)
+    assert result.unimputable == (CellRef(1, 0), CellRef(1, 1))
+    assert list(result.trace) == [(3, 0)]
+    assert len(donor_lists) == 1 and all(donor_lists)
+
+
 def test_impute_reads_the_kernel_cache_once_per_call(dense_matrix, monkeypatch):
     # Not once per target row or cell: the kernel once, and each column's fill step.
     expected, reads = impute(dense_matrix, 5), []
