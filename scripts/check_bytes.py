@@ -64,10 +64,17 @@ def jobs() -> list[tuple[str, list[str]]]:
         Path("in", f"{job}.csv").write_text(_table(grid), encoding="utf-8")
         runs.append((job, ["benchmark", "--input", f"in/{job}.csv", *args,
                            "--output", f"{job}/b.csv"]))
+    # Intervals one and two ulps below the largest double, whose fill of row 0
+    # overflows its upper bound and is clamped into its donors' range.
+    Path("in", "near-top.csv").write_text(
+        "x:interval,y:crisp\n,0.0\n[1.7976931348623153e+308;1.7976931348623155e+308],34.026\n"
+        "[1.7976931348623155e+308;1.7976931348623155e+308],8.614\n", encoding="utf-8")
     dense = "in/impute-dense-1/input.csv"
     return runs + [("distance", ["distance", "--input", dense, "--rows", "0,1"]),
                    ("validate", ["validate", "--input", dense]),
-                   ("fixtures", ["fixtures", "--dest", "fixtures"])]
+                   ("fixtures", ["fixtures", "--dest", "fixtures"]),
+                   ("near-top", ["impute", "--input", "in/near-top.csv", "--k", "2",
+                                 "--trace", "near-top/trace.csv", "--output", "near-top/out.csv"])]
 
 
 def main() -> None:

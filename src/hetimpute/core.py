@@ -32,9 +32,10 @@ def _made(cls: type, **fields: object) -> _Value:
 
 class _Value:
     """Base of the read-only values, the cells and the matrix. A value keeps
-    its fields in ``__slots__`` and returns the public ones, in that order,
-    from ``_components``, and it equals a value of its class with equal
-    components. Its constructor is ``__new__``, which checks it and raises
+    its fields in ``__slots__``, the public ones first and then any whose
+    name starts with ``_``. ``_components`` reads the public ones, in that
+    order, and ``repr`` names them; a value equals a value of its class with
+    equal components. Its constructor is ``__new__``, which checks it and raises
     ValueError, so ``__init__`` on a built value rebinds nothing; pickle and
     copy rebuild it through its constructor. Cells are no tuples: the
     distance kernel reads their fields, and a slot reads faster than a
@@ -60,9 +61,11 @@ class _Value:
     def __reduce__(self):
         return self.__class__, self._components()
 
+    def _components(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
     def __repr__(self) -> str:
-        public = [name for name in self.__slots__ if name[0] != "_"]
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in public)
+        fields = ", ".join(f"{name}={x!r}" for name, x in zip(self.__slots__, self._components()))
         return f"{self.__class__.__name__}({fields})"
 
 
@@ -76,9 +79,6 @@ class Crisp(_Value):
             raise ValueError("non-finite component")
         return _made(cls, value=value)
 
-    def _components(self) -> tuple[float, ...]:
-        return (self.value,)
-
 
 class Interval(_Value):
     """A closed range [lower, upper]. Degenerate (lower == upper) is legal."""
@@ -90,9 +90,6 @@ class Interval(_Value):
             raise _refused("lower > upper", lower, upper)
         return _made(cls, lower=lower, upper=upper)
 
-    def _components(self) -> tuple[float, ...]:
-        return (self.lower, self.upper)
-
 
 class FuzzyTFN(_Value):
     """A triangular fuzzy number (a1, a2, a3) with a1 <= a2 <= a3."""
@@ -103,9 +100,6 @@ class FuzzyTFN(_Value):
         if not -_INF < a1 <= a2 <= a3 < _INF:
             raise _refused("fuzzy components out of order", a1, a2, a3)
         return _made(cls, a1=a1, a2=a2, a3=a3)
-
-    def _components(self) -> tuple[float, ...]:
-        return (self.a1, self.a2, self.a3)
 
 
 def _refused(order: str, *components: float) -> ValueError:
@@ -236,9 +230,6 @@ class DataMatrix(_Value):
                     raise ValueError(f"cell ({i},{l}): {type(row[l]).__name__} does not "
                                      f"match column kind {schema[l].value}")
         return _made(cls, schema=schema, cells=cells, column_names=names, _gaps=tuple(sorted(gaps)))
-
-    def _components(self) -> tuple:
-        return (self.schema, self.cells, self.column_names)
 
     @property
     def n_rows(self) -> int:

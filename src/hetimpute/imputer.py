@@ -39,9 +39,10 @@ class ImputationResult(NamedTuple):
 
 
 #: A kind's fill step: the inverse-distance weights, then the first donor itself if every donor
-#: equals it, else each field's left fold by weight in donor order, a sum past the largest double
-#: clamped into its donors' range, and the cell constructor's test before the slots are set.
-#: ``_step`` fills each placeholder but ``{kind}`` and ``{eps}`` with one text per field.
+#: equals it, else each field's left fold by weight in donor order, set into a new cell's slots.
+#: Weights >= 0 and monotone rounding keep each donor's field order in the folds. If any fold
+#: passed the largest double, every field is clamped into its donors' range, which keeps that
+#: order too. ``_step`` fills each placeholder but ``{kind}`` and ``{eps}`` with one text per field.
 _STEP = """\
 def {kind}_fill(cells, col, chosen):
     distances = [d for d, _ in chosen]
@@ -63,12 +64,11 @@ def {kind}_fill(cells, col, chosen):
     {zeros}
     for x, w in zip(donors, weights):
         {folds}
-    {clamps}
-    if -inf < {ordered} < inf:
-        cell = new(type(first))
-        {slots}
-        return weights, cell
-    return weights, type(first)({values})"""
+    if {unbounded}:
+        {clamps}
+    cell = new(type(first))
+    {slots}
+    return weights, cell"""
 
 
 def _step(kind: ColumnKind) -> str:
@@ -76,13 +76,12 @@ def _step(kind: ColumnKind) -> str:
     def each(text: str, sep: str) -> str:
         return sep.join(text.format(f=f) for f in _KIND_CLASS[kind].__slots__)
 
-    clamp = ("if not -inf < v_{f} < inf:\n        v_{f} = "
-             "min(max(v_{f}, min([x.{f} for x in donors])), max([x.{f} for x in donors]))")
+    clamp = "v_{f} = min(max(v_{f}, min([x.{f} for x in donors])), max([x.{f} for x in donors]))"
     return _STEP.format(
         kind=kind.value, eps=ZERO_DISTANCE_EPS, differs=each("x.{f} != first.{f}", " or "),
         zeros=each("v_{f} = 0.0", "; "), folds=each("v_{f} += x.{f} * w", "; "),
-        clamps=each(clamp, "\n    "), ordered=each("v_{f}", " <= "),
-        slots=each("set_{f}(cell, v_{f})", "; "), values=each("v_{f}", ", "))
+        unbounded=each("not -inf < v_{f} < inf", " or "), clamps=each(clamp, "\n        "),
+        slots=each("set_{f}(cell, v_{f})", "; "))
 
 
 def impute(matrix: DataMatrix, k: int) -> ImputationResult:

@@ -86,8 +86,8 @@ def bf_weights(distances: list[float]) -> list[float]:
 
 def bf_combine(cells: list, weights: list[float]) -> CellValue:
     """The donors' common value when all ``cells`` are equal; else each component
-    summed as ``weights`` times the donors' components in donor order, and a sum
-    past the largest double clamped into the donors' range."""
+    summed as ``weights`` times the donors' components in donor order and, if any
+    sum passed the largest double, every component clamped into the donors' range."""
     value = cells[0]
     if all(c == value for c in cells):
         return value
@@ -102,7 +102,9 @@ def bf_combine(cells: list, weights: list[float]) -> CellValue:
         x = 0.0
         for p, w in zip(column, weights):
             x += p * w
-        parts.append(x if math.isfinite(x) else min(max(x, min(column)), max(column)))
+        parts.append(x)
+    if not all(math.isfinite(x) for x in parts):
+        parts = [min(max(x, min(column)), max(column)) for x, column in zip(parts, columns)]
     return type(value)(*parts)
 
 

@@ -476,6 +476,13 @@ EXTREME_FILES = {
     ),
 }
 
+#: Intervals one and two ulps below the largest double: the fill of row 0 from rows 1 and 2
+#: overflows its upper bound only, so the clamp must keep the filled interval in order.
+NEAR_TOP_INTERVALS = (
+    "x:interval,y:crisp\n,0.0\n"
+    "[1.7976931348623153e+308;1.7976931348623155e+308],34.026\n"
+    "[1.7976931348623155e+308;1.7976931348623155e+308],8.614\n"
+)
 
 # The commands that print to stdout, each writing its files (if any) under {out}.
 PRINTERS = {
@@ -530,6 +537,18 @@ class TestNumericExtremes:
         out = tmp_path / "o.csv"
         run = run_cli("impute", "--k", "2", "--input", str(src), "--output", str(out))
         assert run.returncode == 0, run.stderr
+        check = run_cli("validate", "--input", str(out))
+        assert check.returncode == 0, check.stderr
+
+    def test_an_overflowing_interval_fill_is_ordered(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text(NEAR_TOP_INTERVALS, encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert run_cli("validate", "--input", str(src)).returncode == 0
+        run = run_cli("impute", "--k", "2", "--input", str(src), "--output", str(out))
+        assert (run.returncode, run.stderr) == (0, "")
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[1] == "[1.7976931348623155e+308;1.7976931348623155e+308],0.0"
         check = run_cli("validate", "--input", str(out))
         assert check.returncode == 0, check.stderr
 

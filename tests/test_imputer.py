@@ -43,6 +43,7 @@ def fill(cells, distances):
 DONORS = [Crisp(float(j)) for j in range(10)]
 
 _TOP = sys.float_info.max
+_ULP = math.ulp(_TOP)
 #: Two donors' distances whose weights sum to just over 1 (see the clamping test below).
 _PAST_TOP = [math.sqrt(1 / 3), math.sqrt(292299213049927 / 3)]
 
@@ -178,33 +179,43 @@ class TestCombineCells:
         assert fill([Crisp(-c.value) for c in donors], _PAST_TOP)[1] == Crisp(-_TOP)
 
     @pytest.mark.parametrize(
-        "distances",
-        [[1.0, 3.0, 7.0], [0.5, 0.5, 2.0], [1e-3, 1e300, 7.0], [0.3, 1.0, math.inf],
-         [math.inf] * 3, [1e-7, 3e-7, 1e-6]],
+        "distances, donors",
+        [([1.0, 3.0, 7.0], None), ([0.5, 0.5, 2.0], None), ([1e-3, 1e300, 7.0], None),
+         ([0.3, 1.0, math.inf], None), ([math.inf] * 3, None), ([1e-7, 3e-7, 1e-6], None),
+         ([math.sqrt(8.614), math.sqrt(34.026)],
+          [Interval(_TOP - _ULP, _TOP - _ULP), Interval(_TOP - 2 * _ULP, _TOP - _ULP)]),
+         ([math.sqrt(8.614), math.sqrt(34.026)],
+          [FuzzyTFN(*[_TOP - _ULP] * 3), FuzzyTFN(_TOP - 2 * _ULP, _TOP - 2 * _ULP, _TOP - _ULP)])],
+        ids=[*(f"distances{i}" for i in range(6)), "interval-top-clamped", "fuzzy-top-clamped"],
     )
-    def test_order_survives_donors_one_ulp_apart(self, distances):
-        # A filled cell is built through its constructor, which refuses
-        # components out of order: the weighted sums must keep the donors'
-        # order at the largest doubles and among the subnormals, where
-        # rounding may still carry them outside the donors' range.
+    def test_order_survives_donors_one_ulp_apart(self, distances, donors):
+        # A filled cell's slots are set without its constructor's test, so
+        # the weighted sums, and the clamp of a sum past the largest double,
+        # must keep the donors' order at the largest doubles and among the
+        # subnormals, where rounding may still carry them outside the
+        # donors' range. Without ``donors``, each pair one ulp apart is tried.
         top = sys.float_info.max
         tiny = math.ulp(0.0)
-        for a, b in [
-            (math.nextafter(top, 0.0), top),
-            (-top, math.nextafter(-top, 0.0)),
-            (-tiny, 0.0),
-            (0.0, tiny),
-            (tiny, 2 * tiny),
-            (-2 * tiny, tiny),
-        ]:
-            for donors in [
+        grids = [donors] if donors else [
+            grid
+            for a, b in [
+                (math.nextafter(top, 0.0), top),
+                (-top, math.nextafter(-top, 0.0)),
+                (-tiny, 0.0),
+                (0.0, tiny),
+                (tiny, 2 * tiny),
+                (-2 * tiny, tiny),
+            ]
+            for grid in [
                 [Interval(a, b), Interval(b, b), Interval(a, a)],
                 [Interval(a, a), Interval(a, b), Interval(b, b)],
                 [FuzzyTFN(a, a, b), FuzzyTFN(a, b, b), FuzzyTFN(b, b, b)],
                 [FuzzyTFN(a, a, a), FuzzyTFN(a, a, b), FuzzyTFN(a, b, b)],
-            ]:
-                parts = components(fill(donors, distances)[1])
-                assert list(parts) == sorted(parts)
+            ]
+        ]
+        for grid in grids:
+            parts = components(fill(grid, distances)[1])
+            assert list(parts) == sorted(parts)
 
     @given(
         kind=st.sampled_from(list(ColumnKind)),
@@ -222,6 +233,16 @@ class TestCombineCells:
             assert out.lower <= out.upper
         if isinstance(out, FuzzyTFN):
             assert out.a1 <= out.a2 <= out.a3
+
+    def test_a_clamped_fill_keeps_its_finite_fields_in_donor_range(self):
+        # The last sum passes the largest double, and the middle one, finite,
+        # rounds past its donors' largest: the clamp takes every field.
+        donors = [FuzzyTFN(1e308, _TOP - _ULP, _TOP), FuzzyTFN(-5e-324, _TOP - _ULP, _TOP - _ULP),
+                  FuzzyTFN(-(_TOP - _ULP), -0.0, 1e308)]
+        out = fill(donors, [7.132724776580624e-07, 8.739485663958117, math.inf])[1]
+        for position, value in enumerate(components(out)):
+            donor_values = [components(c)[position] for c in donors]
+            assert min(donor_values) <= value <= max(donor_values)
 
 
 @settings(max_examples=300, deadline=None)
@@ -248,7 +269,9 @@ def test_the_fill_step_matches_the_oracle_bit_for_bit(kind, data, distances, sam
         cells = [FuzzyTFN(_TOP, _TOP, _TOP), FuzzyTFN(*[1.7976931335875647e308] * 3),
                  FuzzyTFN(-_TOP, 0.0, _TOP)][:len(distances)]
     else:
-        parts = st.one_of(raw_reals(), st.sampled_from([_TOP, -_TOP, 5e-324]))
+        near_top = [_TOP, math.nextafter(_TOP, 0), _TOP - 2 * _ULP]
+        parts = st.one_of(raw_reals(),
+                          st.sampled_from([*near_top, *(-x for x in near_top), 5e-324]))
         cells = [data.draw(cell_values(kind, parts)) for _ in distances]
     if same:
         cells = [cells[0]] + [type(cells[0])(*components(cells[0])) for _ in cells[1:]]
